@@ -1,7 +1,8 @@
-"""Big-integer multiplication backends, cross-checked against schoolbook.
+"""Big-integer multiplication backends, cross-checked against CPython's `*`.
 
-Karatsuba and the NTT-convolution backend must match the oracle exactly;
-the transform-pipeline backend is the experiment and reports its verdict.
+Schoolbook, Karatsuba and the NTT-convolution backend must match the
+oracle exactly and report their limb-operation counts; the
+transform-pipeline backend is the experiment and reports its verdict.
 
 Run:  python demos/bigmul_backends.py
 """
@@ -18,7 +19,8 @@ print("operands:", a.to_hex(), "x", b.to_hex(), "=", hex(12345 * 6789), "\n")
 
 for tag in (bigmul.SCHOOLBOOK, bigmul.KARATSUBA, bigmul.ORACLE_NTT):
     report = bigmul.transform_mul(a, b, MulBackend(tag))
-    print(f"  {tag:<12} -> {report.product.to_hex()}  [{report.verdict}]")
+    print(f"  {tag:<12} -> {report.product.to_hex()}  [{report.verdict}], "
+          f"{report.extra['limb_ops']} limb ops")
 print()
 
 # --- operation counts at scale: where karatsuba starts winning ----------
@@ -26,14 +28,11 @@ rng = random.Random(0)
 print(f"{'bits':>6} {'schoolbook ops':>14} {'karatsuba ops':>14}")
 for bits in (1024, 4096, 16384, 65536):
     x = BigNat.from_int(rng.getrandbits(bits) | (1 << (bits - 1)))
-    bigmul.reset_op_counts()
-    bigmul.schoolbook_mul(x, x)
-    school = bigmul.op_counts["schoolbook"]
-    bigmul.reset_op_counts()
-    bigmul.karatsuba_mul(x, x, threshold=16)
-    kara = bigmul.op_counts["karatsuba"]
+    school, kara = (
+        bigmul.transform_mul(x, x, MulBackend(tag)).extra["limb_ops"]
+        for tag in (bigmul.SCHOOLBOOK, bigmul.KARATSUBA)
+    )
     print(f"{bits:>6} {school:>14} {kara:>14}")
-bigmul.reset_op_counts()
 print()
 
 # --- the experimental backend ------------------------------------------

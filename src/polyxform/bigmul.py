@@ -1,9 +1,10 @@
 """Big-integer multiplication with pluggable backends.
 
-Schoolbook is the trusted oracle.  Karatsuba and the NTT-convolution
-backend must agree with it exactly; the transform-pipeline backend is an
-experiment whose agreement (or not) is recorded in a MulReport rather
-than asserted.
+CPython's own integer multiplication is the oracle.  Schoolbook,
+Karatsuba and the NTT-convolution backend must agree with it exactly and
+report their limb-operation count per call; the transform-pipeline
+backend is an experiment whose agreement (or not) is recorded in a
+MulReport rather than asserted.
 """
 
 from __future__ import annotations
@@ -23,14 +24,6 @@ NTT_PRIME = 2013265921
 NTT_ROOT = 31
 
 DEFAULT_LIMB_BITS = 64
-
-# Limb-operation counters, keyed by backend tag.  Reset with reset_op_counts.
-op_counts = {"schoolbook": 0, "karatsuba": 0, "oracle-ntt": 0}
-
-
-def reset_op_counts() -> None:
-    for k in op_counts:
-        op_counts[k] = 0
 
 
 @dataclass(frozen=True)
@@ -102,12 +95,11 @@ def _school_limbs(a: Sequence[int], b: Sequence[int], bits: int) -> List[int]:
             out[k] = cur & mask
             carry = cur >> bits
             k += 1
-    op_counts["schoolbook"] += len(a) * len(b)
     return out
 
 
 def schoolbook_mul(a: BigNat, b: BigNat) -> BigNat:
-    """Exact product by long multiplication; the trusted oracle."""
+    """Exact product by long multiplication."""
     if a.limb_bits != b.limb_bits:
         raise UsageError("limb bases differ")
     return _canonical(_school_limbs(a.limbs, b.limbs, a.limb_bits), a.limb_bits)
@@ -141,20 +133,18 @@ def _limb_sub(a: Sequence[int], b: Sequence[int], bits: int) -> List[int]:
 
 def _kara_limbs(
     a: Sequence[int], b: Sequence[int], bits: int, threshold: int
-) -> List[int]:
+) -> Tuple[List[int], int]:
+    """Product limbs and the limb products spent in the schoolbook base cases."""
     if min(len(a), len(b)) <= threshold:
-        n = _school_limbs(a, b, bits)
-        op_counts["karatsuba"] += len(a) * len(b)
-        op_counts["schoolbook"] -= len(a) * len(b)  # charged to karatsuba
-        return n
+        return _school_limbs(a, b, bits), len(a) * len(b)
     m = max(len(a), len(b)) // 2
     a0, a1 = list(a[:m]), list(a[m:])
     b0, b1 = list(b[:m]), list(b[m:])
-    z0 = _kara_limbs(a0, b0, bits, threshold) if a0 and b0 else [0]
-    z2 = _kara_limbs(a1, b1, bits, threshold) if a1 and b1 else [0]
+    z0, ops0 = _kara_limbs(a0, b0, bits, threshold) if a0 and b0 else ([0], 0)
+    z2, ops2 = _kara_limbs(a1, b1, bits, threshold) if a1 and b1 else ([0], 0)
     sa = _limb_add(a0, a1, bits)
     sb = _limb_add(b0, b1, bits)
-    z1 = _kara_limbs(sa, sb, bits, threshold)
+    z1, ops1 = _kara_limbs(sa, sb, bits, threshold)
     z1 = _limb_sub(z1, z0, bits)
     z1 = _limb_sub(z1, z2, bits)
     out = [0] * (max(len(z0), m + len(z1), 2 * m + len(z2)) + 2)
@@ -170,20 +160,24 @@ def _kara_limbs(
             out[k] = cur & ((1 << bits) - 1)
             carry = cur >> bits
             k += 1
-    return out
+    return out, ops0 + ops1 + ops2
 
 
 def karatsuba_mul(a: BigNat, b: BigNat, threshold: int = 16) -> BigNat:
     """Exact product by three-way split recursion, schoolbook at the base."""
+    return _karatsuba(a, b, threshold)[0]
+
+
+def _karatsuba(a: BigNat, b: BigNat, threshold: int) -> Tuple[BigNat, int]:
+    """Karatsuba product and the limb products of its schoolbook base cases."""
     if threshold < 2:
         raise UsageError("threshold must be >= 2 limbs")
     if a.limb_bits != b.limb_bits:
         raise UsageError("limb bases differ")
     if not a.limbs or not b.limbs:
-        return BigNat((), a.limb_bits)
-    return _canonical(
-        _kara_limbs(a.limbs, b.limbs, a.limb_bits, threshold), a.limb_bits
-    )
+        return BigNat((), a.limb_bits), 0
+    limbs, ops = _kara_limbs(a.limbs, b.limbs, a.limb_bits, threshold)
+    return _canonical(limbs, a.limb_bits), ops
 
 
 def pack(
@@ -258,7 +252,6 @@ def ntt(values: Sequence[int], invert: bool = False) -> List[int]:
         t = blocks[:, half:] * w % NTT_PRIME
         blocks[:, :half] = (u + t) % NTT_PRIME
         blocks[:, half:] = (u + NTT_PRIME - t) % NTT_PRIME
-        op_counts["oracle-ntt"] += n // 2
     if invert:
         n_inv = pow(n, NTT_PRIME - 2, NTT_PRIME)
         a = a * np.uint64(n_inv) % NTT_PRIME
@@ -292,7 +285,13 @@ class MulBackend:
 
 @dataclass(frozen=True)
 class MulReport:
-    """Outcome of one multiplication, with the oracle cross-check."""
+    """Outcome of one multiplication, with the oracle cross-check.
+
+    extra["limb_ops"] is the exact backends' operation count for this call:
+    limb products for schoolbook, limb products in the schoolbook base
+    cases for karatsuba, butterflies over the three transforms for
+    oracle-ntt.
+    """
 
     backend: str
     product: BigNat
@@ -304,7 +303,8 @@ class MulReport:
         return "match" if self.product.to_int() == self.oracle.to_int() else "mismatch"
 
 
-def _ntt_mul(a: BigNat, b: BigNat, limb_bits: int) -> BigNat:
+def _ntt_mul(a: BigNat, b: BigNat, limb_bits: int) -> Tuple[BigNat, int]:
+    """Product and its butterfly count: length/2 per stage, three transforms."""
     total_bits = max(a.bit_length + b.bit_length, 1)
     length = 1
     while length * limb_bits < total_bits:
@@ -312,7 +312,8 @@ def _ntt_mul(a: BigNat, b: BigNat, limb_bits: int) -> BigNat:
     xa = pack(a, limb_bits, length, modulus=NTT_PRIME)
     xb = pack(b, limb_bits, length, modulus=NTT_PRIME)
     conv = ntt_convolve(xa, xb)
-    return BigNat.from_int(carry_propagate(conv, limb_bits).to_int(), a.limb_bits)
+    product = BigNat.from_int(carry_propagate(conv, limb_bits).to_int(), a.limb_bits)
+    return product, 3 * (length // 2) * (length.bit_length() - 1)
 
 
 def _pt_mul(a: BigNat, b: BigNat, plan: "ptransform.PTPlan") -> Tuple[BigNat, dict]:
@@ -345,15 +346,19 @@ def _pt_mul(a: BigNat, b: BigNat, plan: "ptransform.PTPlan") -> Tuple[BigNat, di
 
 
 def transform_mul(a: BigNat, b: BigNat, backend: MulBackend) -> MulReport:
-    """Multiply through the requested backend, cross-checked vs schoolbook."""
-    oracle = schoolbook_mul(a, b)
-    extra = {}
+    """Multiply through the requested backend, cross-checked vs CPython's `*`."""
+    if a.limb_bits != b.limb_bits:
+        raise UsageError("limb bases differ")
+    oracle = BigNat.from_int(a.to_int() * b.to_int(), a.limb_bits)
     if backend.tag == SCHOOLBOOK:
-        product = oracle
+        product = schoolbook_mul(a, b)
+        extra = {"limb_ops": len(a.limbs) * len(b.limbs)}
     elif backend.tag == KARATSUBA:
-        product = karatsuba_mul(a, b, backend.karatsuba_threshold)
+        product, ops = _karatsuba(a, b, backend.karatsuba_threshold)
+        extra = {"limb_ops": ops}
     elif backend.tag == ORACLE_NTT:
-        product = _ntt_mul(a, b, backend.ntt_limb_bits)
+        product, ops = _ntt_mul(a, b, backend.ntt_limb_bits)
+        extra = {"limb_ops": ops}
     elif backend.tag == POLY_TRANSFORM:
         if backend.plan is None:
             raise UsageError("polynomial-transform backend needs a plan")

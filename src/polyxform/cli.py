@@ -197,6 +197,8 @@ def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if not sizes:
         raise UsageError("size list must not be empty")
+    if args.repetitions < 1:
+        raise UsageError("repetitions must be >= 1")
     backends = [b for b in args.backends.split(",") if b]
     start = time.perf_counter()
     rng = random.Random(args.seed)
@@ -207,20 +209,17 @@ def cmd_bench(args) -> int:
         for tag in backends:
             backend = bigmul.MulBackend(tag=tag)
             best = math.inf
-            ops = None
             for _ in range(args.repetitions):
-                bigmul.reset_op_counts()
                 t0 = time.perf_counter()
                 report = bigmul.transform_mul(a, b, backend)
                 best = min(best, time.perf_counter() - t0)
-                ops = dict(bigmul.op_counts)
                 if report.verdict != "match":
                     raise PolyxformError(f"backend {tag} mismatched at {bits} bits")
             rows.append(
                 {
                     "bits": bits,
                     "backend": tag,
-                    "limb_ops": ops.get(tag, 0),
+                    "limb_ops": report.extra["limb_ops"],
                     "best_wall_seconds": f"{best:.6f}",
                 }
             )

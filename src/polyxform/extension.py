@@ -74,6 +74,9 @@ class ExtensionElement:
     def __mul__(self, other: "ExtensionElement") -> "ExtensionElement":
         return ext_mul(self, other)
 
+    def __pow__(self, e: int) -> "ExtensionElement":
+        return ext_pow(self, e)
+
     def __repr__(self):
         return f"Ext{self.coeffs} mod {self.context.p.q} (c^3={self.context.y.value})"
 

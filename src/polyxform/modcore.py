@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence, Tuple
 
 from .errors import NotInvertible, Singular, UsageError
 
@@ -90,6 +90,9 @@ class Residue:
     def __neg__(self) -> "Residue":
         return Residue(-self.value % self.q, self.modulus)
 
+    def __pow__(self, e: int) -> "Residue":
+        return pow_mod(self, e) if e >= 0 else pow_mod(inv_mod(self), -e)
+
     def __repr__(self):
         return f"{self.value} mod {self.q}"
 
@@ -164,27 +167,43 @@ def crt_reconstruct(residues: Sequence[int], basis: CrtBasis) -> int:
     return x % basis.Q
 
 
-def determinant(A: Sequence[Sequence[Residue]]) -> Residue:
-    """Determinant over the prime field via fraction-free elimination mod q."""
+def _eliminate(
+    A: Sequence[Sequence[Residue]], extra: Sequence[Sequence[int]]
+) -> Tuple[Residue, Optional[list]]:
+    """Gauss-Jordan elimination of [A | extra] over the prime field.
+
+    Returns det(A) mod q and the extra columns of the reduced matrix, which
+    are A^-1 * extra; the columns are None when A is singular.
+    """
     n = len(A)
+    if n == 0 or any(len(row) != n for row in A) or len(extra) != n:
+        raise UsageError("A must be square and match the extra columns")
     mod = A[0][0].modulus
+    if any(e.modulus != mod for row in A for e in row):
+        raise UsageError("matrix entries must share one modulus")
     q = mod.q
-    m = [[e.value for e in row] for row in A]
+    m = [[e.value for e in row] + list(x) for row, x in zip(A, extra)]
     det = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] % q != 0), None)
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
-            return Residue(0, mod)
+            return Residue(0, mod), None
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             det = -det
         det = det * m[col][col] % q
         inv = pow(m[col][col], -1, q)
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv % q
-            for c in range(col, n):
-                m[r][c] = (m[r][c] - factor * m[col][c]) % q
-    return Residue(det % q, mod)
+        m[col] = [v * inv % q for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                factor = m[r][col]
+                m[r] = [(a - factor * c) % q for a, c in zip(m[r], m[col])]
+    return Residue(det % q, mod), [[Residue(v, mod) for v in row[n:]] for row in m]
+
+
+def determinant(A: Sequence[Sequence[Residue]]) -> Residue:
+    """Determinant over the prime field by elimination mod q."""
+    return _eliminate(A, [[] for _ in A])[0]
 
 
 def solve_linear_mod(
@@ -194,56 +213,16 @@ def solve_linear_mod(
 
     Raises Singular (carrying determinant 0) when A is not invertible.
     """
-    n = len(A)
-    if any(len(row) != n for row in A) or len(b) != n:
-        raise UsageError("A must be square and match b")
-    mod = A[0][0].modulus
-    q = mod.q
-    for row in A:
-        for e in row:
-            if e.modulus != mod:
-                raise UsageError("matrix entries must share one modulus")
-    m = [[A[r][c].value for c in range(n)] + [b[r].value] for r in range(n)]
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] % q != 0), None)
-        if pivot is None:
-            raise Singular("singular system", determinant=0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col] % q
-        inv = pow(m[col][col], -1, q)
-        m[col] = [v * inv % q for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [(a - factor * c) % q for a, c in zip(m[r], m[col])]
-    return [Residue(m[r][n], mod) for r in range(n)]
+    _, x = _eliminate(A, [[v.value] for v in b])
+    if x is None:
+        raise Singular("singular system", determinant=0)
+    return [row[0] for row in x]
 
 
 def invert_matrix(A: Sequence[Sequence[Residue]]) -> list:
     """Matrix inverse over the prime field; raises Singular when det = 0."""
     n = len(A)
-    mod = A[0][0].modulus
-    q = mod.q
-    m = [
-        [A[r][c].value for c in range(n)]
-        + [1 if c == r else 0 for c in range(n)]
-        for r in range(n)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] % q != 0), None)
-        if pivot is None:
-            raise Singular("matrix not invertible", determinant=0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-        inv = pow(m[col][col], -1, q)
-        m[col] = [v * inv % q for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [(a - factor * c) % q for a, c in zip(m[r], m[col])]
-    return [
-        [Residue(m[r][n + c], mod) for c in range(n)] for r in range(n)
-    ]
+    _, inverse = _eliminate(A, [[int(c == r) for c in range(n)] for r in range(n)])
+    if inverse is None:
+        raise Singular("matrix not invertible", determinant=0)
+    return inverse

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +38,7 @@ from .transform import (
     naive_dft,
 )
 
-PLAN_FORMAT_VERSION = 1
+PLAN_FORMAT_VERSION = 2
 
 STRICT = "strict-9p6"
 INPUT_AWARE = "input-aware"
@@ -218,8 +218,6 @@ def preprocess(
     max_scan_factor * p.  (With primes below p alone the strict bound is
     unreachable at desk scale; see the plan statistics for what was used.)
     """
-    if bound_mode not in (STRICT, INPUT_AWARE):
-        raise UsageError(f"unknown bound mode {bound_mode!r}")
     if p is None:
         if n_target is None or n_target < 2:
             raise UsageError("need n_target >= 2 or an explicit p")
@@ -252,7 +250,6 @@ def preprocess(
                 return
             yield cand
 
-    met = False
     for q in scan():
         slot = _try_slot(q, y, omega)
         if slot is None:
@@ -260,16 +257,32 @@ def preprocess(
         slots.append(slot)
         prod *= slot.q.q
         if prod > target():
-            met = True
             break
-    if not met:
+    else:
         raise PrimeSupplyExhausted(
             f"prod(q) = {prod} <= required {target()} scanning up to "
             f"{max_scan_factor}*p; try input-aware mode or a larger scan"
         )
+    return _plan(p_mod, y, omega, slots, bound_mode, coeff_bound)
+
+
+def _plan(
+    p: PrimeModulus,
+    y: Residue,
+    omega: ExtensionElement,
+    slots: Sequence[PTPrimeSlot],
+    bound_mode: str,
+    coeff_bound: int,
+) -> PTPlan:
+    """The one PTPlan constructor: derives n and both bounds from the inputs."""
+    if bound_mode not in (STRICT, INPUT_AWARE):
+        raise UsageError(f"unknown bound mode {bound_mode!r}")
+    if coeff_bound < 0:
+        raise UsageError("coeff_bound must be >= 0")
+    n = p.q**3 - 1
     certified, _stage = _interval_bound(n, coeff_bound, slots)
     return PTPlan(
-        p=p_mod,
+        p=p,
         y=y,
         n=n,
         omega=omega,
@@ -277,7 +290,7 @@ def preprocess(
         bound_mode=bound_mode,
         coeff_bound=coeff_bound,
         certified_bound=certified,
-        target_bound=target() if bound_mode == STRICT else certified,
+        target_bound=9 * p.q**6 if bound_mode == STRICT else certified,
     )
 
 
@@ -410,17 +423,7 @@ def inverse_plan(plan: PTPlan) -> PTPlan:
                 f"slot prime {slot.q.q} unusable for the inverse direction"
             )
         slots.append(rebuilt)
-    return PTPlan(
-        p=plan.p,
-        y=plan.y,
-        n=plan.n,
-        omega=omega_inv,
-        slots=tuple(slots),
-        bound_mode=plan.bound_mode,
-        coeff_bound=plan.coeff_bound,
-        certified_bound=plan.certified_bound,
-        target_bound=plan.target_bound,
-    )
+    return replace(plan, omega=omega_inv, slots=tuple(slots))
 
 
 def oracle_output(
@@ -457,30 +460,24 @@ def spot_check(
 # --- plan serialization -------------------------------------------------
 
 def plan_to_json(plan: PTPlan) -> str:
+    """Serialize the plan's inputs; everything else is re-derived on load."""
     doc = {
         "format_version": PLAN_FORMAT_VERSION,
         "p": plan.p.q,
         "y": plan.y.value,
-        "n": plan.n,
         "omega": list(plan.omega.coeffs),
         "bound_mode": plan.bound_mode,
         "coeff_bound": plan.coeff_bound,
-        "certified_bound": plan.certified_bound,
-        "target_bound": plan.target_bound,
-        "slots": [
-            {
-                "q": s.q.q,
-                "roots": [r.root.value for r in s.roots],
-                "reduced_omegas": [r.reduced_omega.value for r in s.roots],
-                "periods": list(s.periods),
-            }
-            for s in plan.slots
-        ],
+        "primes": [s.q.q for s in plan.slots],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def plan_from_json(text: str) -> PTPlan:
+    """Rebuild a plan from its inputs, deriving each slot as preprocess does.
+
+    Raises UsageError for a plan preprocess could not have produced.
+    """
     doc = json.loads(text)
     if doc.get("format_version") != PLAN_FORMAT_VERSION:
         raise UsageError(
@@ -488,42 +485,24 @@ def plan_from_json(text: str) -> PTPlan:
         )
     p_mod = PrimeModulus(doc["p"])
     y = p_mod.residue(doc["y"])
+    if is_cube(y):
+        raise UsageError(f"y = {y.value} is a cube mod {p_mod.q}")
     ctx = ExtensionContext(p_mod, y)
     omega = ctx.element(*doc["omega"])
+    if multiplicative_order(omega, ctx.group_order) != ctx.group_order:
+        raise UsageError(f"omega does not have order p^3 - 1 = {ctx.group_order}")
+    primes = doc["primes"]
+    if len(set(primes)) != len(primes):
+        raise UsageError(f"duplicated helper prime in {primes}")
     slots = []
-    for s in doc["slots"]:
-        q = PrimeModulus(s["q"])
-        roots = [q.residue(r) for r in s["roots"]]
-        slot_roots = tuple(
-            SlotRoot(r, q.residue(w), int(d))
-            for r, w, d in zip(roots, s["reduced_omegas"], s["periods"])
+    for q in primes:
+        slot = _try_slot(PrimeModulus(q), y, omega)
+        if slot is None:
+            raise UsageError(f"helper prime {q} is unusable for this plan")
+        slots.append(slot)
+    plan = _plan(p_mod, y, omega, slots, doc["bound_mode"], doc["coeff_bound"])
+    if plan.prime_product <= plan.target_bound:
+        raise UsageError(
+            f"prod(q) = {plan.prime_product} <= required {plan.target_bound}"
         )
-        slots.append(PTPrimeSlot(q, slot_roots, build_recovery(roots)))
-    plan = PTPlan(
-        p=p_mod,
-        y=y,
-        n=doc["n"],
-        omega=omega,
-        slots=tuple(slots),
-        bound_mode=doc["bound_mode"],
-        coeff_bound=doc["coeff_bound"],
-        certified_bound=doc["certified_bound"],
-        target_bound=doc["target_bound"],
-    )
-    verify_plan(plan)
     return plan
-
-
-def verify_plan(plan: PTPlan) -> None:
-    """Re-check every slot invariant; raises UsageError on violation."""
-    for slot in plan.slots:
-        q = slot.q.q
-        if q % 3 != 1 or q == plan.p.q:
-            raise UsageError(f"invalid slot prime {q}")
-        for sr in slot.roots:
-            if pow(sr.root.value, 3, q) != plan.y.value % q:
-                raise UsageError(f"{sr.root.value} is not a cube root of y mod {q}")
-            if plan.omega.reduce_at(sr.root) != sr.reduced_omega:
-                raise UsageError(f"reduced omega mismatch in slot {q}")
-            if multiplicative_order(sr.reduced_omega, q - 1) != sr.period:
-                raise UsageError(f"period mismatch in slot {q}")

@@ -15,45 +15,21 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import NoSuchRoot, NotInvertible, UsageError
-from .extension import ExtensionContext, ExtensionElement, ext_inv, ext_pow
-from .modcore import PrimeModulus, Residue, determinant, inv_mod, pow_mod
+from .errors import NoSuchRoot, UsageError
+from .extension import ExtensionContext, ExtensionElement, ext_pow
+from .modcore import PrimeModulus, Residue, determinant, pow_mod
 
 FieldElement = Union[Residue, ExtensionElement]
 
 
-def _one_like(omega: FieldElement) -> FieldElement:
-    if isinstance(omega, Residue):
-        return omega.modulus.residue(1)
-    return omega.context.one
-
-
-def _zero_like(omega: FieldElement) -> FieldElement:
-    if isinstance(omega, Residue):
-        return omega.modulus.residue(0)
-    return omega.context.zero
-
-
-def _pow(omega: FieldElement, e: int) -> FieldElement:
-    if isinstance(omega, Residue):
-        return pow_mod(omega, e) if e >= 0 else pow_mod(inv_mod(omega), -e)
-    return ext_pow(omega, e)
-
-
-def _inv(omega: FieldElement) -> FieldElement:
-    if isinstance(omega, Residue):
-        return inv_mod(omega)
-    return ext_inv(omega)
-
-
 def multiplicative_order(omega: FieldElement, group_order: int) -> int:
     """Exact order of omega, given the order of the ambient group."""
-    one = _one_like(omega)
-    if _pow(omega, group_order) != one:
+    one = omega**0
+    if omega**group_order != one:
         raise UsageError("element order does not divide the group order")
     order = group_order
     for r in _prime_factors(group_order):
-        while order % r == 0 and _pow(omega, order // r) == one:
+        while order % r == 0 and omega ** (order // r) == one:
             order //= r
     return order
 
@@ -92,9 +68,9 @@ def check_principal_root(omega: FieldElement, n: int) -> PrincipalRootCertificat
 
     Failure is reported in the certificate, never raised.
     """
-    one = _one_like(omega)
-    zero = _zero_like(omega)
-    power_check = _pow(omega, n) == one
+    one = omega**0
+    zero = one - one
+    power_check = omega**n == one
     omega_j = one
     for j in range(1, n):
         omega_j = omega_j * omega  # omega^j
@@ -170,15 +146,16 @@ def naive_dft(
     omega must have multiplicative order exactly len(x).
     """
     n = len(x)
-    one = _one_like(omega)
-    if _pow(omega, n) != one:
+    one = omega**0
+    zero = one - one
+    if omega**n != one:
         raise UsageError("omega^n != 1: order does not match input length")
     out = []
     omega_j = one
     for j in range(n):
         if j:
             omega_j = omega_j * omega
-        acc = _zero_like(omega)
+        acc = zero
         term = one
         for k in range(n):
             acc = acc + x[k] * term
@@ -191,19 +168,10 @@ def naive_inverse_dft(
     X: Sequence[FieldElement], omega: FieldElement
 ) -> List[FieldElement]:
     """x[k] = n^-1 * sum_j X[j] * omega^(-j*k); exact round-trip partner."""
-    n = len(X)
-    if isinstance(omega, Residue):
-        if n % omega.q == 0:
-            raise NotInvertible(f"length {n} is 0 mod {omega.q}")
-        n_inv = inv_mod(omega.modulus.residue(n))
-        scaled = naive_dft(X, inv_mod(omega))
-        return [n_inv * v for v in scaled]
-    p = omega.context.p.q
-    if n % p == 0:
-        raise NotInvertible(f"length {n} is 0 in characteristic {p}")
-    n_inv = ext_pow(omega.context.element(n % p), omega.context.group_order - 1)
-    scaled = naive_dft(X, ext_inv(omega))
-    return [n_inv * v for v in scaled]
+    one = omega**0
+    n_elem = sum((one for _ in X), one - one)  # len(X) in the field
+    n_inv = n_elem**-1  # raises NotInvertible when the length is 0 there
+    return [n_inv * v for v in naive_dft(X, omega**-1)]
 
 
 @dataclass(frozen=True)

@@ -250,7 +250,7 @@ def test_09_multiplication_exactness():
     elapsed = time.perf_counter() - start
     _verdict(
         9,
-        f"multiplication exactness: karatsuba and oracle-ntt match schoolbook "
+        f"multiplication exactness: karatsuba and oracle-ntt match the exact product "
         f"on 1000 random pairs to 1e4 bits plus all-ones ({elapsed:.1f}s < 60s)",
         ok and elapsed < 60.0,
     )

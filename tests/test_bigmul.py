@@ -17,9 +17,7 @@ from polyxform.bigmul import (
     karatsuba_mul,
     ntt,
     ntt_convolve,
-    op_counts,
     pack,
-    reset_op_counts,
     schoolbook_mul,
     transform_mul,
 )
@@ -217,30 +215,28 @@ def test_pt_backend_records_verdict(plan13):
     assert 0 < report.extra["utilization"] <= 1
 
 
-def test_op_counts_monotone_and_resettable():
-    reset_op_counts()
+def limb_ops(a, b, tag, **options):
+    return transform_mul(a, b, MulBackend(tag, **options)).extra["limb_ops"]
+
+
+def test_limb_ops_monotone():
     a = BigNat.from_int((1 << 1024) - 1)
-    schoolbook_mul(a, a)
-    school_small = op_counts["schoolbook"]
-    assert school_small == 16 * 16  # 1024 bits = 16 limbs
-    schoolbook_mul(
-        BigNat.from_int((1 << 4096) - 1), BigNat.from_int((1 << 4096) - 1)
-    )
-    assert op_counts["schoolbook"] - school_small == 64 * 64
-    reset_op_counts()
-    karatsuba_mul(a, a, threshold=4)
-    assert op_counts["karatsuba"] > 0
-    assert op_counts["schoolbook"] == 0  # base cases charged to karatsuba
-    reset_op_counts()
-    assert all(v == 0 for v in op_counts.values())
+    assert limb_ops(a, a, SCHOOLBOOK) == 16 * 16  # 1024 bits = 16 limbs
+    big = BigNat.from_int((1 << 4096) - 1)
+    assert limb_ops(big, big, SCHOOLBOOK) == 64 * 64
+    assert limb_ops(a, a, KARATSUBA, karatsuba_threshold=4) == 168  # golden
+    assert limb_ops(a, BigNat.from_int(0), KARATSUBA) == 0
 
 
 def test_karatsuba_beats_schoolbook_on_op_count():
     n = BigNat.from_int((1 << 8192) - 5)
-    reset_op_counts()
-    schoolbook_mul(n, n)
-    school = op_counts["schoolbook"]
-    reset_op_counts()
-    karatsuba_mul(n, n, threshold=8)
-    kara = op_counts["karatsuba"]
+    school = limb_ops(n, n, SCHOOLBOOK)
+    kara = limb_ops(n, n, KARATSUBA, karatsuba_threshold=8)
     assert kara < school
+
+
+def test_ntt_limb_ops_count_butterflies():
+    # 1024-bit operands at 8 bits per coefficient pad to length 256:
+    # three transforms of 8 stages, 128 butterflies each
+    a = BigNat.from_int((1 << 1024) - 1)
+    assert limb_ops(a, a, ORACLE_NTT) == 3 * 8 * 128

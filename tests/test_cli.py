@@ -62,6 +62,16 @@ def test_plan_rejects_bad_p(capsys):
     assert code == EXIT_USAGE
 
 
+def test_plan_rejects_negative_coeff_bound(capsys, tmp_path):
+    plan_path = tmp_path / "plan.json"
+    code, out = run(
+        capsys, "plan", "--p", "13", "--bound-mode", "input-aware",
+        "--coeff-bound", "-1", "--plan-out", str(plan_path),
+    )
+    assert code == EXIT_USAGE
+    assert out == "" and not plan_path.exists()
+
+
 def test_plan_determinism_modulo_timing(capsys):
     _, a = run(capsys, "plan", "--p", "7", "--seed", "3")
     _, b = run(capsys, "plan", "--p", "7", "--seed", "3")
@@ -126,7 +136,7 @@ def test_verify_rejects_corrupted_plan(capsys, tmp_path):
 
 def test_verify_rejects_tampered_plan(capsys, plan7_file, tmp_path):
     doc = json.loads(Path(plan7_file).read_text())
-    doc["slots"][0]["periods"][0] += 1
+    doc["primes"][-1] = doc["primes"][0]  # the product falls short and repeats
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(doc))
     code, _ = run(capsys, "verify", "--plan", str(bad))
@@ -198,7 +208,7 @@ def test_bench_csv(capsys):
     assert len(lines) == 1 + 2 * 2  # two sizes x two default backends
 
 
-def test_bench_op_counts_deterministic(capsys):
+def test_bench_limb_ops_deterministic(capsys):
     def rows(text):
         return [l.rsplit(",", 1)[0] for l in text.strip().splitlines()]
 
@@ -209,6 +219,8 @@ def test_bench_op_counts_deterministic(capsys):
 
 def test_bench_empty_sizes(capsys):
     code, _ = run(capsys, "bench", "--sizes", "")
+    assert code == EXIT_USAGE
+    code, _ = run(capsys, "bench", "--sizes", "64", "--repetitions", "0")
     assert code == EXIT_USAGE
 
 

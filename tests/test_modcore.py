@@ -12,6 +12,7 @@ from polyxform.modcore import (
     crt_reconstruct,
     determinant,
     inv_mod,
+    invert_matrix,
     is_prime,
     mul_mod,
     pow_mod,
@@ -151,3 +152,48 @@ def test_solve_linear_random_roundtrip():
         ]
         assert solve_linear_mod(A, b) == x
         done += 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 13, 103, 7919])
+def test_elimination_matches_sympy(q):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(q)
+    mod = PrimeModulus(q)
+    singular = 0
+    for n in range(1, 7):
+        for trial in range(8):
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+            if trial % 2:  # last row a multiple of the first: singular
+                c = rng.randrange(q)
+                rows[-1] = [c * v % q for v in rows[0]] if n > 1 else [0]
+            A = [[mod.residue(v) for v in row] for row in rows]
+            b = [mod.residue(rng.randrange(q)) for _ in range(n)]
+            M = sympy.Matrix(rows)
+            det = int(M.det()) % q
+            assert determinant(A).value == det
+            if det == 0:
+                singular += 1
+                for call in (lambda: invert_matrix(A), lambda: solve_linear_mod(A, b)):
+                    with pytest.raises(Singular) as exc:
+                        call()
+                    assert exc.value.determinant == 0
+                continue
+            inverse = M.inv_mod(q)
+            assert [[e.value for e in row] for row in invert_matrix(A)] == [
+                [int(v) for v in inverse.row(r)] for r in range(n)
+            ]
+            expected = (inverse * sympy.Matrix([v.value for v in b])).applyfunc(
+                lambda v: v % q
+            )
+            assert [v.value for v in solve_linear_mod(A, b)] == list(expected)
+    assert singular >= 24
+
+
+def test_elimination_validates_shape_and_modulus():
+    q7 = PrimeModulus(7)
+    with pytest.raises(UsageError):
+        determinant([[Q5.residue(1), Q5.residue(2)]])
+    with pytest.raises(UsageError):
+        invert_matrix([[Q5.residue(1), Q5.residue(2)], [Q5.residue(3), q7.residue(4)]])
+    with pytest.raises(UsageError):
+        solve_linear_mod([[Q5.residue(1)]], [Q5.residue(1), Q5.residue(2)])

@@ -1,9 +1,11 @@
 import json
 import random
+import re
 
 import pytest
 
 from polyxform import ptransform
+from polyxform.cli import EXIT_USAGE, main
 from polyxform.errors import (
     PlanNotCertified,
     PrimeSupplyExhausted,
@@ -24,7 +26,6 @@ from polyxform.ptransform import (
     spot_check,
     transform,
     transform_elements,
-    verify_plan,
 )
 from polyxform.transform import multiplicative_order, naive_dft
 
@@ -36,6 +37,8 @@ def test_preprocess_rejects_bad_args():
         preprocess(p=11)  # 11 = 2 mod 3
     with pytest.raises(UsageError):
         preprocess()  # neither n_target nor p
+    with pytest.raises(UsageError):
+        preprocess(p=13, bound_mode=INPUT_AWARE, coeff_bound=-1)
 
 
 def test_preprocess_from_target_size():
@@ -67,7 +70,6 @@ def test_plan_slot_invariants(plan13):
             assert plan13.omega.reduce_at(sr.root) == sr.reduced_omega
             assert pow_mod(sr.reduced_omega, sr.period).value == 1
             assert multiplicative_order(sr.reduced_omega, q - 1) == sr.period
-    verify_plan(plan13)
 
 
 def test_plan_omega_has_full_order(plan13):
@@ -188,8 +190,10 @@ def test_spot_check_confirms_delta(plan13):
 def test_inverse_plan_omega(plan13):
     inv = inverse_plan(plan13)
     assert ext_mul(plan13.omega, inv.omega) == plan13.context.one
-    verify_plan(inv)
     assert [s.q.q for s in inv.slots] == [s.q.q for s in plan13.slots]
+    for slot in inv.slots:
+        for sr in slot.roots:
+            assert inv.omega.reduce_at(sr.root) == sr.reduced_omega
 
 
 def test_inverse_plan_roundtrips_delta(plan13):
@@ -210,19 +214,17 @@ def test_inverse_plan_roundtrips_delta(plan13):
     assert report_verdict in ("confirmed", "refuted")
 
 
-def test_plan_json_roundtrip(plan13):
-    text = plan_to_json(plan13)
-    doc = json.loads(text)
-    assert doc["format_version"] == ptransform.PLAN_FORMAT_VERSION
-    loaded = plan_from_json(text)
-    assert loaded.p.q == plan13.p.q
-    assert loaded.y == plan13.y
-    assert loaded.omega == plan13.omega
-    assert loaded.n == plan13.n
-    assert [s.q.q for s in loaded.slots] == [s.q.q for s in plan13.slots]
-    for a, b in zip(loaded.slots, plan13.slots):
-        assert a.roots == b.roots
-    assert plan_to_json(loaded) == text
+def test_plan_json_roundtrip(plan7, plan13):
+    for plan in (plan7, plan13):
+        text = plan_to_json(plan)
+        doc = json.loads(text)
+        assert doc["format_version"] == ptransform.PLAN_FORMAT_VERSION == 2
+        assert set(doc) == {
+            "format_version", "p", "y", "omega", "bound_mode", "coeff_bound", "primes"
+        }
+        loaded = plan_from_json(text)
+        assert loaded == plan  # slots, n and both bounds re-derived identically
+        assert plan_to_json(loaded) == text
 
 
 def test_plan_json_rejects_bad_version(plan13):
@@ -233,19 +235,49 @@ def test_plan_json_rejects_bad_version(plan13):
 
 
 def test_plan_json_rejects_corrupted_root(plan13):
+    # the slot roots follow from omega: omega^2 has order n/2, not n
     doc = json.loads(plan_to_json(plan13))
-    doc["slots"][0]["roots"][0] = (doc["slots"][0]["roots"][0] + 1) % doc[
-        "slots"
-    ][0]["q"]
+    doc["omega"] = list(ext_mul(plan13.omega, plan13.omega).coeffs)
     with pytest.raises(UsageError):
         plan_from_json(json.dumps(doc))
 
 
 def test_plan_json_rejects_corrupted_period(plan13):
+    # the slot periods follow from the primes: q + 1 is even, so not prime
     doc = json.loads(plan_to_json(plan13))
-    doc["slots"][0]["periods"][0] += 1
+    doc["primes"][0] += 1
     with pytest.raises(UsageError):
         plan_from_json(json.dumps(doc))
+
+
+# Each case: an edit of a valid p = 7 plan file, and why the loader refuses it.
+LOADER_CASES = {
+    "v1-file": (lambda d: {"format_version": 1}, "format version 1"),
+    # the last prime is the one whose product first met the bound
+    "dropped-prime": (lambda d: {"primes": d["primes"][:-1]}, "<= required"),
+    "duplicated-prime": (lambda d: {"primes": d["primes"] + d["primes"][:1]}, "duplicated"),
+    # 5 = 2 mod 3, so y has a single cube root mod 5
+    "unusable-prime": (lambda d: {"primes": [5] + d["primes"]}, "prime 5 is unusable"),
+    "identity-omega": (lambda d: {"omega": [1, 0, 0]}, "order p^3 - 1"),
+    "cube-y": (lambda d: {"y": 1}, "is a cube"),
+    "unknown-bound-mode": (lambda d: {"bound_mode": "loose"}, "unknown bound mode"),
+    "negative-coeff-bound": (lambda d: {"coeff_bound": -1}, "coeff_bound must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(LOADER_CASES))
+def test_plan_loader_rejects(plan7, tmp_path, capsys, case):
+    edit, reason = LOADER_CASES[case]
+    doc = json.loads(plan_to_json(plan7))
+    doc.update(edit(doc))
+    text = json.dumps(doc)
+    with pytest.raises(UsageError, match=re.escape(reason)):
+        plan_from_json(text)
+    path = tmp_path / "plan.json"
+    path.write_text(text)
+    assert main(["verify", "--plan", str(path), "--sample", "1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and reason in captured.err
 
 
 def test_transform_report_dict_shape(plan13):
