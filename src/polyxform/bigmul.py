@@ -235,18 +235,18 @@ def ntt(values: Sequence[int], invert: bool = False) -> List[int]:
     if (NTT_PRIME - 1) % n:
         raise UsageError(f"length {n} has no root of unity mod {NTT_PRIME}")
     a = _bit_reverse_permute(np.asarray(values, dtype=np.uint64) % NTT_PRIME)
-    logn = n.bit_length() - 1
     root = pow(NTT_ROOT, (NTT_PRIME - 1) // n, NTT_PRIME)
     if invert:
         root = pow(root, NTT_PRIME - 2, NTT_PRIME)
-    for s in range(1, logn + 1):
+    # root^k for k < n/2, by doubling; a stage of width m uses every (n/m)-th
+    twiddles = np.ones(1, dtype=np.uint64)
+    while len(twiddles) < n // 2:
+        step = np.uint64(pow(root, len(twiddles), NTT_PRIME))
+        twiddles = np.concatenate([twiddles, twiddles * step % NTT_PRIME])
+    for s in range(1, n.bit_length()):
         m = 1 << s
         half = m >> 1
-        wm = pow(root, n >> s, NTT_PRIME)
-        w = np.empty(half, dtype=np.uint64)
-        w[0] = 1
-        for i in range(1, half):
-            w[i] = int(w[i - 1]) * wm % NTT_PRIME
+        w = twiddles[:: n // m]
         blocks = a.reshape(-1, m)
         u = blocks[:, :half].copy()
         t = blocks[:, half:] * w % NTT_PRIME

@@ -193,10 +193,19 @@ def cmd_mul(args) -> int:
     return EXIT_OK
 
 
+def _int_list(text: str, what: str, minimum: int) -> list:
+    """Parse a non-empty comma-separated integer list, each item >= minimum."""
+    try:
+        values = [int(s) for s in text.split(",") if s]
+    except ValueError as exc:
+        raise UsageError(f"{what} list must hold integers: {exc}") from exc
+    if not values or min(values) < minimum:
+        raise UsageError(f"{what} list must be non-empty with every item >= {minimum}")
+    return values
+
+
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    if not sizes:
-        raise UsageError("size list must not be empty")
+    sizes = _int_list(args.sizes, "size", 1)
     if args.repetitions < 1:
         raise UsageError("repetitions must be >= 1")
     backends = [b for b in args.backends.split(",") if b]
@@ -264,7 +273,7 @@ def cmd_experiments(args) -> int:
             f"{1 / q.q:.6f}"
         )
     elif args.which == "cost-model":
-        bounds = [int(b) for b in (args.bounds or "1000,10000").split(",")]
+        bounds = _int_list(args.bounds or "1000,10000", "bound", 2)
         rows = []
         for bound in bounds:
             est = cost_model(bound)

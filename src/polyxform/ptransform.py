@@ -3,8 +3,9 @@
 Preprocessing selects the base prime p, a non-cube y, a full-order root
 of unity in the cubic extension, and a set of helper primes q where y
 does have three cube roots.  The transform folds coefficients per prime
-and per root, runs small naive DFTs, recovers components by linear
-algebra, and recombines outputs across primes by CRT.
+and per root, runs small DFTs, recovers components by linear algebra,
+and recombines outputs across primes by CRT, all on int64 arrays; the
+boxed `naive_dft`, `recover_components` and `crt_reconstruct` are oracles.
 
 Whether the end result agrees with the honest extension-field DFT is
 deliberately NOT assumed anywhere: `spot_check` runs the comparison and
@@ -17,25 +18,23 @@ import json
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import PlanNotCertified, PrimeSupplyExhausted, Singular, UsageError
 from .extension import ExtensionContext, ExtensionElement, ext_pow
-from .modcore import CrtBasis, PrimeModulus, Residue, crt_reconstruct
+from .modcore import PrimeModulus, Residue
 from .primes import ascending_primes, descending_primes, doubling_estimate, next_prime_at_or_above
 from .residues import (
     RecoveryMatrix,
     build_recovery,
     find_noncube,
     is_cube,
-    recover_components,
 )
 from .transform import (
     find_extension_root_of_order,
     multiplicative_order,
-    naive_dft,
 )
 
 PLAN_FORMAT_VERSION = 2
@@ -88,10 +87,6 @@ class PTPlan:
     @property
     def prime_product(self) -> int:
         return math.prod(s.q.q for s in self.slots)
-
-    @property
-    def crt_basis(self) -> CrtBasis:
-        return CrtBasis.of([s.q.q for s in self.slots])
 
 
 @dataclass(frozen=True)
@@ -149,17 +144,10 @@ def _try_slot(
     q: PrimeModulus, y: Residue, omega: ExtensionElement
 ) -> PTPrimeSlot:
     """Build a slot for prime q, or return None if q is unusable."""
-    p = y.q
-    if q.q == p or q.q % 3 != 1:
+    if q.q == y.q or q.q % 3 != 1 or not is_cube(q.residue(y.value)):
         return None
-    y_mod_q = q.residue(y.value)
-    if y_mod_q.value == 0 or not is_cube(y_mod_q):
-        return None
-    roots = sorted(
-        (q.residue(r) for r in range(q.q) if r * r % q.q * r % q.q == y_mod_q.value),
-        key=lambda r: r.value,
-    )
-    if len(roots) != 3:
+    roots = [q.residue(r) for r in range(1, q.q) if (r**3 - y.value) % q.q == 0]
+    if len(roots) != 3:  # none when y = 0 mod q; ascending otherwise
         return None
     reduced = [omega.reduce_at(r) for r in roots]
     if any(w.value == 0 for w in reduced):
@@ -314,10 +302,15 @@ def certify_value_bound(plan: PTPlan, coeff_bound: int) -> int:
     return worst
 
 
-def _fold_values(values: np.ndarray, period: int, q: int) -> List[int]:
+# Output indices per Garner block; keeps the digit arrays small.
+_CRT_BLOCK = 1 << 14
+
+
+def _fold(values: np.ndarray, period: int, q: int) -> np.ndarray:
+    """folded[t] = sum of values[k] over k = t mod period, reduced mod q."""
     acc = np.zeros(period, dtype=np.int64)
     np.add.at(acc, np.arange(len(values)) % period, values)
-    return [int(v) for v in acc % q]
+    return acc % q
 
 
 def fold_coefficients(
@@ -327,39 +320,52 @@ def fold_coefficients(
     sr = slot.roots[root_index]
     q = slot.q.q
     xv = np.asarray([v % q for v in x], dtype=np.int64)
-    return [slot.q.residue(v) for v in _fold_values(xv, sr.period, q)]
+    return [slot.q.residue(v) for v in _fold(xv, sr.period, q).tolist()]
 
 
-def _reduce_triples(
-    xs: Sequence[Tuple[int, int, int]], root: Residue
-) -> np.ndarray:
-    """Reduce each component triple at a concrete cube root mod q."""
-    q = root.q
-    r = root.value
-    r2 = r * r % q
-    return np.asarray(
-        [(a0 + a1 * r + a2 * r2) % q for a0, a1, a2 in xs], dtype=np.int64
-    )
+def _slot_dft(folded: np.ndarray, w: int, q: int) -> np.ndarray:
+    """X[j] = sum_k folded[k] * w^(j*k) mod q for j < d, by Horner at each w^j."""
+    points = np.array([pow(w, j, q) for j in range(len(folded))], dtype=np.int64)
+    out = np.zeros_like(points)
+    for c in folded[::-1].tolist():
+        out = (out * points + c) % q
+    return out
 
 
-def _slot_component_table(
-    xs: Sequence[Tuple[int, int, int]], slot: PTPrimeSlot
-) -> List[Tuple[Residue, Residue, Residue]]:
-    """Recovered component triples for every index class mod index_period."""
+def _slot_table(x: np.ndarray, slot: PTPrimeSlot) -> np.ndarray:
+    """Components mod q of the (n, 3) inputs x per index class: (index_period, 3)."""
     q = slot.q.q
-    dfts = []
-    for i in range(3):
-        sr = slot.roots[i]
-        reduced = _reduce_triples(xs, sr.root)
-        folded = [
-            slot.q.residue(v) for v in _fold_values(reduced, sr.period, q)
-        ]
-        dfts.append(naive_dft(folded, sr.reduced_omega))
-    table = []
-    for j in range(slot.index_period):
-        evals = [dfts[i][j % slot.roots[i].period] for i in range(3)]
-        table.append(tuple(recover_components(evals, slot.recovery)))
-    return table
+    forward = np.array([[e.value for e in row] for row in slot.recovery.matrix])
+    inverse = np.array([[e.value for e in row] for row in slot.recovery.inverse])
+    # reducing at the roots is evaluation by the recovery matrix
+    reduced = np.asarray(x % q, dtype=np.int64) @ forward.T % q
+    j = np.arange(slot.index_period)
+    evals = np.empty((len(j), 3), dtype=np.int64)
+    for i, sr in enumerate(slot.roots):
+        dft = _slot_dft(_fold(reduced[:, i], sr.period, q), sr.reduced_omega.value, q)
+        evals[:, i] = dft[j % sr.period]
+    return evals @ inverse.T % q
+
+
+def _crt_mod_p(residues: Sequence[np.ndarray], moduli: Sequence[int], p: int) -> np.ndarray:
+    """x mod p for the x in [0, prod(moduli)) with x = residues[k] mod moduli[k].
+
+    Garner's mixed-radix digits, each solved mod its modulus and folded
+    straight into the result mod p: no intermediate grows with prod(moduli).
+    """
+    digits = []
+    for k, (r, m) in enumerate(zip(residues, moduli)):
+        partial = sum(v * (math.prod(moduli[:i]) % m) for i, v in enumerate(digits))
+        digits.append((r - partial) % m * pow(math.prod(moduli[:k]), -1, m) % m)
+    return sum(v * (math.prod(moduli[:k]) % p) for k, v in enumerate(digits)) % p
+
+
+def _as_array(rows: Sequence) -> np.ndarray:
+    """The rows as int64, or as Python ints (dtype object) if one exceeds int64."""
+    try:
+        return np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(rows, dtype=object)
 
 
 def transform_elements(
@@ -370,42 +376,35 @@ def transform_elements(
     Natural-number inputs are the special case (v, 0, 0); the inverse
     direction needs the general form.
     """
-    if len(xs) != plan.n:
-        raise UsageError(f"input length {len(xs)} != plan length {plan.n}")
-    p = plan.p.q
-    basis = plan.crt_basis
-    tables = [_slot_component_table(xs, slot) for slot in plan.slots]
-    index_periods = [slot.index_period for slot in plan.slots]
-    cache: Dict[Tuple[int, ...], Tuple[int, int, int]] = {}
+    try:
+        x = _as_array(xs)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"input must be {plan.n} integer triples: {exc}") from exc
+    if x.shape != (plan.n, 3):
+        raise UsageError(f"input shape {x.shape} != ({plan.n}, 3) for this plan")
+    tables = [_slot_table(x, slot) for slot in plan.slots]
+    moduli = [slot.q.q for slot in plan.slots]
     out = []
-    for j in range(plan.n):
-        key = tuple(j % m for m in index_periods)
-        hit = cache.get(key)
-        if hit is None:
-            comps = []
-            for t in range(3):
-                residues = [
-                    tables[k][key[k]][t].value for k in range(len(plan.slots))
-                ]
-                comps.append(crt_reconstruct(residues, basis) % p)
-            hit = tuple(comps)
-            cache[key] = hit
-        out.append(hit)
+    for start in range(0, plan.n, _CRT_BLOCK):
+        j = np.arange(start, min(start + _CRT_BLOCK, plan.n))
+        block = _crt_mod_p([t[j % len(t)] for t in tables], moduli, plan.p.q)
+        out.extend(zip(*block.T.tolist()))
     return out
 
 
 def transform(x: Sequence[int], plan: PTPlan) -> List[Tuple[int, int, int]]:
     """Run the full pipeline on natural-number coefficients.
 
-    Per slot and root: fold, naive DFT at the reduced omega, component
-    recovery; then each output index is CRT-combined across slots (one
-    reconstruction per component, never truncated) and reduced mod p.
+    Per slot: reduce at each root, fold, DFT, recover components; then
+    each output is CRT-combined across slots (exactly) and reduced mod p.
     """
-    if any(v < 0 or v > plan.coeff_bound for v in x):
+    if len(x) != plan.n:
+        raise UsageError(f"input length {len(x)} != plan length {plan.n}")
+    if min(x) < 0 or max(x) > plan.coeff_bound:
         raise UsageError(
             f"input entries must lie in [0, {plan.coeff_bound}] for this plan"
         )
-    return transform_elements([(v, 0, 0) for v in x], plan)
+    return transform_elements(_as_array(x)[:, None] * np.array([1, 0, 0]), plan)
 
 
 def inverse_plan(plan: PTPlan) -> PTPlan:

@@ -8,8 +8,6 @@ identity with its singularity experiment.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -219,34 +217,24 @@ def singularity_experiment(
 ) -> Dict[str, float]:
     """Fraction of random 3x3 circulants mod q that are singular.
 
-    Trials are partitioned into fixed-size chunks with per-chunk seeds and
-    merged in chunk order, so the result is independent of worker count
-    (POLYXFORM_THREADS caps the pool).
+    Trials are partitioned into fixed-size chunks with per-chunk seeds,
+    counted in chunk order.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
     if q.q % 3 != 1:
         raise UsageError("3x3 singularity experiment needs q = 1 mod 3")
     chunk = 100_000
-    spans = [(i, min(chunk, trials - i)) for i in range(0, trials, chunk)]
-
-    def count_chunk(span):
-        offset, size = span
+    singular = 0
+    for offset in range(0, trials, chunk):
         rng = np.random.default_rng((seed, offset))
-        c = rng.integers(0, q.q, size=(size, 3), dtype=np.int64)
+        c = rng.integers(0, q.q, size=(min(chunk, trials - offset), 3), dtype=np.int64)
         # det of circulant(c0, c1, c2) = c0^3 + c1^3 + c2^3 - 3*c0*c1*c2
         det = (
-            np.sum(pow_int64(c, 3, q.q), axis=1)
+            np.sum(c * c % q.q * c % q.q, axis=1)
             - 3 * c[:, 0] % q.q * c[:, 1] % q.q * c[:, 2]
         ) % q.q
-        return int(np.count_nonzero(det == 0))
-
-    workers = max(1, int(os.environ.get("POLYXFORM_THREADS", "1")))
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            singular = sum(pool.map(count_chunk, spans))
-    else:
-        singular = sum(count_chunk(s) for s in spans)
+        singular += int(np.count_nonzero(det == 0))
     return {
         "q": q.q,
         "trials": trials,
@@ -255,14 +243,3 @@ def singularity_experiment(
         "reference": 1.0 / q.q,
     }
 
-
-def pow_int64(a: np.ndarray, e: int, mod: int) -> np.ndarray:
-    """Elementwise a**e % mod without leaving int64 range (mod < 2^21)."""
-    out = np.ones_like(a)
-    base = a % mod
-    while e:
-        if e & 1:
-            out = out * base % mod
-        base = base * base % mod
-        e >>= 1
-    return out

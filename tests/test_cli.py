@@ -224,6 +224,25 @@ def test_bench_empty_sizes(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bench", "--sizes", "0"),
+        ("bench", "--sizes", "-3"),
+        ("bench", "--sizes", "x"),
+        ("bench", "--sizes", "64,x"),
+        ("experiments", "--which", "cost-model", "--bounds", "1"),
+        ("experiments", "--which", "cost-model", "--bounds", "x,5"),
+        ("experiments", "--which", "cost-model", "--bounds", ","),
+    ],
+)
+def test_integer_lists_reject_bad_items(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == "" and captured.err.startswith("usage error:")
+
+
 def test_experiments_density(capsys):
     code, out = run(capsys, "experiments", "--which", "density", "--p", "13")
     assert code == EXIT_OK

@@ -1,10 +1,16 @@
+import importlib
 import json
+import math
 import random
 import re
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from polyxform import ptransform
+from polyxform import extension, modcore, ptransform
 from polyxform.cli import EXIT_USAGE, main
 from polyxform.errors import (
     PlanNotCertified,
@@ -12,7 +18,7 @@ from polyxform.errors import (
     UsageError,
 )
 from polyxform.extension import ext_mul
-from polyxform.modcore import pow_mod
+from polyxform.modcore import CrtBasis, crt_reconstruct, is_prime, pow_mod
 from polyxform.ptransform import (
     INPUT_AWARE,
     STRICT,
@@ -27,7 +33,11 @@ from polyxform.ptransform import (
     transform,
     transform_elements,
 )
+from polyxform.residues import recover_components
 from polyxform.transform import multiplicative_order, naive_dft
+
+# the package re-exports ptransform.transform under the submodule's name
+transform_module = importlib.import_module("polyxform.transform")
 
 
 def test_preprocess_rejects_bad_args():
@@ -129,6 +139,128 @@ def test_transform_validates_input(plan13):
         transform([13] + [0] * (plan13.n - 1), plan13)  # above coeff_bound
 
 
+def test_transform_elements_validates_input(plan13):
+    n = plan13.n
+    with pytest.raises(UsageError):
+        transform_elements([(0, 0, 0)] * (n - 1), plan13)
+    with pytest.raises(UsageError):
+        transform_elements([(0, 0)] * n, plan13)  # pairs, not triples
+    with pytest.raises(UsageError):
+        transform_elements([(0, 0, 0)] * (n - 1) + [(0, 0)], plan13)  # ragged
+    with pytest.raises(UsageError):
+        transform_elements([0] * n, plan13)  # scalars, not triples
+
+
+def boxed_pipeline(xs, plan):
+    """The boxed composition the array kernels replaced, kept as a reference.
+
+    Per slot and root: reduce, fold_coefficients, naive_dft; per index
+    class, recover_components; per output, crt_reconstruct(...) % p.
+    """
+    p = plan.p.q
+    basis = CrtBasis.of([slot.q.q for slot in plan.slots])
+    tables = []
+    for slot in plan.slots:
+        q = slot.q.q
+        dfts = []
+        for i, sr in enumerate(slot.roots):
+            r = sr.root.value
+            reduced = [(a0 + a1 * r + a2 * r * r) % q for a0, a1, a2 in xs]
+            dfts.append(naive_dft(fold_coefficients(reduced, slot, i), sr.reduced_omega))
+        tables.append([
+            recover_components(
+                [dfts[i][j % sr.period] for i, sr in enumerate(slot.roots)],
+                slot.recovery,
+            )
+            for j in range(slot.index_period)
+        ])
+    out = []
+    for j in range(plan.n):
+        rows = [table[j % len(table)] for table in tables]
+        out.append(tuple(
+            crt_reconstruct([row[t].value for row in rows], basis) % p for t in range(3)
+        ))
+    return out
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_pipeline_matches_boxed_composition(p):
+    plan = preprocess(p=p, bound_mode=STRICT)
+    rng = random.Random(p)
+    x = [rng.randint(0, plan.coeff_bound) for _ in range(plan.n)]
+    fwd = transform(x, plan)
+    assert fwd == boxed_pipeline([(v, 0, 0) for v in x], plan)
+    if p == 13:  # the p = 7 strict plan has no inverse (see test_cli)
+        inv = inverse_plan(plan)
+        assert transform_elements(fwd, inv) == boxed_pipeline(fwd, inv)
+
+
+@pytest.fixture(scope="module")
+def plan13_big():
+    """Input-aware p = 13 plan for coefficients up to 2^70: 14 primes."""
+    plan = preprocess(p=13, bound_mode=INPUT_AWARE, coeff_bound=2**70)
+    assert len(plan.slots) == 14
+    return plan
+
+
+def test_pipeline_reduces_inputs_above_int64(plan13_big):
+    # the boxed reference takes seconds on all 14 slots; the first 6 suffice
+    plan = replace(plan13_big, slots=plan13_big.slots[:6])
+    rng = random.Random(70)
+    x = [rng.choice((0, 1, 2**63, 2**70 - 1, rng.getrandbits(70))) for _ in range(plan.n)]
+    assert transform(x, plan) == boxed_pipeline([(v, 0, 0) for v in x], plan)
+
+
+def test_transform_makes_no_boxed_calls(monkeypatch):
+    plan = preprocess(p=13, bound_mode=STRICT)
+    x = [random.Random(3).randint(0, 12) for _ in range(plan.n)]
+    calls = []
+
+    def counting(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(name) or fn(*a))
+
+    counting(modcore, "mul_mod")
+    counting(extension, "ext_mul")
+    counting(transform_module, "naive_dft")
+    if hasattr(ptransform, "naive_dft"):
+        counting(ptransform, "naive_dft")
+    transform(x, plan)
+    assert calls == []
+
+
+SMALL_PRIMES = [q for q in range(2, 1 << 16) if is_prime(q)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    moduli=st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=12, unique=True),
+    p=st.sampled_from(SMALL_PRIMES),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(moduli=[65521, 65519, 65497, 65479, 65449], p=13, seed=0)  # product ~ 2^80
+def test_garner_matches_crt_reconstruct(moduli, p, seed):
+    rng = random.Random(seed)
+    rows = [[rng.randrange(m) for m in moduli] for _ in range(8)]
+    rows += [[0] * len(moduli), [m - 1 for m in moduli]]
+    residues = [np.array(column, dtype=np.int64) for column in zip(*rows)]
+    got = ptransform._crt_mod_p(residues, moduli, p).tolist()
+    basis = CrtBasis.of(moduli)
+    assert got == [crt_reconstruct(row, basis) % p for row in rows]
+
+
+def test_garner_on_plan_primes_beyond_64_bits(plan13_big):
+    moduli = [slot.q.q for slot in plan13_big.slots]
+    assert math.prod(moduli) > 2**64
+    rng = random.Random(14)
+    rows = [[rng.randrange(m) for m in moduli] for _ in range(200)]
+    residues = [np.array(column, dtype=np.int64) for column in zip(*rows)]
+    basis = CrtBasis.of(moduli)
+    assert ptransform._crt_mod_p(residues, moduli, 13).tolist() == [
+        crt_reconstruct(row, basis) % 13 for row in rows
+    ]
+
+
 def test_transform_zero_input(plan13):
     out = transform([0] * plan13.n, plan13)
     assert set(out) == {(0, 0, 0)}
@@ -153,11 +285,8 @@ def test_slot_stage_is_linear_mod_q(plan13):
     y = [(rng.randrange(6), 0, 0) for _ in range(plan13.n)]
     xy = [(a[0] + b[0], 0, 0) for a, b in zip(x, y)]
     slot = plan13.slots[0]
-    tx = ptransform._slot_component_table(x, slot)
-    ty = ptransform._slot_component_table(y, slot)
-    txy = ptransform._slot_component_table(xy, slot)
-    for a, b, c in zip(tx, ty, txy):
-        assert tuple(u + v for u, v in zip(a, b)) == c
+    tx, ty, txy = (ptransform._slot_table(np.array(v), slot) for v in (x, y, xy))
+    assert ((tx + ty) % slot.q.q == txy).all()
 
 
 def test_oracle_output_golden(plan13):
