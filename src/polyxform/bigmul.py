@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import OverflowRisk, UsageError
-from .extension import ext_mul
+from .extension import ext_mul_array
 from . import ptransform
 
 # NTT modulus: 15 * 2^27 + 1, primitive root 31.  Products of two values
@@ -325,11 +325,7 @@ def _pt_mul(a: BigNat, b: BigNat, plan: "ptransform.PTPlan") -> Tuple[BigNat, di
     used = max(a.bit_length + b.bit_length, 1)
     fa = ptransform.transform(xa, plan)
     fb = ptransform.transform(xb, plan)
-    ctx = plan.context
-    pointwise = [
-        ext_mul(ctx.element(*u), ctx.element(*v)).coeffs
-        for u, v in zip(fa, fb)
-    ]
+    pointwise = ext_mul_array(np.asarray(fa), np.asarray(fb), plan.context)
     inv = ptransform.inverse_plan(plan)
     back = ptransform.transform_elements(pointwise, inv)
     # n = p^3 - 1 is -1 mod p, so the 1/n scaling is negation mod p

@@ -47,7 +47,9 @@ def _emit(report: dict, fmt: str, out: str) -> None:
     if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
-        rows = report["results"]["rows"]
+        rows = report["results"].get("rows")
+        if not rows:
+            raise UsageError(f"--format csv needs table rows; {report['command']} has none")
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()

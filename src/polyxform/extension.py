@@ -3,13 +3,16 @@
 When y has no cube root mod p the quotient ring is a field with p^3
 elements; that is the setting plan construction relies on.  The element
 type stores raw integer coefficients for speed and carries its (p, y)
-context for mismatch checks.
+context for mismatch checks; `ext_mul_array` and `ext_powers` do the same
+arithmetic on (..., 3) int64 coefficient arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Tuple
+
+import numpy as np
 
 from .errors import NotInvertible, UsageError
 from .modcore import PrimeModulus, Residue
@@ -97,6 +100,32 @@ def ext_mul(u: ExtensionElement, v: ExtensionElement) -> ExtensionElement:
     c1 = a0 * b1 + a1 * b0 + y * a2 * b2
     c2 = a0 * b2 + a1 * b1 + a2 * b0
     return ExtensionElement((c0 % p, c1 % p, c2 % p), u.context)
+
+
+def ext_mul_array(a, b, ctx: ExtensionContext) -> np.ndarray:
+    """ext_mul elementwise on (..., 3) int64 coefficient arrays (broadcasting)."""
+    p = ctx.p.q
+    y = ctx.y.value
+    if 3 * (p - 1) ** 2 >= 2**63:
+        raise UsageError(f"p = {p} is too large for int64 extension products")
+    a0, a1, a2 = np.moveaxis(np.asarray(a, dtype=np.int64) % p, -1, 0)
+    b0, b1, b2 = np.moveaxis(np.asarray(b, dtype=np.int64) % p, -1, 0)
+    c0 = (a0 * b0 + y * ((a1 * b2 + a2 * b1) % p)) % p
+    c1 = (a0 * b1 + a1 * b0 + y * (a2 * b2 % p)) % p
+    c2 = (a0 * b2 + a1 * b1 + a2 * b0) % p
+    return np.stack([c0, c1, c2], axis=-1)
+
+
+def ext_powers(u: ExtensionElement, count: int) -> np.ndarray:
+    """u^k for k < count as a (count, 3) int64 array, by doubling."""
+    table = np.zeros((count, 3), dtype=np.int64)
+    table[0, 0] = 1
+    m = 1
+    while m < count:
+        step = ext_mul_array(table[m - 1], u.coeffs, u.context)  # u^m
+        table[m : 2 * m] = ext_mul_array(table[: min(m, count - m)], step, u.context)
+        m *= 2
+    return table
 
 
 def ext_pow(u: ExtensionElement, e: int) -> ExtensionElement:

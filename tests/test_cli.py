@@ -38,6 +38,15 @@ def test_sieve_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [("sieve", "--limit", "100"), ("plan", "--p", "7")])
+def test_csv_without_rows_is_usage_error(capsys, argv):
+    code = main([*argv, "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == "" and captured.err.startswith("usage error:")
+    assert argv[0] in captured.err and "Traceback" not in captured.err
+
+
 def test_unknown_subcommand(capsys):
     assert main(["definitely-not-a-command"]) == EXIT_USAGE
 

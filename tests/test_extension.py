@@ -1,15 +1,21 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyxform.errors import NotInvertible, UsageError
 from polyxform.extension import (
     ExtensionContext,
     ext_inv,
     ext_mul,
+    ext_mul_array,
     ext_pow,
+    ext_powers,
 )
 from polyxform.modcore import PrimeModulus
+from polyxform.residues import find_noncube
 
 
 P7 = PrimeModulus(7)
@@ -132,3 +138,53 @@ def test_reduce_at_is_ring_homomorphism():
         ctx31 = ExtensionContext(q31, q31.residue(2))
         w = ctx31.element(*prod)
         assert w.reduce_at(root) == u.reduce_at(root) * v.reduce_at(root)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([7, 13, 19, 103]), data=st.data())
+def test_mul_array_matches_boxed(p, data):
+    mod = PrimeModulus(p)
+    ctx = ExtensionContext(mod, find_noncube(mod))
+    triple = st.tuples(*[st.integers(0, p - 1)] * 3)
+    pairs = data.draw(st.lists(st.tuples(triple, triple), min_size=1, max_size=30))
+    top = (p - 1,) * 3
+    pairs += [(top, top), (top, (0, 0, 0)), ((1, 0, 0), top)]
+    a = np.array([u for u, _ in pairs])
+    b = np.array([v for _, v in pairs])
+    got = ext_mul_array(a, b, ctx)
+    assert got.dtype == np.int64 and got.shape == a.shape
+    assert [tuple(row) for row in got.tolist()] == [
+        ext_mul(ctx.element(*u), ctx.element(*v)).coeffs for u, v in pairs
+    ]
+
+
+def test_mul_array_broadcasts_and_reduces_inputs():
+    u = CTX.element(3, 5, 6)
+    rows = np.array([[1, 2, 3], [-1, 9, 14], [7, 7, 7]])
+    got = ext_mul_array(rows, u.coeffs, CTX).tolist()
+    assert got == [list(ext_mul(CTX.element(*r), u).coeffs) for r in rows.tolist()]
+
+
+def test_mul_array_rejects_p_beyond_int64():
+    big = PrimeModulus(2**31 - 1)
+    ctx = ExtensionContext(big, big.residue(3))
+    with pytest.raises(UsageError):
+        ext_mul_array(np.ones(3, dtype=np.int64), np.ones(3, dtype=np.int64), ctx)
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 342])
+def test_powers_table_matches_ext_pow(count):
+    u = CTX.element(3, 4, 5)
+    table = ext_powers(u, count)
+    assert table.shape == (count, 3)
+    assert [tuple(row) for row in table.tolist()] == [
+        ext_pow(u, k).coeffs for k in range(count)
+    ]
+
+
+def test_powers_table_of_plan_root(plan13):
+    omega, n = plan13.omega, plan13.n
+    table = ext_powers(omega, n)
+    rng = random.Random(31)
+    for k in [0, 1, 2, n - 1] + rng.sample(range(n), 20):
+        assert tuple(table[k].tolist()) == ext_pow(omega, k).coeffs

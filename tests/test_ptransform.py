@@ -289,6 +289,50 @@ def test_slot_stage_is_linear_mod_q(plan13):
     assert ((tx + ty) % slot.q.q == txy).all()
 
 
+def boxed_dft(x, plan, index):
+    """sum_k x[k] * omega^(index*k) in boxed extension arithmetic: the reference."""
+    ctx = plan.context
+    w = plan.omega ** index
+    acc, term = ctx.zero, ctx.one
+    for v in x:
+        acc = acc + ext_mul(ctx.element(v), term)
+        term = ext_mul(term, w)
+    return acc.coeffs
+
+
+def test_spot_check_every_index_matches_boxed_dft(plan7):
+    rng = random.Random(7)
+    x = [rng.randint(0, plan7.coeff_bound) for _ in range(plan7.n)]
+    report = spot_check(x, plan7, sample=plan7.n, seed=1)
+    assert [c.index for c in report.checks] == list(range(plan7.n))
+    assert [c.oracle for c in report.checks] == [
+        boxed_dft(x, plan7, j) for j in range(plan7.n)
+    ]
+
+
+def test_oracle_reduces_inputs_above_int64(plan13_big):
+    rng = random.Random(71)
+    x = [rng.choice((0, 1, 2**63, 2**70 - 1, rng.getrandbits(70))) for _ in range(plan13_big.n)]
+    for j in (0, 1, 1000, plan13_big.n - 1):
+        assert oracle_output(x, plan13_big, j) == boxed_dft(x, plan13_big, j)
+
+
+def test_oracle_refuses_n_beyond_int64(plan13):
+    # (index*k) mod n and the weighted sum stay exact only while n^2 < 2^63
+    with pytest.raises(UsageError):
+        oracle_output([1], replace(plan13, n=2**32), 0)
+
+
+def test_spot_check_makes_no_boxed_calls(monkeypatch, plan13):
+    rng = random.Random(5)
+    x = [rng.randint(0, 12) for _ in range(plan13.n)]
+    calls = []
+    ext_mul_fn = extension.ext_mul
+    monkeypatch.setattr(extension, "ext_mul", lambda *a: calls.append(1) or ext_mul_fn(*a))
+    spot_check(x, plan13, sample=16, seed=2)
+    assert calls == []
+
+
 def test_oracle_output_golden(plan13):
     x = [0] * plan13.n
     x[1] = 1
