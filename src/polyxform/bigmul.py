@@ -25,6 +25,12 @@ NTT_ROOT = 31
 
 DEFAULT_LIMB_BITS = 64
 
+# Operand length in limbs at and below which Karatsuba multiplies by schoolbook.
+KARATSUBA_THRESHOLD = 16
+
+# Coefficient width the oracle-ntt backend packs operands into.
+NTT_LIMB_BITS = 8
+
 
 @dataclass(frozen=True)
 class BigNat:
@@ -147,23 +153,12 @@ def _kara_limbs(
     z1, ops1 = _kara_limbs(sa, sb, bits, threshold)
     z1 = _limb_sub(z1, z0, bits)
     z1 = _limb_sub(z1, z2, bits)
-    out = [0] * (max(len(z0), m + len(z1), 2 * m + len(z2)) + 2)
-    for offset, part in ((0, z0), (m, z1), (2 * m, z2)):
-        carry = 0
-        for i, v in enumerate(part):
-            cur = out[offset + i] + v + carry
-            out[offset + i] = cur & ((1 << bits) - 1)
-            carry = cur >> bits
-        k = offset + len(part)
-        while carry:
-            cur = out[k] + carry
-            out[k] = cur & ((1 << bits) - 1)
-            carry = cur >> bits
-            k += 1
+    out = _limb_add(z0, [0] * m + z1, bits)
+    out = _limb_add(out, [0] * (2 * m) + z2, bits)
     return out, ops0 + ops1 + ops2
 
 
-def karatsuba_mul(a: BigNat, b: BigNat, threshold: int = 16) -> BigNat:
+def karatsuba_mul(a: BigNat, b: BigNat, threshold: int = KARATSUBA_THRESHOLD) -> BigNat:
     """Exact product by three-way split recursion, schoolbook at the base."""
     return _karatsuba(a, b, threshold)[0]
 
@@ -197,12 +192,8 @@ def pack(
             raise OverflowRisk(
                 f"worst convolution coefficient {worst} >= modulus {modulus}"
             )
-    mask = (1 << limb_bits) - 1
-    coeffs = []
-    for _ in range(length):
-        coeffs.append(value & mask)
-        value >>= limb_bits
-    return coeffs
+    limbs = BigNat.from_int(value, limb_bits).limbs
+    return list(limbs) + [0] * (length - len(limbs))
 
 
 def carry_propagate(coeffs: Sequence[int], limb_bits: int) -> BigNat:
@@ -278,8 +269,6 @@ POLY_TRANSFORM = "polynomial-transform"
 @dataclass(frozen=True)
 class MulBackend:
     tag: str
-    karatsuba_threshold: int = 16
-    ntt_limb_bits: int = 8
     plan: Optional["ptransform.PTPlan"] = None
 
 
@@ -350,10 +339,10 @@ def transform_mul(a: BigNat, b: BigNat, backend: MulBackend) -> MulReport:
         product = schoolbook_mul(a, b)
         extra = {"limb_ops": len(a.limbs) * len(b.limbs)}
     elif backend.tag == KARATSUBA:
-        product, ops = _karatsuba(a, b, backend.karatsuba_threshold)
+        product, ops = _karatsuba(a, b, KARATSUBA_THRESHOLD)
         extra = {"limb_ops": ops}
     elif backend.tag == ORACLE_NTT:
-        product, ops = _ntt_mul(a, b, backend.ntt_limb_bits)
+        product, ops = _ntt_mul(a, b, NTT_LIMB_BITS)
         extra = {"limb_ops": ops}
     elif backend.tag == POLY_TRANSFORM:
         if backend.plan is None:

@@ -44,9 +44,7 @@ _BOUND_MODES = {"strict": ptransform.STRICT, "input-aware": ptransform.INPUT_AWA
 
 
 def _emit(report: dict, fmt: str, out: str) -> None:
-    if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
+    if fmt == "csv":
         rows = report["results"].get("rows")
         if not rows:
             raise UsageError(f"--format csv needs table rows; {report['command']} has none")
@@ -56,27 +54,18 @@ def _emit(report: dict, fmt: str, out: str) -> None:
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        raise UsageError(f"unknown format {fmt!r}")
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _report(command: str, config: dict, results: dict, elapsed: float) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": config,
-        "results": results,
-        "timing": {"wall_seconds": elapsed},
-    }
-
-
-def cmd_sieve(args) -> int:
+# Each cmd_* returns (config, results, exit code); main times the command
+# and emits its report.
+def cmd_sieve(args) -> tuple:
     if args.limit < 2:
         raise UsageError("limit must be >= 2")
-    start = time.perf_counter()
     table = sieve_atkin(args.limit)
     oracle = trial_division_primes(args.limit)
     results = {
@@ -86,16 +75,11 @@ def cmd_sieve(args) -> int:
         "first": list(table.primes[:10]),
         "last": list(table.primes[-3:]),
     }
-    _emit(
-        _report("sieve", {"limit": args.limit}, results, time.perf_counter() - start),
-        args.format,
-        args.out,
-    )
-    return EXIT_OK if results["agreement"] else EXIT_MISMATCH
+    code = EXIT_OK if results["agreement"] else EXIT_MISMATCH
+    return {"limit": args.limit}, results, code
 
 
-def cmd_plan(args) -> int:
-    start = time.perf_counter()
+def cmd_plan(args) -> tuple:
     plan = ptransform.preprocess(
         n_target=args.n_target,
         p=args.p,
@@ -125,8 +109,7 @@ def cmd_plan(args) -> int:
         "coeff_bound": args.coeff_bound,
         "seed": args.seed,
     }
-    _emit(_report("plan", config, results, time.perf_counter() - start), args.format, args.out)
-    return EXIT_OK
+    return config, results, EXIT_OK
 
 
 def _load_plan(path: str) -> ptransform.PTPlan:
@@ -136,16 +119,13 @@ def _load_plan(path: str) -> ptransform.PTPlan:
         raise UsageError(f"cannot read plan file {path}: {exc}") from exc
 
 
-def cmd_verify(args) -> int:
-    start = time.perf_counter()
+def cmd_verify(args) -> tuple:
     plan = _load_plan(args.plan)
     rng = random.Random(args.seed)
     if args.input == "delta":
         x = [1] + [0] * (plan.n - 1)
-    elif args.input == "random":
-        x = [rng.randint(0, plan.coeff_bound) for _ in range(plan.n)]
     else:
-        raise UsageError(f"unknown input spec {args.input!r}")
+        x = [rng.randint(0, plan.coeff_bound) for _ in range(plan.n)]
     report = ptransform.spot_check(x, plan, sample=args.sample, seed=args.seed)
     results = report.to_dict()
     if args.update_ledger:
@@ -164,12 +144,10 @@ def cmd_verify(args) -> int:
         "sample": args.sample,
         "seed": args.seed,
     }
-    _emit(_report("verify", config, results, time.perf_counter() - start), args.format, args.out)
-    return EXIT_OK
+    return config, results, EXIT_OK
 
 
-def cmd_mul(args) -> int:
-    start = time.perf_counter()
+def cmd_mul(args) -> tuple:
     try:
         a = bigmul.BigNat.from_hex(args.a)
         b = bigmul.BigNat.from_hex(args.b)
@@ -188,11 +166,9 @@ def cmd_mul(args) -> int:
         "extra": report.extra,
     }
     config = {"a": args.a, "b": args.b, "backend": args.backend, "plan": args.plan}
-    _emit(_report("mul", config, results, time.perf_counter() - start), args.format, args.out)
     exact_backends = (bigmul.SCHOOLBOOK, bigmul.KARATSUBA, bigmul.ORACLE_NTT)
-    if args.backend in exact_backends and report.verdict != "match":
-        return EXIT_MISMATCH
-    return EXIT_OK
+    mismatch = args.backend in exact_backends and report.verdict != "match"
+    return config, results, EXIT_MISMATCH if mismatch else EXIT_OK
 
 
 def _int_list(text: str, what: str, minimum: int) -> list:
@@ -206,12 +182,11 @@ def _int_list(text: str, what: str, minimum: int) -> list:
     return values
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> tuple:
     sizes = _int_list(args.sizes, "size", 1)
     if args.repetitions < 1:
         raise UsageError("repetitions must be >= 1")
     backends = [b for b in args.backends.split(",") if b]
-    start = time.perf_counter()
     rng = random.Random(args.seed)
     rows = []
     for bits in sizes:
@@ -241,12 +216,10 @@ def cmd_bench(args) -> int:
         "repetitions": args.repetitions,
         "seed": args.seed,
     }
-    _emit(_report("bench", config, results, time.perf_counter() - start), args.format, args.out)
-    return EXIT_OK
+    return config, results, EXIT_OK
 
 
-def cmd_experiments(args) -> int:
-    start = time.perf_counter()
+def cmd_experiments(args) -> tuple:
     if args.which == "density":
         p = PrimeModulus(args.p or 103)
         if p.q % 3 != 1:
@@ -274,7 +247,7 @@ def cmd_experiments(args) -> int:
             f"--seed {args.seed}: fraction {results['fraction']:.6f} vs 1/q "
             f"{1 / q.q:.6f}"
         )
-    elif args.which == "cost-model":
+    else:  # cost-model
         bounds = _int_list(args.bounds or "1000,10000", "bound", 2)
         rows = []
         for bound in bounds:
@@ -309,8 +282,6 @@ def cmd_experiments(args) -> int:
         verdict = "confirmed" if within else "refuted"
         claim = "s3-prime-sum-scaling"
         evidence = f"experiments cost-model --bounds {','.join(map(str, bounds))}"
-    else:
-        raise UsageError(f"unknown experiment {args.which!r}")
     if args.update_ledger:
         entry = claims.update_verdict(claim, verdict, evidence, path=args.ledger)
         results["ledger_entry"] = {"claim_id": entry.claim_id, "verdict": entry.verdict}
@@ -322,12 +293,7 @@ def cmd_experiments(args) -> int:
         "q": args.q,
         "bounds": args.bounds,
     }
-    _emit(
-        _report("experiments", config, results, time.perf_counter() - start),
-        args.format,
-        args.out,
-    )
-    return EXIT_OK
+    return config, results, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default="", help="report path (default stdout)")
 
@@ -353,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bound-mode", choices=tuple(_BOUND_MODES), default="strict")
     sp.add_argument("--coeff-bound", type=int, default=None)
     sp.add_argument("--plan-out", default="", help="where to write the plan JSON")
+    sp.add_argument("--seed", type=int, default=0)
     common(sp)
     sp.set_defaults(func=cmd_plan)
 
@@ -360,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--plan", required=True)
     sp.add_argument("--input", choices=("random", "delta"), default="random")
     sp.add_argument("--sample", type=int, default=16)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--update-ledger", action="store_true")
     sp.add_argument("--ledger", default=None)
     common(sp)
@@ -388,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backends", default=f"{bigmul.SCHOOLBOOK},{bigmul.KARATSUBA}"
     )
     sp.add_argument("--repetitions", type=int, default=3)
+    sp.add_argument("--seed", type=int, default=0)
     common(sp)
     sp.set_defaults(func=cmd_bench)
 
@@ -396,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--q", type=int, default=None)
     sp.add_argument("--trials", type=int, default=100_000)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--bounds", default=None)
     sp.add_argument("--update-ledger", action="store_true")
     sp.add_argument("--ledger", default=None)
@@ -412,7 +381,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        start = time.perf_counter()
+        config, results, code = args.func(args)
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "config": config,
+            "results": results,
+            "timing": {"wall_seconds": time.perf_counter() - start},
+        }
+        _emit(report, args.format, args.out)
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -42,6 +42,9 @@ PLAN_FORMAT_VERSION = 2
 STRICT = "strict-9p6"
 INPUT_AWARE = "input-aware"
 
+# preprocess scans helper primes up to this multiple of p
+MAX_SCAN_FACTOR = 64
+
 
 @dataclass(frozen=True)
 class SlotRoot:
@@ -70,15 +73,35 @@ class PTPrimeSlot:
 
 @dataclass(frozen=True)
 class PTPlan:
+    """A plan's inputs and slots; n and both bounds are derived on read."""
+
     p: PrimeModulus
     y: Residue
-    n: int  # transform length = p^3 - 1
     omega: ExtensionElement
     slots: Tuple[PTPrimeSlot, ...]
     bound_mode: str
     coeff_bound: int  # max input coefficient value the plan is sized for
-    certified_bound: int  # worst-case intermediate per certify_value_bound
-    target_bound: int  # what prod(q) was required to exceed
+
+    def __post_init__(self):
+        if self.bound_mode not in (STRICT, INPUT_AWARE):
+            raise UsageError(f"unknown bound mode {self.bound_mode!r}")
+        if self.coeff_bound < 0:
+            raise UsageError("coeff_bound must be >= 0")
+
+    @property
+    def n(self) -> int:
+        """Transform length p^3 - 1."""
+        return self.p.q**3 - 1
+
+    @property
+    def certified_bound(self) -> int:
+        """Worst-case intermediate over this plan's slots, per _interval_bound."""
+        return _interval_bound(self.n, self.coeff_bound, self.slots)[0]
+
+    @property
+    def target_bound(self) -> int:
+        """What prod(q) must exceed for this plan to be usable."""
+        return 9 * self.p.q**6 if self.bound_mode == STRICT else self.certified_bound
 
     @property
     def context(self) -> ExtensionContext:
@@ -191,7 +214,6 @@ def preprocess(
     seed: int = 0,
     p: int = None,
     coeff_bound: int = None,
-    max_scan_factor: int = 64,
 ) -> PTPlan:
     """Build a transform plan.
 
@@ -203,7 +225,7 @@ def preprocess(
 
     The prime scan starts just below p and descends, then continues with
     primes above p when the supply below is insufficient, stopping at
-    max_scan_factor * p.  (With primes below p alone the strict bound is
+    MAX_SCAN_FACTOR * p.  (With primes below p alone the strict bound is
     unreachable at desk scale; see the plan statistics for what was used.)
     """
     if p is None:
@@ -218,23 +240,15 @@ def preprocess(
             raise UsageError(f"p = {p} must be 1 mod 3 for a non-cube to exist")
     if coeff_bound is None:
         coeff_bound = p_mod.q - 1 if bound_mode == STRICT else 1
-    n = p_mod.q**3 - 1
     y = find_noncube(p_mod, rng_seed=None if seed == 0 else seed)
     ctx = ExtensionContext(p_mod, y)
-    omega = find_extension_root_of_order(n, ctx)
-
-    slots: List[PTPrimeSlot] = []
-    prod = 1
-
-    def target() -> int:
-        if bound_mode == STRICT:
-            return 9 * p_mod.q**6
-        return _interval_bound(n, coeff_bound, slots)[0]
+    omega = find_extension_root_of_order(ctx.group_order, ctx)
+    plan = PTPlan(p_mod, y, omega, (), bound_mode, coeff_bound)
 
     def scan():
         yield from descending_primes(p_mod.q)
         for cand in ascending_primes(p_mod.q):
-            if cand.q > max_scan_factor * p_mod.q:
+            if cand.q > MAX_SCAN_FACTOR * p_mod.q:
                 return
             yield cand
 
@@ -242,43 +256,12 @@ def preprocess(
         slot = _try_slot(q, y, omega)
         if slot is None:
             continue
-        slots.append(slot)
-        prod *= slot.q.q
-        if prod > target():
-            break
-    else:
-        raise PrimeSupplyExhausted(
-            f"prod(q) = {prod} <= required {target()} scanning up to "
-            f"{max_scan_factor}*p; try input-aware mode or a larger scan"
-        )
-    return _plan(p_mod, y, omega, slots, bound_mode, coeff_bound)
-
-
-def _plan(
-    p: PrimeModulus,
-    y: Residue,
-    omega: ExtensionElement,
-    slots: Sequence[PTPrimeSlot],
-    bound_mode: str,
-    coeff_bound: int,
-) -> PTPlan:
-    """The one PTPlan constructor: derives n and both bounds from the inputs."""
-    if bound_mode not in (STRICT, INPUT_AWARE):
-        raise UsageError(f"unknown bound mode {bound_mode!r}")
-    if coeff_bound < 0:
-        raise UsageError("coeff_bound must be >= 0")
-    n = p.q**3 - 1
-    certified, _stage = _interval_bound(n, coeff_bound, slots)
-    return PTPlan(
-        p=p,
-        y=y,
-        n=n,
-        omega=omega,
-        slots=tuple(slots),
-        bound_mode=bound_mode,
-        coeff_bound=coeff_bound,
-        certified_bound=certified,
-        target_bound=9 * p.q**6 if bound_mode == STRICT else certified,
+        plan = replace(plan, slots=plan.slots + (slot,))
+        if plan.prime_product > plan.target_bound:
+            return plan
+    raise PrimeSupplyExhausted(
+        f"prod(q) = {plan.prime_product} <= required {plan.target_bound} scanning "
+        f"up to {MAX_SCAN_FACTOR}*p; try input-aware mode or a larger scan"
     )
 
 
@@ -411,7 +394,8 @@ def inverse_plan(plan: PTPlan) -> PTPlan:
     """Plan for the inverse direction: same primes, omega replaced by 1/omega.
 
     The slots are rebuilt from scratch because reduction at a root does
-    not commute with inversion mod p.
+    not commute with inversion mod p; their periods, and so the plan's
+    bounds, can differ from the forward plan's.
     """
     omega_inv = ext_pow(plan.omega, plan.n - 1)
     slots = []
@@ -507,7 +491,7 @@ def plan_from_json(text: str) -> PTPlan:
         if slot is None:
             raise UsageError(f"helper prime {q} is unusable for this plan")
         slots.append(slot)
-    plan = _plan(p_mod, y, omega, slots, doc["bound_mode"], doc["coeff_bound"])
+    plan = PTPlan(p_mod, y, omega, tuple(slots), doc["bound_mode"], doc["coeff_bound"])
     if plan.prime_product <= plan.target_bound:
         raise UsageError(
             f"prod(q) = {plan.prime_product} <= required {plan.target_bound}"

@@ -31,17 +31,12 @@ class RootSet:
 def sqrt_minus_one(q: PrimeModulus) -> RootSet:
     """Both square roots of -1 mod q when q = 1 mod 4, else empty.
 
-    Small moduli are scanned exhaustively; larger ones use g**((q-1)/4)
-    for a quadratic non-residue g.
+    The roots are g**((q-1)/4) and its negation for a quadratic
+    non-residue g.
     """
     minus_one = q.residue(-1)
     if q.q == 2 or q.q % 4 != 1:
         return RootSet(minus_one, ())
-    if q.q < 10_000:
-        roots = tuple(
-            q.residue(z) for z in range(1, q.q) if z * z % q.q == q.q - 1
-        )
-        return RootSet(minus_one, roots)
     g = 2
     while pow(g, (q.q - 1) // 2, q.q) != q.q - 1:  # find a non-residue
         g += 1

@@ -8,6 +8,7 @@ identity with its singularity experiment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import NoSuchRoot, UsageError
 from .extension import ExtensionContext, ExtensionElement, ext_pow
-from .modcore import PrimeModulus, Residue, determinant, pow_mod
+from .modcore import PrimeModulus, Residue, determinant
 
 FieldElement = Union[Residue, ExtensionElement]
 
@@ -195,16 +196,9 @@ def circulant_det_formula(spec: CirculantSpec, q: PrimeModulus) -> Residue:
     det = prod_j sum_l c_l * omega^(j*l) with omega of order t mod q;
     requires t | q-1 so such an omega exists in the field.
     """
-    t = spec.dimension
-    omega = find_root_of_order(t, q)  # raises NoSuchRoot when t does not divide q-1
-    det = q.residue(1)
-    for j in range(t):
-        wj = pow_mod(omega, j)
-        acc = q.residue(0)
-        for l, c in enumerate(spec.coeffs):
-            acc = acc + c * pow_mod(wj, l)
-        det = det * acc
-    return det
+    omega = find_root_of_order(spec.dimension, q)  # NoSuchRoot unless t | q-1
+    # the eigenvalues of a circulant are the DFT of its first row
+    return math.prod(naive_dft(spec.coeffs, omega), start=q.residue(1))
 
 
 def circulant_det_bruteforce(spec: CirculantSpec) -> Residue:

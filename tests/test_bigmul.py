@@ -12,6 +12,7 @@ from polyxform.bigmul import (
     POLY_TRANSFORM,
     SCHOOLBOOK,
     BigNat,
+    _karatsuba,
     MulBackend,
     carry_propagate,
     karatsuba_mul,
@@ -215,8 +216,8 @@ def test_pt_backend_records_verdict(plan13):
     assert 0 < report.extra["utilization"] <= 1
 
 
-def limb_ops(a, b, tag, **options):
-    return transform_mul(a, b, MulBackend(tag, **options)).extra["limb_ops"]
+def limb_ops(a, b, tag):
+    return transform_mul(a, b, MulBackend(tag)).extra["limb_ops"]
 
 
 def test_limb_ops_monotone():
@@ -224,14 +225,14 @@ def test_limb_ops_monotone():
     assert limb_ops(a, a, SCHOOLBOOK) == 16 * 16  # 1024 bits = 16 limbs
     big = BigNat.from_int((1 << 4096) - 1)
     assert limb_ops(big, big, SCHOOLBOOK) == 64 * 64
-    assert limb_ops(a, a, KARATSUBA, karatsuba_threshold=4) == 168  # golden
+    assert _karatsuba(a, a, 4)[1] == 168  # golden; transform_mul's limb_ops
     assert limb_ops(a, BigNat.from_int(0), KARATSUBA) == 0
 
 
 def test_karatsuba_beats_schoolbook_on_op_count():
     n = BigNat.from_int((1 << 8192) - 5)
     school = limb_ops(n, n, SCHOOLBOOK)
-    kara = limb_ops(n, n, KARATSUBA, karatsuba_threshold=8)
+    kara = _karatsuba(n, n, 8)[1]
     assert kara < school
 
 

@@ -1,11 +1,12 @@
+import dataclasses
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
-from polyxform import claims
-from polyxform.cli import EXIT_OK, EXIT_USAGE, main
+from polyxform import bigmul, claims
+from polyxform.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 LEDGER_SRC = Path(__file__).resolve().parents[1] / "claims_ledger.json"
 
@@ -164,6 +165,25 @@ def test_mul_zero(capsys):
     code, out = run(capsys, "mul", "--a", "0xff", "--b", "0x0", "--backend", "karatsuba")
     assert code == EXIT_OK
     assert json.loads(out)["results"]["product"] == "0x0"
+
+
+def test_mul_mismatch_emits_report_and_exits_4(capsys, monkeypatch):
+    real = bigmul.transform_mul
+
+    def off_by_one(a, b, backend):
+        report = real(a, b, backend)
+        wrong = bigmul.BigNat.from_int(report.product.to_int() + 1)
+        return dataclasses.replace(report, product=wrong)
+
+    monkeypatch.setattr(bigmul, "transform_mul", off_by_one)
+    code, out = run(capsys, "mul", "--a", "0x3039", "--b", "0x1a85", "--backend", "karatsuba")
+    assert code == EXIT_MISMATCH
+    assert json.loads(out)["results"]["verdict"] == "mismatch"
+
+
+@pytest.mark.parametrize("argv", [("sieve", "--limit", "100"), ("mul", "--a", "0x2", "--b", "0x3")])
+def test_seed_refused_where_unread(capsys, argv):
+    assert run(capsys, *argv, "--seed", "3")[0] == EXIT_USAGE
 
 
 def test_mul_usage_errors(capsys):

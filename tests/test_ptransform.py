@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -92,9 +93,10 @@ def test_plan_prime_product_exceeds_certified(plan13):
     assert plan13.certified_bound == certify_value_bound(plan13, 12)
 
 
-def test_prime_supply_exhausted_when_scan_capped():
+def test_prime_supply_exhausted_when_scan_capped(monkeypatch):
+    monkeypatch.setattr(ptransform, "MAX_SCAN_FACTOR", 1)
     with pytest.raises(PrimeSupplyExhausted):
-        preprocess(p=7, bound_mode=STRICT, max_scan_factor=1)
+        preprocess(p=7, bound_mode=STRICT)
 
 
 def test_certify_zero_and_monotone(plan13):
@@ -317,10 +319,12 @@ def test_oracle_reduces_inputs_above_int64(plan13_big):
         assert oracle_output(x, plan13_big, j) == boxed_dft(x, plan13_big, j)
 
 
-def test_oracle_refuses_n_beyond_int64(plan13):
+def test_oracle_refuses_n_beyond_int64():
     # (index*k) mod n and the weighted sum stay exact only while n^2 < 2^63
+    plan = preprocess(p=1453, bound_mode=INPUT_AWARE)
+    assert plan.n**2 >= 2**63
     with pytest.raises(UsageError):
-        oracle_output([1], replace(plan13, n=2**32), 0)
+        oracle_output([1], plan, 0)
 
 
 def test_spot_check_makes_no_boxed_calls(monkeypatch, plan13):
@@ -369,6 +373,13 @@ def test_inverse_plan_omega(plan13):
             assert inv.omega.reduce_at(sr.root) == sr.reduced_omega
 
 
+def test_inverse_plan_bounds_are_its_own(plan13):
+    # the rebuilt slots have their own periods, so their own bounds
+    inv = inverse_plan(plan13)
+    assert inv.certified_bound == certify_value_bound(inv, inv.coeff_bound)
+    assert inv.target_bound == certify_value_bound(inv, inv.coeff_bound)
+
+
 def test_inverse_plan_roundtrips_delta(plan13):
     # forward then inverse recovers n * x; n = -1 mod p so this is -x
     p = 13
@@ -398,6 +409,12 @@ def test_plan_json_roundtrip(plan7, plan13):
         loaded = plan_from_json(text)
         assert loaded == plan  # slots, n and both bounds re-derived identically
         assert plan_to_json(loaded) == text
+
+
+def test_plan_fields_are_file_inputs(plan13):
+    # a field beyond the file's inputs would be derived state stored twice
+    keys = set(json.loads(plan_to_json(plan13))) - {"format_version", "primes"}
+    assert {f.name for f in dataclasses.fields(ptransform.PTPlan)} == keys | {"slots"}
 
 
 def test_plan_json_rejects_bad_version(plan13):

@@ -22,8 +22,15 @@ def test_sqrt_minus_one_golden():
     assert [r.value for r in sqrt_minus_one(PrimeModulus(13)).roots] == [5, 8]
 
 
+def test_sqrt_minus_one_matches_brute_force():
+    # odd primes only: at q = 2 the function returns () by contract, though 1*1 = -1
+    for q in filter(is_prime, range(3, 10_000)):
+        brute = [z for z in range(q) if z * z % q == q - 1]
+        assert [r.value for r in sqrt_minus_one(PrimeModulus(q)).roots] == brute, q
+
+
 def test_sqrt_minus_one_large_prime_path():
-    # 10061 = 1 mod 4, above the exhaustive-scan cutoff
+    # 10061 = 1 mod 4, above the brute-force range
     q = PrimeModulus(10_061)
     roots = sqrt_minus_one(q).roots
     assert len(roots) == 2
