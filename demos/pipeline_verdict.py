@@ -23,7 +23,7 @@ print(f"  helper primes: {[s.q.q for s in plan.slots]}")
 print(f"  prime product {plan.prime_product} > certified worst case "
       f"{plan.certified_bound}")
 for slot in plan.slots:
-    print(f"    q = {slot.q.q:>3}: roots {[r.root.value for r in slot.roots]}"
+    print(f"    q = {slot.q.q:>3}: roots {list(slot.roots)}"
           f" periods {list(slot.periods)}")
 print()
 

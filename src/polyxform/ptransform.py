@@ -3,9 +3,10 @@
 Preprocessing selects the base prime p, a non-cube y, a full-order root
 of unity in the cubic extension, and a set of helper primes q where y
 does have three cube roots.  The transform folds coefficients per prime
-and per root, runs small DFTs, recovers components by linear algebra,
-and recombines outputs across primes by CRT, all on int64 arrays; the
-boxed `naive_dft`, `recover_components` and `crt_reconstruct` are oracles.
+and per root, runs small DFTs, recovers components by the closed-form
+Vandermonde inverse, and recombines outputs across primes by CRT, all on
+int64 arrays.  The boxed `naive_dft`, Gauss-Jordan `recover_components`
+and `crt_reconstruct` are oracles.
 
 Whether the end result agrees with the honest extension-field DFT is
 deliberately NOT assumed anywhere: `spot_check` runs the comparison and
@@ -18,20 +19,15 @@ import json
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import PlanNotCertified, PrimeSupplyExhausted, Singular, UsageError
+from .errors import PlanNotCertified, PrimeSupplyExhausted, UsageError
 from .extension import ExtensionContext, ExtensionElement, ext_pow, ext_powers
 from .modcore import PrimeModulus, Residue
 from .primes import ascending_primes, descending_primes, doubling_estimate, next_prime_at_or_above
-from .residues import (
-    RecoveryMatrix,
-    build_recovery,
-    find_noncube,
-    is_cube,
-)
+from .residues import find_noncube, is_cube
 from .transform import (
     find_extension_root_of_order,
     multiplicative_order,
@@ -47,23 +43,11 @@ MAX_SCAN_FACTOR = 64
 
 
 @dataclass(frozen=True)
-class SlotRoot:
-    """One cube root of y mod q, with omega reduced at it and its period."""
-
-    root: Residue
-    reduced_omega: Residue
-    period: int  # multiplicative order of reduced_omega mod q
-
-
-@dataclass(frozen=True)
 class PTPrimeSlot:
     q: PrimeModulus
-    roots: Tuple[SlotRoot, SlotRoot, SlotRoot]  # ascending by root value
-    recovery: RecoveryMatrix
-
-    @property
-    def periods(self) -> Tuple[int, int, int]:
-        return tuple(r.period for r in self.roots)
+    roots: Tuple[int, int, int]  # the cube roots of y mod q, ascending
+    omegas: Tuple[int, int, int]  # omega reduced at each root
+    periods: Tuple[int, int, int]  # multiplicative order of each omega mod q
 
     @property
     def index_period(self) -> int:
@@ -165,25 +149,18 @@ class TransformReport:
 
 def _try_slot(
     q: PrimeModulus, y: Residue, omega: ExtensionElement
-) -> PTPrimeSlot:
+) -> Optional[PTPrimeSlot]:
     """Build a slot for prime q, or return None if q is unusable."""
     if q.q == y.q or q.q % 3 != 1 or not is_cube(q.residue(y.value)):
         return None
-    roots = [q.residue(r) for r in range(1, q.q) if (r**3 - y.value) % q.q == 0]
+    roots = tuple(r for r in range(1, q.q) if (r**3 - y.value) % q.q == 0)
     if len(roots) != 3:  # none when y = 0 mod q; ascending otherwise
         return None
-    reduced = [omega.reduce_at(r) for r in roots]
-    if any(w.value == 0 for w in reduced):
+    omegas = tuple(omega.reduce_at(q.residue(r)).value for r in roots)
+    if 0 in omegas:
         return None
-    try:
-        recovery = build_recovery(roots)
-    except Singular:
-        return None
-    slot_roots = tuple(
-        SlotRoot(r, w, multiplicative_order(w, q.q - 1))
-        for r, w in zip(roots, reduced)
-    )
-    return PTPrimeSlot(q, slot_roots, recovery)
+    periods = tuple(multiplicative_order(q.residue(w), q.q - 1) for w in omegas)
+    return PTPrimeSlot(q, roots, omegas, periods)
 
 
 def _interval_bound(
@@ -198,9 +175,9 @@ def _interval_bound(
     worst, stage = 0, "fold"
     for slot in slots:
         qv = slot.q.q
-        for sr in slot.roots:
-            fold_hi = -(-n // sr.period) * coeff_bound
-            eval_hi = sr.period * fold_hi * (qv - 1)
+        for period in slot.periods:
+            fold_hi = -(-n // period) * coeff_bound
+            eval_hi = period * fold_hi * (qv - 1)
             rec_hi = 3 * eval_hi * (qv - 1)
             for value, name in ((fold_hi, "fold"), (eval_hi, "dft"), (rec_hi, "recovery")):
                 if value > worst:
@@ -300,10 +277,9 @@ def fold_coefficients(
     x: Sequence[int], slot: PTPrimeSlot, root_index: int
 ) -> List[Residue]:
     """Collapse x to the root's period: folded[t] = sum of x[k], k = t mod d."""
-    sr = slot.roots[root_index]
     q = slot.q.q
     xv = np.asarray([v % q for v in x], dtype=np.int64)
-    return [slot.q.residue(v) for v in _fold(xv, sr.period, q).tolist()]
+    return [slot.q.residue(v) for v in _fold(xv, slot.periods[root_index], q).tolist()]
 
 
 def _slot_dft(folded: np.ndarray, w: int, q: int) -> np.ndarray:
@@ -315,18 +291,28 @@ def _slot_dft(folded: np.ndarray, w: int, q: int) -> np.ndarray:
     return out
 
 
+def _vandermonde(roots: Sequence[int], q: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows (1, r, r^2) per root, and the inverse [k][i] = 1 / (3 * r_i^k) mod q.
+
+    The roots of t^3 = y are r, zeta*r, zeta^2*r for a cube root of unity
+    zeta, so sum_i r_i^(t-k) is 3 when t = k and 0 otherwise.
+    """
+    forward = np.array([[pow(r, t, q) for t in range(3)] for r in roots])
+    inverse = np.array([[pow(3 * r**k, -1, q) for r in roots] for k in range(3)])
+    return forward, inverse
+
+
 def _slot_table(x: np.ndarray, slot: PTPrimeSlot) -> np.ndarray:
     """Components mod q of the (n, 3) inputs x per index class: (index_period, 3)."""
     q = slot.q.q
-    forward = np.array([[e.value for e in row] for row in slot.recovery.matrix])
-    inverse = np.array([[e.value for e in row] for row in slot.recovery.inverse])
-    # reducing at the roots is evaluation by the recovery matrix
+    forward, inverse = _vandermonde(slot.roots, q)
+    # reducing at the roots is evaluation by the Vandermonde matrix
     reduced = np.asarray(x % q, dtype=np.int64) @ forward.T % q
     j = np.arange(slot.index_period)
     evals = np.empty((len(j), 3), dtype=np.int64)
-    for i, sr in enumerate(slot.roots):
-        dft = _slot_dft(_fold(reduced[:, i], sr.period, q), sr.reduced_omega.value, q)
-        evals[:, i] = dft[j % sr.period]
+    for i, (w, period) in enumerate(zip(slot.omegas, slot.periods)):
+        dft = _slot_dft(_fold(reduced[:, i], period, q), w, q)
+        evals[:, i] = dft[j % period]
     return evals @ inverse.T % q
 
 

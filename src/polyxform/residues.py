@@ -29,14 +29,14 @@ class RootSet:
 
 
 def sqrt_minus_one(q: PrimeModulus) -> RootSet:
-    """Both square roots of -1 mod q when q = 1 mod 4, else empty.
+    """The square roots of -1 mod q: 1 when q = 2, two when q = 1 mod 4, else none.
 
-    The roots are g**((q-1)/4) and its negation for a quadratic
-    non-residue g.
+    For q = 1 mod 4 the roots are g**((q-1)/4) and its negation for a
+    quadratic non-residue g.
     """
     minus_one = q.residue(-1)
-    if q.q == 2 or q.q % 4 != 1:
-        return RootSet(minus_one, ())
+    if q.q % 4 != 1:  # mod 2, -1 = 1 is its own square root
+        return RootSet(minus_one, (minus_one,) if q.q == 2 else ())
     g = 2
     while pow(g, (q.q - 1) // 2, q.q) != q.q - 1:  # find a non-residue
         g += 1
@@ -126,10 +126,10 @@ class RecoveryMatrix:
 
 
 def build_recovery(roots: Sequence[Residue]) -> RecoveryMatrix:
-    """Build the recovery matrix for an ordered set of distinct roots.
+    """Build the recovery matrix for an ordered set of distinct nonzero roots.
 
-    Raises Singular when the matrix cannot be inverted, in which case the
-    caller is expected to skip the prime that produced these roots.
+    The inverse comes from the general Gauss-Jordan kernel, so this is the
+    oracle for the pipeline's closed-form inverse at the cube roots of y.
     """
     roots = tuple(roots)
     if len(set(r.value for r in roots)) != len(roots):

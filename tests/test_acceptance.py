@@ -149,15 +149,11 @@ def test_05_folding_identity(plan13, plan7):
             x = [rng.randrange(p) for _ in range(plan.n)]
             slot = rng.choice(plan.slots)
             i = rng.randrange(3)
-            sr = slot.roots[i]
             q = slot.q.q
-            d = sr.period
+            w, d = slot.omegas[i], slot.periods[i]
             folded = ptransform.fold_coefficients(x, slot, i)
-            got = [r.value for r in naive_dft(folded, sr.reduced_omega)]
-            wp = np.array(
-                [pow(sr.reduced_omega.value, e, q) for e in range(d)],
-                dtype=np.int64,
-            )
+            got = [r.value for r in naive_dft(folded, slot.q.residue(w))]
+            wp = np.array([pow(w, e, q) for e in range(d)], dtype=np.int64)
             xv = np.asarray(x, dtype=np.int64)
             k = np.arange(plan.n)
             direct = [

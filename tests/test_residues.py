@@ -23,8 +23,7 @@ def test_sqrt_minus_one_golden():
 
 
 def test_sqrt_minus_one_matches_brute_force():
-    # odd primes only: at q = 2 the function returns () by contract, though 1*1 = -1
-    for q in filter(is_prime, range(3, 10_000)):
+    for q in filter(is_prime, range(2, 10_000)):
         brute = [z for z in range(q) if z * z % q == q - 1]
         assert [r.value for r in sqrt_minus_one(PrimeModulus(q)).roots] == brute, q
 
