@@ -2,11 +2,12 @@
 
 Preprocessing selects the base prime p, a non-cube y, a full-order root
 of unity in the cubic extension, and a set of helper primes q where y
-does have three cube roots.  The transform folds coefficients per prime
-and per root, runs small DFTs, recovers components by the closed-form
-Vandermonde inverse, and recombines outputs across primes by CRT, all on
-int64 arrays.  The boxed `naive_dft`, Gauss-Jordan `recover_components`
-and `crt_reconstruct` are oracles.
+does have three cube roots.  The transform folds the coefficient triples
+per prime to each root's period, reduces the folded triples at the root,
+runs small DFTs as blocked power-matrix products, recovers components by
+the closed-form Vandermonde inverse, and recombines outputs across
+primes by CRT, all on int64 arrays.  The boxed `naive_dft`, Gauss-Jordan
+`recover_components` and `crt_reconstruct` are oracles.
 
 Whether the end result agrees with the honest extension-field DFT is
 deliberately NOT assumed anywhere: `spot_check` runs the comparison and
@@ -265,11 +266,22 @@ def certify_value_bound(plan: PTPlan, coeff_bound: int) -> int:
 # Output indices per Garner block; keeps the digit arrays small.
 _CRT_BLOCK = 1 << 14
 
+# Input rows reduced mod q at a time; caps the slot stage's (n, 3) temporaries.
+_FOLD_BLOCK = 1 << 14
+
+# Power-matrix entries per _slot_dft row block; caps its index and gather arrays.
+_DFT_BLOCK = 1 << 16
+
 
 def _fold(values: np.ndarray, period: int, q: int) -> np.ndarray:
-    """folded[t] = sum of values[k] over k = t mod period, reduced mod q."""
-    acc = np.zeros(period, dtype=np.int64)
-    np.add.at(acc, np.arange(len(values)) % period, values)
+    """folded[t] = sum of values[k] over k = t mod period, reduced mod q.
+
+    values is 1-D or (n, 3) and already reduced mod q, so the sums over
+    the full periods and the tail rows stay exact in int64 while n*q < 2^63.
+    """
+    full, tail = divmod(len(values), period)
+    acc = values[: full * period].reshape(full, period, *values.shape[1:]).sum(axis=0)
+    acc[:tail] += values[full * period :]
     return acc % q
 
 
@@ -277,17 +289,30 @@ def fold_coefficients(
     x: Sequence[int], slot: PTPrimeSlot, root_index: int
 ) -> List[Residue]:
     """Collapse x to the root's period: folded[t] = sum of x[k], k = t mod d."""
-    q = slot.q.q
-    xv = np.asarray([v % q for v in x], dtype=np.int64)
-    return [slot.q.residue(v) for v in _fold(xv, slot.periods[root_index], q).tolist()]
+    period = slot.periods[root_index]
+    sums = [0] * period
+    for k, v in enumerate(x):
+        sums[k % period] += v
+    return [slot.q.residue(v) for v in sums]
 
 
 def _slot_dft(folded: np.ndarray, w: int, q: int) -> np.ndarray:
-    """X[j] = sum_k folded[k] * w^(j*k) mod q for j < d, by Horner at each w^j."""
-    points = np.array([pow(w, j, q) for j in range(len(folded))], dtype=np.int64)
-    out = np.zeros_like(points)
-    for c in folded[::-1].tolist():
-        out = (out * points + c) % q
+    """X[j] = sum_k folded[k] * w^(j*k) mod q for j < d = len(folded).
+
+    Row blocks of the power matrix w^((j*k) mod d), gathered from one table
+    of w^k and multiplied by folded; a d x d matrix is never built.  Exact
+    in int64 while d * (q-1)^2 < 2^63.
+    """
+    d = len(folded)
+    if d * (q - 1) ** 2 >= 2**63:
+        raise UsageError(f"a DFT of length {d} mod {q} overflows int64")
+    powers = np.array([pow(w, k, q) for k in range(d)], dtype=np.int64)
+    k = np.arange(d)
+    rows = max(1, _DFT_BLOCK // d)
+    out = np.empty(d, dtype=np.int64)
+    for start in range(0, d, rows):
+        j = k[start : start + rows, None]
+        out[start : start + rows] = powers[j * k % d] @ folded % q
     return out
 
 
@@ -303,16 +328,24 @@ def _vandermonde(roots: Sequence[int], q: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _slot_table(x: np.ndarray, slot: PTPrimeSlot) -> np.ndarray:
-    """Components mod q of the (n, 3) inputs x per index class: (index_period, 3)."""
-    q = slot.q.q
+    """Components mod q of the (n, 3) inputs x per index class: (index_period, 3).
+
+    Folding and reducing at a root are both linear, so they commute: the
+    triples are folded first, once to the index period (in row blocks that
+    start at multiples of it) and from there to each root's period, and
+    only the folded triples are reduced at the root.
+    """
+    q, index_period = slot.q.q, slot.index_period
     forward, inverse = _vandermonde(slot.roots, q)
-    # reducing at the roots is evaluation by the Vandermonde matrix
-    reduced = np.asarray(x % q, dtype=np.int64) @ forward.T % q
-    j = np.arange(slot.index_period)
-    evals = np.empty((len(j), 3), dtype=np.int64)
+    rows = index_period * max(1, _FOLD_BLOCK // index_period)
+    folded = sum(
+        _fold(np.asarray(x[start : start + rows] % q, dtype=np.int64), index_period, q)
+        for start in range(0, len(x), rows)
+    ) % q
+    evals = np.empty((index_period, 3), dtype=np.int64)
     for i, (w, period) in enumerate(zip(slot.omegas, slot.periods)):
-        dft = _slot_dft(_fold(reduced[:, i], period, q), w, q)
-        evals[:, i] = dft[j % period]
+        at_root = _fold(folded, period, q) @ forward[i] % q
+        evals[:, i] = np.resize(_slot_dft(at_root, w, q), index_period)
     return evals @ inverse.T % q
 
 
@@ -355,8 +388,9 @@ def transform_elements(
     moduli = [slot.q.q for slot in plan.slots]
     out = []
     for start in range(0, plan.n, _CRT_BLOCK):
-        j = np.arange(start, min(start + _CRT_BLOCK, plan.n))
-        block = _crt_mod_p([t[j % len(t)] for t in tables], moduli, plan.p.q)
+        size = min(_CRT_BLOCK, plan.n - start)
+        rows = [np.resize(np.roll(t, -start, axis=0), (size, 3)) for t in tables]
+        block = _crt_mod_p(rows, moduli, plan.p.q)
         out.extend(zip(*block.T.tolist()))
     return out
 
@@ -364,16 +398,17 @@ def transform_elements(
 def transform(x: Sequence[int], plan: PTPlan) -> List[Tuple[int, int, int]]:
     """Run the full pipeline on natural-number coefficients.
 
-    Per slot: reduce at each root, fold, DFT, recover components; then
+    Per slot: fold, reduce at each root, DFT, recover components; then
     each output is CRT-combined across slots (exactly) and reduced mod p.
     """
     if len(x) != plan.n:
         raise UsageError(f"input length {len(x)} != plan length {plan.n}")
-    if min(x) < 0 or max(x) > plan.coeff_bound:
+    xs = _as_array(x)[:, None] * np.array([1, 0, 0])
+    if xs[:, 0].min() < 0 or xs[:, 0].max() > plan.coeff_bound:
         raise UsageError(
             f"input entries must lie in [0, {plan.coeff_bound}] for this plan"
         )
-    return transform_elements(_as_array(x)[:, None] * np.array([1, 0, 0]), plan)
+    return transform_elements(xs, plan)
 
 
 def inverse_plan(plan: PTPlan) -> PTPlan:

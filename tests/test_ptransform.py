@@ -180,6 +180,10 @@ def test_transform_validates_input(plan13):
         transform([0] * (plan13.n - 1), plan13)
     with pytest.raises(UsageError):
         transform([13] + [0] * (plan13.n - 1), plan13)  # above coeff_bound
+    with pytest.raises(UsageError):
+        transform([0] * (plan13.n - 1) + [-1], plan13)
+    with pytest.raises(UsageError):
+        transform([2**70] + [0] * (plan13.n - 1), plan13)  # beyond int64 too
 
 
 def test_transform_elements_validates_input(plan13):
@@ -237,6 +241,78 @@ def test_pipeline_matches_boxed_composition(p):
     if p == 13:  # the p = 7 strict plan has no inverse (see test_cli)
         inv = inverse_plan(plan)
         assert transform_elements(fwd, inv) == boxed_pipeline(fwd, inv)
+
+
+def test_pipeline_matches_boxed_composition_across_crt_blocks(monkeypatch):
+    # with 97-output blocks every block after the first starts its gather at
+    # a nonzero phase of each slot's table: 97 divides no index period
+    monkeypatch.setattr(ptransform, "_CRT_BLOCK", 97)
+    plan = preprocess(p=13, bound_mode=STRICT)
+    inv = inverse_plan(plan)
+    assert all(slot.index_period % 97 for slot in plan.slots + inv.slots)
+    rng = random.Random(97)
+    x = [rng.randint(0, plan.coeff_bound) for _ in range(plan.n)]
+    fwd = transform(x, plan)
+    assert fwd == boxed_pipeline([(v, 0, 0) for v in x], plan)
+    assert transform_elements(fwd, inv) == boxed_pipeline(fwd, inv)
+
+
+@pytest.mark.parametrize("shape", [(342,), (342, 3)])
+@pytest.mark.parametrize("period", [1, 9, 342, 7, 100, 400])  # divides n, not, > n
+def test_fold_matches_loop(shape, period):
+    q = 449
+    values = np.random.default_rng(period).integers(0, q, size=shape)
+    rows = values.reshape(len(values), -1).tolist()
+    sums = [[0] * len(rows[0]) for _ in range(period)]
+    for k, row in enumerate(rows):
+        for c, v in enumerate(row):
+            sums[k % period][c] += v
+    expected = np.array(sums).reshape((period,) + shape[1:]) % q
+    got = ptransform._fold(values, period, q)
+    assert got.shape == expected.shape and (got == expected).all()
+
+
+def _element_of_order(q, d):
+    """w^((q-1)/d) for a generator w of F_q^*: an element of order d."""
+    modulus = PrimeModulus(q)
+    g = next(g for g in range(2, q) if multiplicative_order(modulus.residue(g), q - 1) == q - 1)
+    return pow(g, (q - 1) // d, q)
+
+
+@pytest.mark.parametrize("q, d, block", [
+    (31, 1, None),
+    (157, 156, None),  # one row block
+    (157, 156, 1500),  # 9 rows a block, the last one partial
+])
+def test_slot_dft_matches_naive_dft(monkeypatch, q, d, block):
+    if block is not None:
+        monkeypatch.setattr(ptransform, "_DFT_BLOCK", block)
+    w = _element_of_order(q, d)
+    x = [random.Random(d).randrange(q) for _ in range(d)]
+    got = ptransform._slot_dft(np.array(x, dtype=np.int64), w, q)
+    modulus = PrimeModulus(q)
+    want = naive_dft([modulus.residue(v) for v in x], modulus.residue(w))
+    assert got.tolist() == [v.value for v in want]
+
+
+def test_slot_dft_spanning_many_blocks():
+    # d = 3000 takes the default block size over 100 row blocks; the boxed
+    # naive_dft needs about a minute here, so sampled rows are summed instead
+    q, d = 3001, 3000
+    assert ptransform._DFT_BLOCK // d * 100 < d
+    w = _element_of_order(q, d)
+    rng = random.Random(3001)
+    x = [rng.randrange(q) for _ in range(d)]
+    got = ptransform._slot_dft(np.array(x, dtype=np.int64), w, q).tolist()
+    powers = [pow(w, k, q) for k in range(d)]
+    for j in [0, d - 1] + rng.sample(range(d), 100):
+        assert got[j] == sum(v * powers[j * k % d] for k, v in enumerate(x)) % q
+
+
+def test_slot_dft_refuses_int64_overflow():
+    q = 2**31 - 1  # 4 * (q - 1)^2 >= 2^63
+    with pytest.raises(UsageError):
+        ptransform._slot_dft(np.zeros(4, dtype=np.int64), 1, q)
 
 
 @pytest.fixture(scope="module")
