@@ -75,7 +75,8 @@ class BigNat:
 
     @property
     def bit_length(self) -> int:
-        return self.to_int().bit_length()
+        n = len(self.limbs)
+        return (n - 1) * self.limb_bits + self.limbs[-1].bit_length() if n else 0
 
 
 def _canonical(limbs: List[int], limb_bits: int) -> BigNat:
@@ -183,8 +184,7 @@ def pack(
     When a convolution modulus is given, refuse packings whose worst-case
     convolution coefficient could reach it.
     """
-    value = a.to_int()
-    if value.bit_length() > limb_bits * length:
+    if a.bit_length > limb_bits * length:
         raise UsageError("number does not fit in length * limb_bits bits")
     if modulus is not None:
         worst = length * ((1 << limb_bits) - 1) ** 2
@@ -192,18 +192,27 @@ def pack(
             raise OverflowRisk(
                 f"worst convolution coefficient {worst} >= modulus {modulus}"
             )
-    limbs = BigNat.from_int(value, limb_bits).limbs
+    limbs = BigNat.from_int(a.to_int(), limb_bits).limbs
     return list(limbs) + [0] * (length - len(limbs))
 
 
-def carry_propagate(coeffs: Sequence[int], limb_bits: int) -> BigNat:
-    """Reassemble sum(coeffs[k] * 2^(k*limb_bits)), exactly."""
-    value = 0
-    for c in reversed(coeffs):
-        if c < 0:
-            raise UsageError("convolution coefficients must be naturals")
-        value = (value << limb_bits) + c
-    return BigNat.from_int(value, limb_bits)
+def carry_propagate(coeffs: Sequence[int], limb_bits: int) -> int:
+    """sum(coeffs[k] * 2^(k*limb_bits)), exactly, for coefficients in [0, 2^63).
+
+    Bits g*limb_bits up to (g+1)*limb_bits of every coefficient form one
+    bit string without overlaps, so each such group packs into one integer.
+    """
+    try:
+        c = np.ascontiguousarray(coeffs, dtype="<i8")
+    except OverflowError as exc:
+        raise UsageError(f"convolution coefficients must be below 2^63: {exc}") from exc
+    if (c < 0).any():
+        raise UsageError("convolution coefficients must be naturals")
+    groups = -(-int(c.max(initial=0)).bit_length() // limb_bits)
+    bits = np.unpackbits(c.view(np.uint8).reshape(-1, 8), axis=1, count=groups * limb_bits,
+                         bitorder="little").reshape(len(c), groups, limb_bits)
+    packed = (np.packbits(bits[:, g], bitorder="little").tobytes() for g in range(groups))
+    return sum(int.from_bytes(b, "little") << (g * limb_bits) for g, b in enumerate(packed))
 
 
 # --- NTT convolution backend -------------------------------------------
@@ -220,12 +229,16 @@ def _bit_reverse_permute(a: np.ndarray) -> np.ndarray:
 
 def ntt(values: Sequence[int], invert: bool = False) -> List[int]:
     """Iterative radix-2 transform mod NTT_PRIME (length a power of two)."""
+    return _ntt(np.asarray(values, dtype=np.uint64), invert).tolist()
+
+
+def _ntt(values: np.ndarray, invert: bool = False) -> np.ndarray:
     n = len(values)
     if n & (n - 1):
         raise UsageError("NTT length must be a power of two")
     if (NTT_PRIME - 1) % n:
         raise UsageError(f"length {n} has no root of unity mod {NTT_PRIME}")
-    a = _bit_reverse_permute(np.asarray(values, dtype=np.uint64) % NTT_PRIME)
+    a = _bit_reverse_permute(values % NTT_PRIME)
     root = pow(NTT_ROOT, (NTT_PRIME - 1) // n, NTT_PRIME)
     if invert:
         root = pow(root, NTT_PRIME - 2, NTT_PRIME)
@@ -246,16 +259,16 @@ def ntt(values: Sequence[int], invert: bool = False) -> List[int]:
     if invert:
         n_inv = pow(n, NTT_PRIME - 2, NTT_PRIME)
         a = a * np.uint64(n_inv) % NTT_PRIME
-    return [int(v) for v in a]
+    return a
 
 
 def ntt_convolve(x: Sequence[int], y: Sequence[int]) -> List[int]:
     """Exact cyclic convolution mod NTT_PRIME of two equal-length vectors."""
     if len(x) != len(y):
         raise UsageError("vectors must have equal length")
-    X = np.asarray(ntt(x), dtype=np.uint64)
-    Y = np.asarray(ntt(y), dtype=np.uint64)
-    return ntt([int(v) for v in X * Y % NTT_PRIME], invert=True)
+    X = _ntt(np.asarray(x, dtype=np.uint64))
+    Y = _ntt(np.asarray(y, dtype=np.uint64))
+    return _ntt(X * Y % NTT_PRIME, invert=True).tolist()
 
 
 # --- backend dispatch ---------------------------------------------------
@@ -289,19 +302,17 @@ class MulReport:
 
     @property
     def verdict(self) -> str:
-        return "match" if self.product.to_int() == self.oracle.to_int() else "mismatch"
+        return "match" if self.product == self.oracle else "mismatch"
 
 
 def _ntt_mul(a: BigNat, b: BigNat, limb_bits: int) -> Tuple[BigNat, int]:
     """Product and its butterfly count: length/2 per stage, three transforms."""
     total_bits = max(a.bit_length + b.bit_length, 1)
-    length = 1
-    while length * limb_bits < total_bits:
-        length <<= 1
+    length = 1 << (-(-total_bits // limb_bits) - 1).bit_length()  # least power of two that fits
     xa = pack(a, limb_bits, length, modulus=NTT_PRIME)
     xb = pack(b, limb_bits, length, modulus=NTT_PRIME)
     conv = ntt_convolve(xa, xb)
-    product = BigNat.from_int(carry_propagate(conv, limb_bits).to_int(), a.limb_bits)
+    product = BigNat.from_int(carry_propagate(conv, limb_bits), a.limb_bits)
     return product, 3 * (length // 2) * (length.bit_length() - 1)
 
 
@@ -309,25 +320,19 @@ def _pt_mul(a: BigNat, b: BigNat, plan: "ptransform.PTPlan") -> Tuple[BigNat, di
     p = plan.p.q
     limb_bits = max(1, min(plan.coeff_bound.bit_length() - 1, p.bit_length() - 1))
     # zero-pad to the plan's full transform length
-    xa = pack(a, limb_bits, plan.n)
-    xb = pack(b, limb_bits, plan.n)
-    used = max(a.bit_length + b.bit_length, 1)
-    fa = ptransform.transform(xa, plan)
-    fb = ptransform.transform(xb, plan)
-    pointwise = ext_mul_array(np.asarray(fa), np.asarray(fb), plan.context)
+    xa, xb = (ptransform.natural_column(pack(v, limb_bits, plan.n), plan) for v in (a, b))
+    fa, fb = (ptransform.transform_elements(x, plan) for x in (xa, xb))
+    pointwise = ext_mul_array(fa, fb, plan.context)
     inv = ptransform.inverse_plan(plan)
     back = ptransform.transform_elements(pointwise, inv)
-    # n = p^3 - 1 is -1 mod p, so the 1/n scaling is negation mod p
-    n_inv = pow(plan.n % p, p - 2, p)
-    coeffs = [(c[0] * n_inv) % p for c in back]
-    stray = sum(1 for c in back if c[1] % p or c[2] % p)
-    product = carry_propagate(coeffs, limb_bits)
     extra = {
         "limb_bits": limb_bits,
-        "utilization": used / (plan.n * limb_bits),
-        "outputs_with_nonreal_components": stray,
+        "utilization": max(a.bit_length + b.bit_length, 1) / (plan.n * limb_bits),
+        "outputs_with_nonreal_components": int(back[:, 1:].any(axis=1).sum()),
     }
-    return BigNat.from_int(product.to_int(), a.limb_bits), extra
+    # n = p^3 - 1 is -1 mod p, so the 1/n scaling is negation mod p
+    product = carry_propagate(-back[:, 0] % p, limb_bits)
+    return BigNat.from_int(product, a.limb_bits), extra
 
 
 def transform_mul(a: BigNat, b: BigNat, backend: MulBackend) -> MulReport:

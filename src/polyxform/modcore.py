@@ -23,7 +23,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for 64-bit-scale inputs."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
     d = n - 1

@@ -2,11 +2,11 @@
 
 Preprocessing selects the base prime p, a non-cube y, a full-order root
 of unity in the cubic extension, and a set of helper primes q where y
-does have three cube roots.  The transform folds the coefficient triples
-per prime to each root's period, reduces the folded triples at the root,
-runs small DFTs as blocked power-matrix products, recovers components by
-the closed-form Vandermonde inverse, and recombines outputs across
-primes by CRT, all on int64 arrays.  The boxed `naive_dft`, Gauss-Jordan
+does have three cube roots.  The transform folds the input rows per
+prime to each root's period, reduces the folded rows at the root, runs
+small DFTs as blocked power-matrix products, recovers components by the
+closed-form Vandermonde inverse, and recombines outputs across primes by
+CRT, all on int64 arrays.  The boxed `naive_dft`, Gauss-Jordan
 `recover_components` and `crt_reconstruct` are oracles.
 
 Whether the end result agrees with the honest extension-field DFT is
@@ -263,11 +263,9 @@ def certify_value_bound(plan: PTPlan, coeff_bound: int) -> int:
     return worst
 
 
-# Output indices per Garner block; keeps the digit arrays small.
-_CRT_BLOCK = 1 << 14
-
-# Input rows reduced mod q at a time; caps the slot stage's (n, 3) temporaries.
-_FOLD_BLOCK = 1 << 14
+# Rows per block when the slot stage reduces the input mod q and when the
+# CRT gather combines outputs; caps the temporaries of both.
+_ROW_BLOCK = 1 << 14
 
 # Power-matrix entries per _slot_dft row block; caps its index and gather arrays.
 _DFT_BLOCK = 1 << 16
@@ -328,23 +326,24 @@ def _vandermonde(roots: Sequence[int], q: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _slot_table(x: np.ndarray, slot: PTPrimeSlot) -> np.ndarray:
-    """Components mod q of the (n, 3) inputs x per index class: (index_period, 3).
+    """Components mod q of the (n, c) inputs x per index class: (index_period, 3).
 
     Folding and reducing at a root are both linear, so they commute: the
-    triples are folded first, once to the index period (in row blocks that
+    rows are folded first, once to the index period (in row blocks that
     start at multiples of it) and from there to each root's period, and
-    only the folded triples are reduced at the root.
+    only the folded rows are reduced at the root, by the first c entries
+    of (1, r, r^2), so a natural-number column (c = 1) is never widened.
     """
     q, index_period = slot.q.q, slot.index_period
     forward, inverse = _vandermonde(slot.roots, q)
-    rows = index_period * max(1, _FOLD_BLOCK // index_period)
+    rows = index_period * max(1, _ROW_BLOCK // index_period)
     folded = sum(
         _fold(np.asarray(x[start : start + rows] % q, dtype=np.int64), index_period, q)
         for start in range(0, len(x), rows)
     ) % q
     evals = np.empty((index_period, 3), dtype=np.int64)
     for i, (w, period) in enumerate(zip(slot.omegas, slot.periods)):
-        at_root = _fold(folded, period, q) @ forward[i] % q
+        at_root = _fold(folded, period, q) @ forward[i, : x.shape[1]] % q
         evals[:, i] = np.resize(_slot_dft(at_root, w, q), index_period)
     return evals @ inverse.T % q
 
@@ -370,45 +369,45 @@ def _as_array(rows: Sequence) -> np.ndarray:
         return np.asarray(rows, dtype=object)
 
 
-def transform_elements(
-    xs: Sequence[Tuple[int, int, int]], plan: PTPlan
-) -> List[Tuple[int, int, int]]:
-    """Pipeline over extension-element inputs (component triples mod p).
+def transform_elements(xs: Sequence, plan: PTPlan) -> np.ndarray:
+    """Pipeline over extension-element inputs; returns the (n, 3) int64 outputs.
 
-    Natural-number inputs are the special case (v, 0, 0); the inverse
-    direction needs the general form.
+    xs is n component triples mod p, or an (n, 1) column of naturals v,
+    each standing for (v, 0, 0); the inverse direction needs triples.
     """
     try:
         x = _as_array(xs)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"input must be {plan.n} integer triples: {exc}") from exc
-    if x.shape != (plan.n, 3):
-        raise UsageError(f"input shape {x.shape} != ({plan.n}, 3) for this plan")
+    if x.shape not in ((plan.n, 1), (plan.n, 3)):
+        raise UsageError(f"input shape {x.shape} != ({plan.n}, 3) or ({plan.n}, 1)")
     tables = [_slot_table(x, slot) for slot in plan.slots]
     moduli = [slot.q.q for slot in plan.slots]
-    out = []
-    for start in range(0, plan.n, _CRT_BLOCK):
-        size = min(_CRT_BLOCK, plan.n - start)
+    out = np.empty((plan.n, 3), dtype=np.int64)
+    for start in range(0, plan.n, _ROW_BLOCK):
+        size = min(_ROW_BLOCK, plan.n - start)
         rows = [np.resize(np.roll(t, -start, axis=0), (size, 3)) for t in tables]
-        block = _crt_mod_p(rows, moduli, plan.p.q)
-        out.extend(zip(*block.T.tolist()))
+        out[start : start + size] = _crt_mod_p(rows, moduli, plan.p.q)
     return out
 
 
-def transform(x: Sequence[int], plan: PTPlan) -> List[Tuple[int, int, int]]:
-    """Run the full pipeline on natural-number coefficients.
-
-    Per slot: fold, reduce at each root, DFT, recover components; then
-    each output is CRT-combined across slots (exactly) and reduced mod p.
-    """
+def natural_column(x: Sequence[int], plan: PTPlan) -> np.ndarray:
+    """x as an (n, 1) column, after checking its length and range for the plan."""
     if len(x) != plan.n:
         raise UsageError(f"input length {len(x)} != plan length {plan.n}")
-    xs = _as_array(x)[:, None] * np.array([1, 0, 0])
-    if xs[:, 0].min() < 0 or xs[:, 0].max() > plan.coeff_bound:
-        raise UsageError(
-            f"input entries must lie in [0, {plan.coeff_bound}] for this plan"
-        )
-    return transform_elements(xs, plan)
+    column = _as_array(x)[:, None]
+    if column.min() < 0 or column.max() > plan.coeff_bound:
+        raise UsageError(f"input entries must lie in [0, {plan.coeff_bound}] for this plan")
+    return column
+
+
+def transform(x: Sequence[int], plan: PTPlan) -> List[Tuple[int, int, int]]:
+    """The pipeline on natural-number coefficients, as n triples of Python ints.
+
+    The naturals enter transform_elements as one (n, 1) column, and its
+    (n, 3) result is converted to a list once, here.
+    """
+    return list(zip(*transform_elements(natural_column(x, plan), plan).T.tolist()))
 
 
 def inverse_plan(plan: PTPlan) -> PTPlan:
@@ -441,7 +440,7 @@ def _direct_dft(x: Sequence[int], plan: PTPlan):
     p, n = plan.p.q, plan.n
     if n * n >= 2**63:
         raise UsageError(f"n = {n} is too large for the int64 direct oracle")
-    xr = np.array([v % p for v in x], dtype=np.int64)
+    xr = np.asarray(_as_array(x) % p, dtype=np.int64)
     k = np.flatnonzero(xr)
     weights = xr[k]
     powers = ext_powers(plan.omega, n)
@@ -463,9 +462,9 @@ def spot_check(
         raise UsageError("sample must be >= 1")
     rng = random.Random(seed)
     indices = sorted(rng.sample(range(plan.n), min(sample, plan.n)))
-    pipeline = transform(x, plan)
+    pipeline = transform_elements(natural_column(x, plan), plan)[indices].tolist()
     oracle = _direct_dft(x, plan)
-    checks = tuple(IndexCheck(j, pipeline[j], oracle(j)) for j in indices)
+    checks = tuple(IndexCheck(j, tuple(row), oracle(j)) for j, row in zip(indices, pipeline))
     return TransformReport(plan_p=plan.p.q, seed=seed, checks=checks)
 
 

@@ -57,6 +57,13 @@ def test_bignat_int_roundtrip(value, bits):
     assert BigNat.from_int(value, bits).to_int() == value
 
 
+@given(st.integers(min_value=0, max_value=2**512), st.sampled_from([1, 8, 13, 64]))
+@settings(max_examples=200, deadline=None)
+def test_bignat_bit_length_reads_limbs(value, bits):
+    assert BigNat.from_int(value, bits).bit_length == value.bit_length()
+    assert BigNat((), bits).bit_length == 0
+
+
 def test_schoolbook_golden():
     a = BigNat.from_hex("0x3039")
     b = BigNat.from_hex("0x1a85")
@@ -129,7 +136,29 @@ def test_pack_overflow_risk():
 def test_pack_carry_roundtrip(value, bits):
     n = BigNat.from_int(value)
     length = max(1, -(-value.bit_length() // bits))
-    assert carry_propagate(pack(n, bits, length), bits).to_int() == value
+    assert carry_propagate(pack(n, bits, length), bits) == value
+
+
+def test_carry_propagate_returns_int():
+    value = carry_propagate([5, 0, 2**62, 1], 3)
+    assert type(value) is int
+    assert value == 5 + (2**62 << 6) + (1 << 9)
+    assert carry_propagate([], 8) == 0
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=40),
+    st.sampled_from([1, 3, 8, 31, 64, 100]),
+)
+@settings(max_examples=200, deadline=None)
+def test_carry_propagate_matches_python_sum(coeffs, bits):
+    # coefficients wider than limb_bits overlap their neighbours
+    assert carry_propagate(coeffs, bits) == sum(c << (k * bits) for k, c in enumerate(coeffs))
+
+
+def test_carry_propagate_rejects_coefficients_beyond_int64():
+    with pytest.raises(UsageError):
+        carry_propagate([1, 2**63], 8)
 
 
 def test_carry_propagate_rejects_negative():

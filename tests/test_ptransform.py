@@ -198,6 +198,43 @@ def test_transform_elements_validates_input(plan13):
         transform_elements([0] * n, plan13)  # scalars, not triples
 
 
+def triples(outputs):
+    """transform_elements' (n, 3) array as the list of tuples boxed_pipeline returns."""
+    return [tuple(row) for row in outputs.tolist()]
+
+
+def test_transform_elements_takes_a_column_and_returns_int64_array(plan13):
+    rng = random.Random(19)
+    x = [rng.randint(0, plan13.coeff_bound) for _ in range(plan13.n)]
+    column = transform_elements(np.array(x)[:, None], plan13)
+    widened = transform_elements([(v, 0, 0) for v in x], plan13)
+    for out in (column, widened):
+        assert isinstance(out, np.ndarray)
+        assert out.shape == (plan13.n, 3) and out.dtype == np.int64
+    assert np.array_equal(column, widened)
+    with pytest.raises(UsageError):
+        transform_elements(np.array(x[1:])[:, None], plan13)  # a column one short
+
+
+def test_transform_returns_tuples_of_python_ints(plan13):
+    out = transform([random.Random(23).randint(0, 12) for _ in range(plan13.n)], plan13)
+    assert type(out) is list and len(out) == plan13.n
+    assert all(type(row) is tuple and len(row) == 3 for row in out)
+    assert all(type(v) is int for row in out for v in row)
+
+
+def test_slot_table_on_column_matches_widened_triples(plan13):
+    # the column is reduced at each root by 1 alone, the triples by (1, r, r^2)
+    rng = random.Random(29)
+    column = np.array([[rng.randint(0, 12)] for _ in range(plan13.n)])
+    widened = np.concatenate([column, np.zeros((plan13.n, 2), dtype=column.dtype)], axis=1)
+    for plan in (plan13, inverse_plan(plan13)):
+        for slot in plan.slots:
+            assert np.array_equal(
+                ptransform._slot_table(column, slot), ptransform._slot_table(widened, slot)
+            )
+
+
 def boxed_pipeline(xs, plan):
     """The boxed composition the array kernels replaced, kept as a reference.
 
@@ -240,13 +277,14 @@ def test_pipeline_matches_boxed_composition(p):
     assert fwd == boxed_pipeline([(v, 0, 0) for v in x], plan)
     if p == 13:  # the p = 7 strict plan has no inverse (see test_cli)
         inv = inverse_plan(plan)
-        assert transform_elements(fwd, inv) == boxed_pipeline(fwd, inv)
+        assert triples(transform_elements(fwd, inv)) == boxed_pipeline(fwd, inv)
 
 
 def test_pipeline_matches_boxed_composition_across_crt_blocks(monkeypatch):
-    # with 97-output blocks every block after the first starts its gather at
-    # a nonzero phase of each slot's table: 97 divides no index period
-    monkeypatch.setattr(ptransform, "_CRT_BLOCK", 97)
+    # with 97-row blocks every block after the first starts its gather at
+    # a nonzero phase of each slot's table (97 divides no index period), and
+    # the slot stage reduces and folds the input in several row blocks
+    monkeypatch.setattr(ptransform, "_ROW_BLOCK", 97)
     plan = preprocess(p=13, bound_mode=STRICT)
     inv = inverse_plan(plan)
     assert all(slot.index_period % 97 for slot in plan.slots + inv.slots)
@@ -254,7 +292,7 @@ def test_pipeline_matches_boxed_composition_across_crt_blocks(monkeypatch):
     x = [rng.randint(0, plan.coeff_bound) for _ in range(plan.n)]
     fwd = transform(x, plan)
     assert fwd == boxed_pipeline([(v, 0, 0) for v in x], plan)
-    assert transform_elements(fwd, inv) == boxed_pipeline(fwd, inv)
+    assert triples(transform_elements(fwd, inv)) == boxed_pipeline(fwd, inv)
 
 
 @pytest.mark.parametrize("shape", [(342,), (342, 3)])
@@ -514,7 +552,7 @@ def test_inverse_plan_roundtrips_delta(plan13):
         strays = sum(1 for c in back if c[1] % p or c[2] % p)
         return back, recovered, strays
 
-    back = transform_elements(transform(x, plan13), inv)
+    back = triples(transform_elements(transform(x, plan13), inv))
     boxed = boxed_pipeline(boxed_pipeline([(v, 0, 0) for v in x], plan13), inv)
     assert outcome(back) == outcome(boxed)
 
