@@ -44,7 +44,6 @@ from .ptransform import (
     PTPrimeSlot,
     TransformReport,
     certify_value_bound,
-    fold_coefficients,
     inverse_plan,
     plan_from_json,
     plan_to_json,

@@ -5,9 +5,10 @@ of unity in the cubic extension, and a set of helper primes q where y
 does have three cube roots.  The transform folds the input rows per
 prime to each root's period, reduces the folded rows at the root, runs
 small DFTs as blocked power-matrix products, recovers components by the
-closed-form Vandermonde inverse, and recombines outputs across primes by
-CRT, all on int64 arrays.  The boxed `naive_dft`, Gauss-Jordan
-`recover_components` and `crt_reconstruct` are oracles.
+closed-form Vandermonde inverse, merges the primes' tables by CRT at
+their shared periods, and combines only the requested output rows
+across the merged groups, all on int64 arrays.  The boxed `naive_dft`,
+Gauss-Jordan `recover_components` and `crt_reconstruct` are oracles.
 
 Whether the end result agrees with the honest extension-field DFT is
 deliberately NOT assumed anywhere: `spot_check` runs the comparison and
@@ -283,17 +284,6 @@ def _fold(values: np.ndarray, period: int, q: int) -> np.ndarray:
     return acc % q
 
 
-def fold_coefficients(
-    x: Sequence[int], slot: PTPrimeSlot, root_index: int
-) -> List[Residue]:
-    """Collapse x to the root's period: folded[t] = sum of x[k], k = t mod d."""
-    period = slot.periods[root_index]
-    sums = [0] * period
-    for k, v in enumerate(x):
-        sums[k % period] += v
-    return [slot.q.residue(v) for v in sums]
-
-
 def _slot_dft(folded: np.ndarray, w: int, q: int) -> np.ndarray:
     """X[j] = sum_k folded[k] * w^(j*k) mod q for j < d = len(folded).
 
@@ -348,17 +338,68 @@ def _slot_table(x: np.ndarray, slot: PTPrimeSlot) -> np.ndarray:
     return evals @ inverse.T % q
 
 
-def _crt_mod_p(residues: Sequence[np.ndarray], moduli: Sequence[int], p: int) -> np.ndarray:
-    """x mod p for the x in [0, prod(moduli)) with x = residues[k] mod moduli[k].
+def _crt_mod_p(
+    tables: Sequence[np.ndarray], moduli: Sequence[int], m: int, indices: np.ndarray
+) -> np.ndarray:
+    """x mod m at each index j, for the x in [0, prod(moduli)) that is
+    tables[k][j mod len(tables[k])] mod moduli[k] for every k.
 
     Garner's mixed-radix digits, each solved mod its modulus and folded
-    straight into the result mod p: no intermediate grows with prod(moduli).
+    straight into the result mod m: no intermediate grows with prod(moduli).
+    Digit k is (r_k * inv_k + sum_i v_i * w_ki) mod q_k, one reduction each,
+    with inv_k = 1 / (q_0...q_{k-1}) and w_ki = -(q_0...q_{i-1}) * inv_k;
+    for residues in [0, q_k) it stays exact in int64 while
+    len(moduli) * max(moduli)^2 < 2^63.  The constants are computed once;
+    the indices are taken in row blocks, each gathering from every table.
     """
-    digits = []
-    for k, (r, m) in enumerate(zip(residues, moduli)):
-        partial = sum(v * (math.prod(moduli[:i]) % m) for i, v in enumerate(digits))
-        digits.append((r - partial) % m * pow(math.prod(moduli[:k]), -1, m) % m)
-    return sum(v * (math.prod(moduli[:k]) % p) for k, v in enumerate(digits)) % p
+    prefix = [math.prod(moduli[:k]) for k in range(len(moduli))]
+    inverses = [pow(c, -1, q) for c, q in zip(prefix, moduli)]
+    weights = [
+        [-c * inv % q for c in prefix[:k]] for k, (q, inv) in enumerate(zip(moduli, inverses))
+    ]
+    out_weights = [c % m for c in prefix]
+    out = np.empty((len(indices), *tables[0].shape[1:]), dtype=np.int64)
+    for start in range(0, len(indices), _ROW_BLOCK):
+        j = indices[start : start + _ROW_BLOCK]
+        digits = []
+        for table, q, inv, w in zip(tables, moduli, inverses, weights):
+            acc = table.take(j % len(table), axis=0) * inv
+            for v, c in zip(digits, w):
+                acc += v * c
+            digits.append(acc % q)
+        acc = digits[0] * out_weights[0]
+        for v, c in zip(digits[1:], out_weights[1:]):
+            acc += v * c
+        out[start : start + _ROW_BLOCK] = acc % m
+    return out
+
+
+def _merge_slots(
+    tables: Sequence[np.ndarray], plan: PTPlan
+) -> Tuple[Tuple[np.ndarray, ...], Tuple[int, ...]]:
+    """The slot tables merged, in plan order, into group tables mod products of primes.
+
+    A slot joins the current group (modulus M) by a two-modulus Garner step
+    over the lcm of the two periods, exact mod M*q, while M*q stays within
+    the int64 limit of the final Garner over all groups and the merged table
+    stays well short of n.  The group stays the first modulus, so its digit
+    is its residue as it is and only the new prime's digit is solved, mod q.
+    Each group holds the same x as its slots would, so the outputs are too.
+    """
+    limit = math.isqrt((2**63 - 1) // len(tables))
+    groups = []
+    for table, slot in zip(tables, plan.slots):
+        q = slot.q.q
+        if groups:
+            last, m = groups[-1]
+            size = math.lcm(len(last), len(table))
+            if m * q <= limit and size <= plan.n // 4:
+                combined = _crt_mod_p((last, table), (m, q), m * q, np.arange(size))
+                groups[-1] = (combined, m * q)
+                continue
+        groups.append((table, q))
+    merged, moduli = zip(*groups)
+    return merged, moduli
 
 
 def _as_array(rows: Sequence) -> np.ndarray:
@@ -369,11 +410,15 @@ def _as_array(rows: Sequence) -> np.ndarray:
         return np.asarray(rows, dtype=object)
 
 
-def transform_elements(xs: Sequence, plan: PTPlan) -> np.ndarray:
-    """Pipeline over extension-element inputs; returns the (n, 3) int64 outputs.
+def transform_elements(
+    xs: Sequence, plan: PTPlan, indices: Optional[Sequence[int]] = None
+) -> np.ndarray:
+    """Pipeline over extension-element inputs; returns the outputs as int64 rows.
 
     xs is n component triples mod p, or an (n, 1) column of naturals v,
     each standing for (v, 0, 0); the inverse direction needs triples.
+    indices (default: all n, in order) name the output rows, one each: the
+    slot tables are built in full, and only these rows are combined by CRT.
     """
     try:
         x = _as_array(xs)
@@ -381,14 +426,11 @@ def transform_elements(xs: Sequence, plan: PTPlan) -> np.ndarray:
         raise UsageError(f"input must be {plan.n} integer triples: {exc}") from exc
     if x.shape not in ((plan.n, 1), (plan.n, 3)):
         raise UsageError(f"input shape {x.shape} != ({plan.n}, 3) or ({plan.n}, 1)")
-    tables = [_slot_table(x, slot) for slot in plan.slots]
-    moduli = [slot.q.q for slot in plan.slots]
-    out = np.empty((plan.n, 3), dtype=np.int64)
-    for start in range(0, plan.n, _ROW_BLOCK):
-        size = min(_ROW_BLOCK, plan.n - start)
-        rows = [np.resize(np.roll(t, -start, axis=0), (size, 3)) for t in tables]
-        out[start : start + size] = _crt_mod_p(rows, moduli, plan.p.q)
-    return out
+    rows = np.arange(plan.n) if indices is None else np.asarray(indices, dtype=np.int64)
+    if rows.ndim != 1 or ((rows < 0) | (rows >= plan.n)).any():
+        raise UsageError(f"indices must be a list of integers in [0, {plan.n})")
+    tables, moduli = _merge_slots([_slot_table(x, slot) for slot in plan.slots], plan)
+    return _crt_mod_p(tables, moduli, plan.p.q, rows)
 
 
 def natural_column(x: Sequence[int], plan: PTPlan) -> np.ndarray:
@@ -432,8 +474,9 @@ def inverse_plan(plan: PTPlan) -> PTPlan:
 def _direct_dft(x: Sequence[int], plan: PTPlan):
     """The honest DFT over F_{p^3}: index -> sum_k x[k] * omega^(index*k).
 
-    Independent of the pipeline: it reads only p, y, n and omega.  One
-    table of omega^k (k < n) serves every index; an index is a gather of
+    x is n naturals, as a list or as an (n, 1) column; any other length is
+    refused.  Independent of the pipeline: it reads only p, y, n and omega.
+    One table of omega^k (k < n) serves every index; an index is a gather of
     rows (index*k) mod n and a weighted sum, exact in int64 because
     n^2 < 2^63 and n > (p-1)^2 bound both the index products and the sum.
     """
@@ -441,6 +484,9 @@ def _direct_dft(x: Sequence[int], plan: PTPlan):
     if n * n >= 2**63:
         raise UsageError(f"n = {n} is too large for the int64 direct oracle")
     xr = np.asarray(_as_array(x) % p, dtype=np.int64)
+    if xr.shape not in ((n,), (n, 1)):
+        raise UsageError(f"input shape {xr.shape} != ({n},) or ({n}, 1)")
+    xr = xr.reshape(n)
     k = np.flatnonzero(xr)
     weights = xr[k]
     powers = ext_powers(plan.omega, n)
@@ -462,8 +508,9 @@ def spot_check(
         raise UsageError("sample must be >= 1")
     rng = random.Random(seed)
     indices = sorted(rng.sample(range(plan.n), min(sample, plan.n)))
-    pipeline = transform_elements(natural_column(x, plan), plan)[indices].tolist()
-    oracle = _direct_dft(x, plan)
+    column = natural_column(x, plan)
+    pipeline = transform_elements(column, plan, indices).tolist()
+    oracle = _direct_dft(column, plan)
     checks = tuple(IndexCheck(j, tuple(row), oracle(j)) for j, row in zip(indices, pipeline))
     return TransformReport(plan_p=plan.p.q, seed=seed, checks=checks)
 

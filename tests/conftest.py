@@ -7,6 +7,15 @@ from polyxform import ptransform
 acceptance_lines = []
 
 
+def fold_coefficients(x, slot, root_index):
+    """The boxed reference fold: folded[t] = sum of x[k] over k = t mod d, as Residues."""
+    period = slot.periods[root_index]
+    sums = [0] * period
+    for k, v in enumerate(x):
+        sums[k % period] += v
+    return [slot.q.residue(v) for v in sums]
+
+
 def pytest_terminal_summary(terminalreporter):
     if acceptance_lines:
         terminalreporter.section("acceptance criteria")

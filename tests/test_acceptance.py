@@ -151,7 +151,7 @@ def test_05_folding_identity(plan13, plan7):
             i = rng.randrange(3)
             q = slot.q.q
             w, d = slot.omegas[i], slot.periods[i]
-            folded = ptransform.fold_coefficients(x, slot, i)
+            folded = conftest.fold_coefficients(x, slot, i)
             got = [r.value for r in naive_dft(folded, slot.q.residue(w))]
             wp = np.array([pow(w, e, q) for e in range(d)], dtype=np.int64)
             xv = np.asarray(x, dtype=np.int64)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import conftest
 from polyxform import extension, modcore, ptransform, residues
 from polyxform.cli import EXIT_USAGE, main
 from polyxform.errors import (
@@ -24,7 +25,6 @@ from polyxform.ptransform import (
     INPUT_AWARE,
     STRICT,
     certify_value_bound,
-    fold_coefficients,
     inverse_plan,
     oracle_output,
     plan_from_json,
@@ -167,7 +167,7 @@ def test_folding_identity(plan13):
         i = rng.randrange(3)
         q = slot.q.q
         w, period = slot.omegas[i], slot.periods[i]
-        folded = fold_coefficients(x, slot, i)
+        folded = conftest.fold_coefficients(x, slot, i)
         assert len(folded) == period
         got = naive_dft(folded, slot.q.residue(w))
         for j in range(period):
@@ -251,7 +251,8 @@ def boxed_pipeline(xs, plan):
         dfts = []
         for i, (r, w) in enumerate(zip(slot.roots, slot.omegas)):
             reduced = [(a0 + a1 * r + a2 * r * r) % q for a0, a1, a2 in xs]
-            dfts.append(naive_dft(fold_coefficients(reduced, slot, i), slot.q.residue(w)))
+            folded = conftest.fold_coefficients(reduced, slot, i)
+            dfts.append(naive_dft(folded, slot.q.residue(w)))
         tables.append([
             recover_components(
                 [dfts[i][j % period] for i, period in enumerate(slot.periods)],
@@ -282,7 +283,7 @@ def test_pipeline_matches_boxed_composition(p):
 
 def test_pipeline_matches_boxed_composition_across_crt_blocks(monkeypatch):
     # with 97-row blocks every block after the first starts its gather at
-    # a nonzero phase of each slot's table (97 divides no index period), and
+    # a nonzero phase of each table (97 divides no index period), and
     # the slot stage reduces and folds the input in several row blocks
     monkeypatch.setattr(ptransform, "_ROW_BLOCK", 97)
     plan = preprocess(p=13, bound_mode=STRICT)
@@ -402,7 +403,7 @@ def test_garner_matches_crt_reconstruct(moduli, p, seed):
     rows = [[rng.randrange(m) for m in moduli] for _ in range(8)]
     rows += [[0] * len(moduli), [m - 1 for m in moduli]]
     residues = [np.array(column, dtype=np.int64) for column in zip(*rows)]
-    got = ptransform._crt_mod_p(residues, moduli, p).tolist()
+    got = ptransform._crt_mod_p(residues, moduli, p, np.arange(len(rows))).tolist()
     basis = CrtBasis.of(moduli)
     assert got == [crt_reconstruct(row, basis) % p for row in rows]
 
@@ -414,9 +415,104 @@ def test_garner_on_plan_primes_beyond_64_bits(plan13_big):
     rows = [[rng.randrange(m) for m in moduli] for _ in range(200)]
     residues = [np.array(column, dtype=np.int64) for column in zip(*rows)]
     basis = CrtBasis.of(moduli)
-    assert ptransform._crt_mod_p(residues, moduli, 13).tolist() == [
+    assert ptransform._crt_mod_p(residues, moduli, 13, np.arange(200)).tolist() == [
         crt_reconstruct(row, basis) % 13 for row in rows
     ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 16),
+    q=st.sampled_from(SMALL_PRIMES),
+    periods=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_merge_step_at_the_int64_limit_matches_crt_reconstruct(k, q, periods, seed):
+    # the largest group modulus M coprime to q with M * q within the limit
+    # _merge_slots keeps for k slots, merged with q in the second position
+    limit = math.isqrt((2**63 - 1) // k)
+    m = next(m for m in range(limit // q, 0, -1) if math.gcd(m, q) == 1)
+    rng = random.Random(seed)
+    first = [m - 1, 0] + [rng.randrange(m) for _ in range(periods[0] - 2)]
+    second = [q - 1, 0] + [rng.randrange(q) for _ in range(periods[1] - 2)]
+    first, second = first[: periods[0]], second[: periods[1]]
+    size = math.lcm(*periods)
+    tables = [np.array(first, dtype=np.int64), np.array(second, dtype=np.int64)]
+    got = ptransform._crt_mod_p(tables, (m, q), m * q, np.arange(size)).tolist()
+    basis = CrtBasis.of([m, q])
+    assert got == [
+        crt_reconstruct([first[j % periods[0]], second[j % periods[1]]], basis)
+        for j in range(size)
+    ]
+
+
+def flat_garner(xs, plan):
+    """The CRT before slots were merged: every slot table gathered to n rows
+    (in row blocks) and Garner's digits taken over all K primes."""
+    x, p = np.asarray(xs), plan.p.q
+    moduli = [slot.q.q for slot in plan.slots]
+    tables = [ptransform._slot_table(x, slot) for slot in plan.slots]
+    out = np.empty((plan.n, 3), dtype=np.int64)
+    for start in range(0, plan.n, 1 << 16):
+        j = np.arange(start, min(start + (1 << 16), plan.n))
+        digits = []
+        for k, (table, q) in enumerate(zip(tables, moduli)):
+            partial = sum(v * (math.prod(moduli[:i]) % q) for i, v in enumerate(digits))
+            inverse = pow(math.prod(moduli[:k]), -1, q)
+            digits.append((table[j % len(table)] - partial) % q * inverse % q)
+        out[j] = sum(v * (math.prod(moduli[:k]) % p) for k, v in enumerate(digits)) % p
+    return out
+
+
+@pytest.mark.parametrize(
+    "p, inverse", [(13, True), (19, True), (43, False), (43, True), (103, False)]
+)
+def test_merged_crt_matches_flat_garner(p, inverse):
+    plan = preprocess(p=p, bound_mode=STRICT)
+    rng = random.Random(p)
+    xs = np.array([[rng.randint(0, plan.coeff_bound)] for _ in range(plan.n)])
+    if inverse:
+        xs, plan = transform_elements(xs, plan), inverse_plan(plan)
+    assert np.array_equal(transform_elements(xs, plan), flat_garner(xs, plan))
+
+
+def test_merged_crt_matches_flat_garner_beyond_100_bits(plan13_big):
+    assert math.log2(plan13_big.prime_product) > 100
+    rng = random.Random(141)
+    x = [rng.choice((0, 1, 2**63, 2**70 - 1, rng.getrandbits(70))) for _ in range(plan13_big.n)]
+    column = ptransform.natural_column(x, plan13_big)
+    want = flat_garner(column, plan13_big)
+    assert np.array_equal(transform_elements(column, plan13_big), want)
+
+
+def test_merge_slots_groups_at_p43():
+    # slots merge in plan order while the table stays within n // 4 rows
+    plan = preprocess(p=43, bound_mode=STRICT)
+    column = np.ones((plan.n, 1), dtype=np.int64)
+    tables, moduli = ptransform._merge_slots(
+        [ptransform._slot_table(column, slot) for slot in plan.slots], plan
+    )
+    assert [slot.q.q for slot in plan.slots] == [61, 67, 73, 103, 151, 193]
+    assert moduli == (61 * 67 * 73, 103 * 151, 193)
+    assert [len(t) for t in tables] == [3960, 2550, 192]
+
+
+def test_transform_elements_at_indices(monkeypatch, plan13):
+    # 97-row blocks: the merge steps and the gather both span several blocks
+    monkeypatch.setattr(ptransform, "_ROW_BLOCK", 97)
+    rng = random.Random(43)
+    x = [rng.randint(0, plan13.coeff_bound) for _ in range(plan13.n)]
+    column = np.array(x)[:, None]
+    full = transform_elements(column, plan13)
+    report = spot_check(x, plan13, sample=plan13.n, seed=4)
+    assert [c.index for c in report.checks] == list(range(plan13.n))
+    assert [c.pipeline for c in report.checks] == triples(full)
+    picked = [plan13.n - 1, 0, 5, 5] + rng.sample(range(plan13.n), 200)
+    assert np.array_equal(transform_elements(column, plan13, picked), full[picked])
+    assert transform_elements(column, plan13, []).shape == (0, 3)
+    for bad in ([plan13.n], [-1], [[0]]):
+        with pytest.raises(UsageError):
+            transform_elements(column, plan13, bad)
 
 
 def test_transform_zero_input(plan13):
@@ -481,6 +577,18 @@ def test_oracle_refuses_n_beyond_int64():
     assert plan.n**2 >= 2**63
     with pytest.raises(UsageError):
         oracle_output([1], plan, 0)
+
+
+def test_oracle_refuses_input_of_the_wrong_length(plan7):
+    # a short list used to be read as zero-padded and a long one to wrap
+    # k >= n onto k - n
+    for length in (5, plan7.n - 1, plan7.n + 3):
+        with pytest.raises(UsageError):
+            oracle_output([1] * length, plan7, 1)
+    x = [random.Random(8).randint(0, 6) for _ in range(plan7.n)]
+    column = ptransform.natural_column(x, plan7)
+    want = boxed_dft(x, plan7, 5)
+    assert oracle_output(column, plan7, 5) == oracle_output(x, plan7, 5) == want
 
 
 def test_spot_check_makes_no_boxed_calls(monkeypatch, plan13):
