@@ -108,12 +108,15 @@ def ext_mul_array(a, b, ctx: ExtensionContext) -> np.ndarray:
     y = ctx.y.value
     if 3 * (p - 1) ** 2 >= 2**63:
         raise UsageError(f"p = {p} is too large for int64 extension products")
-    a0, a1, a2 = np.moveaxis(np.asarray(a, dtype=np.int64) % p, -1, 0)
-    b0, b1, b2 = np.moveaxis(np.asarray(b, dtype=np.int64) % p, -1, 0)
-    c0 = (a0 * b0 + y * ((a1 * b2 + a2 * b1) % p)) % p
-    c1 = (a0 * b1 + a1 * b0 + y * (a2 * b2 % p)) % p
-    c2 = (a0 * b2 + a1 * b1 + a2 * b0) % p
-    return np.stack([c0, c1, c2], axis=-1)
+    a = np.asarray(a, dtype=np.int64) % p
+    b = np.asarray(b, dtype=np.int64) % p
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    out[..., 0] = (a0 * b0 + y * ((a1 * b2 + a2 * b1) % p)) % p
+    out[..., 1] = (a0 * b1 + a1 * b0 + y * (a2 * b2 % p)) % p
+    out[..., 2] = (a0 * b2 + a1 * b1 + a2 * b0) % p
+    return out
 
 
 def ext_powers(u: ExtensionElement, count: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import PlanNotCertified, PrimeSupplyExhausted, UsageError
-from .extension import ExtensionContext, ExtensionElement, ext_pow, ext_powers
+from .extension import ExtensionContext, ExtensionElement, ext_mul_array, ext_pow, ext_powers
 from .modcore import PrimeModulus, Residue
 from .primes import ascending_primes, descending_primes, doubling_estimate, next_prime_at_or_above
 from .residues import find_noncube, is_cube
@@ -284,24 +284,31 @@ def _fold(values: np.ndarray, period: int, q: int) -> np.ndarray:
     return acc % q
 
 
-def _slot_dft(folded: np.ndarray, w: int, q: int) -> np.ndarray:
-    """X[j] = sum_k folded[k] * w^(j*k) mod q for j < d = len(folded).
+def _slot_dft(
+    folded: np.ndarray, w: int, q: int, rows: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """X[j mod d] at each j in rows (default: j < d = len(folded)), where
+    X[j] = sum_k folded[k] * w^(j*k) mod q.
 
-    Row blocks of the power matrix w^((j*k) mod d), gathered from one table
-    of w^k and multiplied by folded; a d x d matrix is never built.  Exact
-    in int64 while d * (q-1)^2 < 2^63.
+    Fewer rows than d are evaluated where they fall, more are gathered from
+    all d points.  Row blocks of the power matrix w^((j*k) mod d), gathered
+    from a table of w^k, are multiplied by folded.  Exact in int64 while
+    d * (q-1)^2 < 2^63.
     """
     d = len(folded)
     if d * (q - 1) ** 2 >= 2**63:
         raise UsageError(f"a DFT of length {d} mod {q} overflows int64")
-    powers = np.array([pow(w, k, q) for k in range(d)], dtype=np.int64)
     k = np.arange(d)
-    rows = max(1, _DFT_BLOCK // d)
-    out = np.empty(d, dtype=np.int64)
-    for start in range(0, d, rows):
-        j = k[start : start + rows, None]
-        out[start : start + rows] = powers[j * k % d] @ folded % q
-    return out
+    if rows is None:
+        rows = k
+    points = rows % d if len(rows) < d else k
+    powers = np.array([pow(w, e, q) for e in range(d)], dtype=np.int64)
+    block = max(1, _DFT_BLOCK // d)
+    out = np.empty(len(points), dtype=np.int64)
+    for start in range(0, len(points), block):
+        j = points[start : start + block, None]
+        out[start : start + block] = powers[j * k % d] @ folded % q
+    return out if len(rows) < d else out[rows % d]
 
 
 def _vandermonde(roots: Sequence[int], q: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -315,26 +322,31 @@ def _vandermonde(roots: Sequence[int], q: int) -> Tuple[np.ndarray, np.ndarray]:
     return forward, inverse
 
 
-def _slot_table(x: np.ndarray, slot: PTPrimeSlot) -> np.ndarray:
-    """Components mod q of the (n, c) inputs x per index class: (index_period, 3).
+def _slot_table(
+    x: np.ndarray, slot: PTPrimeSlot, rows: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Components mod q of the (n, c) inputs x at each output row: (len(rows), 3);
+    by default the rows are the slot's index classes, j < index_period.
 
     Folding and reducing at a root are both linear, so they commute: the
-    rows are folded first, once to the index period (in row blocks that
+    input rows are folded first, once to the index period (in row blocks that
     start at multiples of it) and from there to each root's period, and
     only the folded rows are reduced at the root, by the first c entries
     of (1, r, r^2), so a natural-number column (c = 1) is never widened.
     """
     q, index_period = slot.q.q, slot.index_period
     forward, inverse = _vandermonde(slot.roots, q)
-    rows = index_period * max(1, _ROW_BLOCK // index_period)
+    block = index_period * max(1, _ROW_BLOCK // index_period)
     folded = sum(
-        _fold(np.asarray(x[start : start + rows] % q, dtype=np.int64), index_period, q)
-        for start in range(0, len(x), rows)
+        _fold(np.asarray(x[start : start + block] % q, dtype=np.int64), index_period, q)
+        for start in range(0, len(x), block)
     ) % q
-    evals = np.empty((index_period, 3), dtype=np.int64)
+    if rows is None:
+        rows = np.arange(index_period)
+    evals = np.empty((len(rows), 3), dtype=np.int64)
     for i, (w, period) in enumerate(zip(slot.omegas, slot.periods)):
         at_root = _fold(folded, period, q) @ forward[i, : x.shape[1]] % q
-        evals[:, i] = np.resize(_slot_dft(at_root, w, q), index_period)
+        evals[:, i] = _slot_dft(at_root, w, q, rows)
     return evals @ inverse.T % q
 
 
@@ -403,11 +415,34 @@ def _merge_slots(
 
 
 def _as_array(rows: Sequence) -> np.ndarray:
-    """The rows as int64, or as Python ints (dtype object) if one exceeds int64."""
+    """The rows as int64, or as Python ints (dtype object) if one exceeds int64;
+    anything but integers is refused, not truncated."""
+    array = np.asarray(rows)
+    if array.dtype.kind == "i" or (array.dtype.kind == "u" and array.itemsize < 8):
+        return array.astype(np.int64, copy=False)
+    # numpy reads integers beyond int64 as uint64, object or even float64 ([2**63, 1])
+    array = np.asarray(rows, dtype=object)
+    if not all(type(v) is int or isinstance(v, np.integer) for v in array.flat):
+        raise UsageError("input entries must be integers")
     try:
-        return np.asarray(rows, dtype=np.int64)
+        return array.astype(np.int64)
     except OverflowError:
-        return np.asarray(rows, dtype=object)
+        return array
+
+
+def _integers(values: Sequence, low: int, high: float, name: str) -> np.ndarray:
+    """values as a 1-D int64 array, refused unless each is an integer in [low, high)."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged
+        array = np.array(None)
+    if (
+        array.ndim != 1
+        or (array.size and array.dtype.kind not in "iu")
+        or ((array < low) | (array >= high)).any()
+    ):
+        raise UsageError(f"{name} must be a list of integers in [{low}, {high})")
+    return array.astype(np.int64)
 
 
 def transform_elements(
@@ -417,8 +452,10 @@ def transform_elements(
 
     xs is n component triples mod p, or an (n, 1) column of naturals v,
     each standing for (v, 0, 0); the inverse direction needs triples.
-    indices (default: all n, in order) name the output rows, one each: the
-    slot tables are built in full, and only these rows are combined by CRT.
+    indices (default: all n, in order) name the output rows, one each.  All
+    n rows gather from slot tables merged at their shared periods; given
+    rows are combined from K row-aligned slot tables, whose DFTs run only
+    where those rows fall.
     """
     try:
         x = _as_array(xs)
@@ -426,11 +463,13 @@ def transform_elements(
         raise UsageError(f"input must be {plan.n} integer triples: {exc}") from exc
     if x.shape not in ((plan.n, 1), (plan.n, 3)):
         raise UsageError(f"input shape {x.shape} != ({plan.n}, 3) or ({plan.n}, 1)")
-    rows = np.arange(plan.n) if indices is None else np.asarray(indices, dtype=np.int64)
-    if rows.ndim != 1 or ((rows < 0) | (rows >= plan.n)).any():
-        raise UsageError(f"indices must be a list of integers in [0, {plan.n})")
-    tables, moduli = _merge_slots([_slot_table(x, slot) for slot in plan.slots], plan)
-    return _crt_mod_p(tables, moduli, plan.p.q, rows)
+    if indices is None:
+        tables, moduli = _merge_slots([_slot_table(x, slot) for slot in plan.slots], plan)
+        return _crt_mod_p(tables, moduli, plan.p.q, np.arange(plan.n))
+    rows = _integers(indices, 0, plan.n, "indices")
+    tables = [_slot_table(x, slot, rows) for slot in plan.slots]
+    moduli = [slot.q.q for slot in plan.slots]
+    return _crt_mod_p(tables, moduli, plan.p.q, np.arange(len(rows)))
 
 
 def natural_column(x: Sequence[int], plan: PTPlan) -> np.ndarray:
@@ -471,14 +510,22 @@ def inverse_plan(plan: PTPlan) -> PTPlan:
     return replace(plan, omega=omega_inv, slots=tuple(slots))
 
 
-def _direct_dft(x: Sequence[int], plan: PTPlan):
-    """The honest DFT over F_{p^3}: index -> sum_k x[k] * omega^(index*k).
+# Indices per _direct_dft block; caps its temporaries at O(block * sqrt(n)).
+_ORACLE_BLOCK = 64
 
-    x is n naturals, as a list or as an (n, 1) column; any other length is
-    refused.  Independent of the pipeline: it reads only p, y, n and omega.
-    One table of omega^k (k < n) serves every index; an index is a gather of
-    rows (index*k) mod n and a weighted sum, exact in int64 because
-    n^2 < 2^63 and n > (p-1)^2 bound both the index products and the sum.
+
+def _direct_dft(x: Sequence[int], plan: PTPlan, indices: Sequence[int]) -> np.ndarray:
+    """The honest DFT over F_{p^3}, sum_k x[k] * omega^(j*k), at each index j:
+    (len(indices), 3) int64 rows.
+
+    x is n naturals, as a list or an (n, 1) column; any other length is
+    refused.  Independent of the pipeline: it reads only p, y, n, omega and
+    x, and shares only ext_mul_array, ext_powers and the input checks.
+    Baby-step/giant-step: with k = s*B + t and B = ceil(sqrt(n)), each
+    omega^e is baby[e mod B] * giant[e // B] (omega^t for t <= B, omega^(s*B)
+    for s < A), so no n-row table is built, and a block of indices is one
+    (A, B) @ (B, 3*block) int64 matmul of the padded input.  That is exact
+    while B * (p-1)^2 < 2^63, which n^2 < 2^63 (bounding j*t and j*s*B) implies.
     """
     p, n = plan.p.q, plan.n
     if n * n >= 2**63:
@@ -486,32 +533,48 @@ def _direct_dft(x: Sequence[int], plan: PTPlan):
     xr = np.asarray(_as_array(x) % p, dtype=np.int64)
     if xr.shape not in ((n,), (n, 1)):
         raise UsageError(f"input shape {xr.shape} != ({n},) or ({n}, 1)")
-    xr = xr.reshape(n)
-    k = np.flatnonzero(xr)
-    weights = xr[k]
-    powers = ext_powers(plan.omega, n)
-    return lambda index: tuple((weights @ powers[index % n * k % n] % p).tolist())
+    rows = _integers(indices, 0, n, "indices")
+    ctx = plan.context
+    b = math.isqrt(n - 1) + 1
+    a = -(-n // b)
+    baby = ext_powers(plan.omega, b + 1)
+    giant = ext_powers(ctx.element(*baby[b].tolist()), a)
+    padded = np.pad(xr.reshape(n), (0, a * b - n)).reshape(a, b)
+    t, sb = np.arange(b)[:, None], np.arange(a)[:, None] * b
+
+    def power(e):
+        return ext_mul_array(baby[e % b], giant[e // b], ctx)
+
+    out = np.empty((len(rows), 3), dtype=np.int64)
+    for start in range(0, len(rows), _ORACLE_BLOCK):
+        j = rows[start : start + _ORACLE_BLOCK]
+        inner = padded @ power(t * j % n).reshape(b, -1) % p
+        steps = ext_mul_array(inner.reshape(a, len(j), 3), power(sb * j % n), ctx)
+        out[start : start + _ORACLE_BLOCK] = steps.sum(axis=0) % p
+    return out
 
 
 def oracle_output(
     x: Sequence[int], plan: PTPlan, index: int
 ) -> Tuple[int, int, int]:
     """Direct extension-field DFT output: sum_k x[k] * omega^(index*k)."""
-    return _direct_dft(x, plan)(index)
+    return tuple(_direct_dft(x, plan, [index])[0].tolist())
 
 
 def spot_check(
     x: Sequence[int], plan: PTPlan, sample: int, seed: int
 ) -> TransformReport:
     """Compare pipeline outputs against the direct oracle at random indices."""
-    if sample < 1:
-        raise UsageError("sample must be >= 1")
+    _integers([sample], 1, math.inf, "sample")
     rng = random.Random(seed)
     indices = sorted(rng.sample(range(plan.n), min(sample, plan.n)))
     column = natural_column(x, plan)
     pipeline = transform_elements(column, plan, indices).tolist()
-    oracle = _direct_dft(column, plan)
-    checks = tuple(IndexCheck(j, tuple(row), oracle(j)) for j, row in zip(indices, pipeline))
+    oracle = _direct_dft(column, plan, indices).tolist()
+    checks = tuple(
+        IndexCheck(j, tuple(row), tuple(want))
+        for j, row, want in zip(indices, pipeline, oracle)
+    )
     return TransformReport(plan_p=plan.p.q, seed=seed, checks=checks)
 
 

@@ -332,6 +332,10 @@ def test_slot_dft_matches_naive_dft(monkeypatch, q, d, block):
     modulus = PrimeModulus(q)
     want = naive_dft([modulus.residue(v) for v in x], modulus.residue(w))
     assert got.tolist() == [v.value for v in want]
+    # rows beyond d, fewer than d (evaluated where they fall) and more (gathered)
+    for rows in ([5 * d + 1, 0, 3 * d - 1], list(range(2 * d + 7))[::-1]):
+        at = ptransform._slot_dft(np.array(x, dtype=np.int64), w, q, np.array(rows))
+        assert at.tolist() == [got[j % d] for j in rows]
 
 
 def test_slot_dft_spanning_many_blocks():
@@ -515,6 +519,26 @@ def test_transform_elements_at_indices(monkeypatch, plan13):
             transform_elements(column, plan13, bad)
 
 
+@pytest.mark.parametrize("p, sample", [
+    (19, 2),  # fewer rows than every root period: each slot DFT runs at the rows alone
+    (19, 16),  # more rows than some periods, fewer than others
+    (7, None),  # all n rows: each slot DFT runs in full and is gathered
+    (13, None),
+])
+def test_sampled_pipeline_matches_full_rows(p, sample):
+    plan = preprocess(p=p, bound_mode=STRICT)
+    periods = [d for slot in plan.slots for d in slot.periods]
+    rng = random.Random(p)
+    column = np.array([rng.randint(0, plan.coeff_bound) for _ in range(plan.n)])[:, None]
+    rows = rng.sample(range(plan.n), sample) if sample else list(range(plan.n))[::-1]
+    if sample == 2:
+        assert sample < min(periods)
+    elif sample is None:
+        assert plan.n > max(periods)
+    full = transform_elements(column, plan)
+    assert np.array_equal(transform_elements(column, plan, rows), full[rows])
+
+
 def test_transform_zero_input(plan13):
     out = transform([0] * plan13.n, plan13)
     assert set(out) == {(0, 0, 0)}
@@ -589,6 +613,92 @@ def test_oracle_refuses_input_of_the_wrong_length(plan7):
     column = ptransform.natural_column(x, plan7)
     want = boxed_dft(x, plan7, 5)
     assert oracle_output(column, plan7, 5) == oracle_output(x, plan7, 5) == want
+
+
+def gather_oracle(x, plan, indices):
+    """One n-row table of omega^k and a gather of rows (j*k) mod n per index:
+    the direct oracle as it was before baby-step/giant-step, kept as a reference."""
+    p, n = plan.p.q, plan.n
+    xr = np.array(x, dtype=np.int64) % p
+    k = np.flatnonzero(xr)
+    powers = extension.ext_powers(plan.omega, n)
+    return [tuple((xr[k] @ powers[j * k % n] % p).tolist()) for j in indices]
+
+
+def test_oracle_matches_gather_reference_across_blocks(monkeypatch):
+    # 5 indices a block: the 21 indices below span five blocks, the last partial
+    monkeypatch.setattr(ptransform, "_ORACLE_BLOCK", 5)
+    plan = preprocess(p=19, bound_mode=STRICT)
+    n = plan.n
+    factors = [f for f in range(2, n) if n % f == 0 and is_prime(f)]
+    assert factors == [2, 3, 127]
+    indices = [0, n - 1, 1]
+    for f in factors:
+        indices += [f, 2 * f, n - f, n // f, (f - 1) * n // f]
+    indices += [3**3, 2 * 3**3 * 5, n // 2 + 1]
+    rng = random.Random(19)
+    x = [rng.randint(0, plan.coeff_bound) for _ in range(n)]
+    got = ptransform._direct_dft(x, plan, indices)
+    assert got.shape == (len(indices), 3) and got.dtype == np.int64
+    assert [tuple(row) for row in got.tolist()] == gather_oracle(x, plan, indices)
+
+
+def test_spot_check_builds_no_n_row_table(monkeypatch):
+    plan = preprocess(p=19, bound_mode=STRICT)
+    counts = []
+    powers_fn = ptransform.ext_powers
+    monkeypatch.setattr(
+        ptransform, "ext_powers", lambda u, count: counts.append(count) or powers_fn(u, count)
+    )
+    x = [random.Random(6).randint(0, plan.coeff_bound) for _ in range(plan.n)]
+    spot_check(x, plan, sample=16, seed=2)
+    assert counts and max(counts) <= 2 * math.isqrt(plan.n) + 2
+
+
+def test_non_integer_input_is_refused(plan13):
+    n = plan13.n
+    floats = [1.9] * n
+    for call in (
+        lambda: transform(floats, plan13),
+        lambda: transform(np.ones(n), plan13),
+        lambda: transform([1] * (n - 1) + [1.5], plan13),
+        lambda: transform([True] * n, plan13),
+        lambda: transform(["1"] * n, plan13),
+        lambda: transform([2**70] * (n - 1) + [1.5], plan13),  # beside an int beyond int64
+        lambda: transform_elements([(1.5, 0, 0)] * n, plan13),
+        lambda: transform_elements(np.ones((n, 1)), plan13),
+        lambda: oracle_output(floats, plan13, 0),
+        lambda: spot_check(floats, plan13, sample=4, seed=1),
+    ):
+        with pytest.raises(UsageError):
+            call()
+    # integers beyond int64 keep their exact values, although numpy alone reads
+    # [2^63, 1] as float64 and [2^63] as uint64
+    for big in ([2**63, 1], [2**63], np.array([2**63], dtype=np.uint64), [[2**70, 0, 1]]):
+        got = ptransform._as_array(big)
+        assert got.dtype == object and got.tolist() == np.asarray(big, dtype=object).tolist()
+    for small in (np.array([2, 1], dtype=np.uint8), np.array([3], dtype=np.uint64), [5, -1]):
+        got = ptransform._as_array(small)
+        assert got.dtype == np.int64 and got.tolist() == np.asarray(small).tolist()
+
+
+def test_indices_are_validated_alike_by_pipeline_and_oracle(plan13):
+    n = plan13.n
+    x = [random.Random(9).randint(0, 12) for _ in range(n)]
+    column = np.array(x)[:, None]
+    for bad in ([1.7, 2.2], [-1], [n], [True], [[0]], [0, [1]], 3):
+        with pytest.raises(UsageError):
+            transform_elements(column, plan13, bad)
+        with pytest.raises(UsageError):
+            ptransform._direct_dft(column, plan13, bad)
+    for bad in (2.5, -1, n, None):
+        with pytest.raises(UsageError):
+            oracle_output(x, plan13, bad)
+    for bad in (2.5, 0, -3, "4"):
+        with pytest.raises(UsageError):
+            spot_check(x, plan13, sample=bad, seed=1)
+    assert oracle_output(x, plan13, np.int64(n - 1)) == boxed_dft(x, plan13, n - 1)
+    assert ptransform._direct_dft(column, plan13, []).shape == (0, 3)
 
 
 def test_spot_check_makes_no_boxed_calls(monkeypatch, plan13):
