@@ -43,8 +43,9 @@ class BigNat:
     limb_bits: int = DEFAULT_LIMB_BITS
 
     def __post_init__(self):
-        base = 1 << self.limb_bits
-        if any(l < 0 or l >= base for l in self.limbs):
+        if not 1 <= self.limb_bits <= 64:
+            raise UsageError("limb_bits must be 1 to 64")
+        if self.limbs and (min(self.limbs) < 0 or max(self.limbs) >= 1 << self.limb_bits):
             raise UsageError("limb out of range for base")
         if self.limbs and self.limbs[-1] == 0:
             raise UsageError("trailing zero limb; not canonical")
@@ -53,22 +54,18 @@ class BigNat:
     def from_int(cls, value: int, limb_bits: int = DEFAULT_LIMB_BITS) -> "BigNat":
         if value < 0:
             raise UsageError("BigNat is unsigned")
-        limbs = []
-        mask = (1 << limb_bits) - 1
-        while value:
-            limbs.append(value & mask)
-            value >>= limb_bits
-        return cls(tuple(limbs), limb_bits)
+        words = np.frombuffer(value.to_bytes(-(-value.bit_length() // 64) * 8, "little"), "<u8")
+        limbs = _regroup(words, 64, limb_bits, value.bit_length())
+        return cls(tuple(limbs.tolist()), limb_bits)
 
     @classmethod
     def from_hex(cls, text: str, limb_bits: int = DEFAULT_LIMB_BITS) -> "BigNat":
         return cls.from_int(int(text, 16), limb_bits)
 
     def to_int(self) -> int:
-        value = 0
-        for l in reversed(self.limbs):
-            value = (value << self.limb_bits) | l
-        return value
+        limbs = np.array(self.limbs, dtype=np.uint64)
+        words = _regroup(limbs, self.limb_bits, 64, len(limbs) * self.limb_bits)
+        return int.from_bytes(words.tobytes(), "little")
 
     def to_hex(self) -> str:
         return hex(self.to_int())
@@ -77,6 +74,32 @@ class BigNat:
     def bit_length(self) -> int:
         n = len(self.limbs)
         return (n - 1) * self.limb_bits + self.limbs[-1].bit_length() if n else 0
+
+
+def _regroup(limbs: np.ndarray, src_bits: int, dst_bits: int, bits: int) -> np.ndarray:
+    """A number held in src_bits-bit limbs, as ceil(bits / dst_bits) uint64 limbs of dst_bits.
+
+    limbs is a little-endian unsigned array, least significant limb first,
+    and the number has at most `bits` bits.  Read in order, the limbs' bits
+    form one bit string, so regrouping is one numpy unpack and one pack,
+    linear in the bit length.
+    """
+    if not 1 <= dst_bits <= 64:
+        raise UsageError("limb_bits must be 1 to 64")
+    out = np.zeros(-(-bits // dst_bits), dtype=np.uint64)
+    if src_bits == dst_bits:  # already cut where asked: no bit string needed
+        out[: len(limbs)] = limbs[: len(out)]
+        return out
+    rows = limbs.view(np.uint8).reshape(len(limbs), limbs.itemsize)
+    stream = np.unpackbits(rows, axis=1, count=src_bits, bitorder="little").ravel()[:bits]
+    filled = -(-len(stream) // dst_bits)  # limbs past these are zero
+    nbytes = 1 << max(0, (dst_bits - 1).bit_length() - 3)  # 1, 2, 4 or 8 bytes a limb
+    padded = np.zeros(filled * dst_bits, dtype=np.uint8)
+    padded[: len(stream)] = stream
+    grid = np.zeros((filled, 8 * nbytes), dtype=np.uint8)
+    grid[:, :dst_bits] = padded.reshape(filled, dst_bits)
+    out[:filled] = np.packbits(grid, axis=1, bitorder="little").view(f"<u{nbytes}").ravel()
+    return out
 
 
 def _canonical(limbs: List[int], limb_bits: int) -> BigNat:
@@ -184,6 +207,12 @@ def pack(
     When a convolution modulus is given, refuse packings whose worst-case
     convolution coefficient could reach it.
     """
+    return _pack(a, limb_bits, length, modulus).tolist()
+
+
+def _pack(
+    a: BigNat, limb_bits: int, length: int, modulus: Optional[int] = None
+) -> np.ndarray:
     if a.bit_length > limb_bits * length:
         raise UsageError("number does not fit in length * limb_bits bits")
     if modulus is not None:
@@ -192,8 +221,7 @@ def pack(
             raise OverflowRisk(
                 f"worst convolution coefficient {worst} >= modulus {modulus}"
             )
-    limbs = BigNat.from_int(a.to_int(), limb_bits).limbs
-    return list(limbs) + [0] * (length - len(limbs))
+    return _regroup(np.array(a.limbs, dtype=np.uint64), a.limb_bits, limb_bits, limb_bits * length)
 
 
 def carry_propagate(coeffs: Sequence[int], limb_bits: int) -> int:
@@ -210,65 +238,81 @@ def carry_propagate(coeffs: Sequence[int], limb_bits: int) -> int:
         raise UsageError("convolution coefficients must be naturals")
     groups = -(-int(c.max(initial=0)).bit_length() // limb_bits)
     bits = np.unpackbits(c.view(np.uint8).reshape(-1, 8), axis=1, count=groups * limb_bits,
-                         bitorder="little").reshape(len(c), groups, limb_bits)
-    packed = (np.packbits(bits[:, g], bitorder="little").tobytes() for g in range(groups))
-    return sum(int.from_bytes(b, "little") << (g * limb_bits) for g, b in enumerate(packed))
+                         bitorder="little")
+    # one limb_bits-byte void item per group, so a group's column copies whole items
+    items = bits.view(f"V{limb_bits}")
+    packed = (np.packbits(np.ascontiguousarray(items[:, g]).view(np.uint8), bitorder="little")
+              for g in range(groups))
+    return sum(
+        int.from_bytes(p.tobytes(), "little") << (g * limb_bits) for g, p in enumerate(packed)
+    )
 
 
 # --- NTT convolution backend -------------------------------------------
 
-def _bit_reverse_permute(a: np.ndarray) -> np.ndarray:
-    n = len(a)
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    return a[rev]
+def _ntt_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Bit-reversal index and twiddles root^k (k < n/2) of a length-n transform.
 
-
-def ntt(values: Sequence[int], invert: bool = False) -> List[int]:
-    """Iterative radix-2 transform mod NTT_PRIME (length a power of two)."""
-    return _ntt(np.asarray(values, dtype=np.uint64), invert).tolist()
-
-
-def _ntt(values: np.ndarray, invert: bool = False) -> np.ndarray:
-    n = len(values)
-    if n & (n - 1):
+    Reshaping arange(n) to log2(n) axes of 2 and reversing the axes
+    reverses the bits of every index.
+    """
+    if n < 1 or n & (n - 1):
         raise UsageError("NTT length must be a power of two")
     if (NTT_PRIME - 1) % n:
         raise UsageError(f"length {n} has no root of unity mod {NTT_PRIME}")
-    a = _bit_reverse_permute(values % NTT_PRIME)
+    rev = np.arange(n).reshape((2,) * (n.bit_length() - 1)).transpose().ravel()
     root = pow(NTT_ROOT, (NTT_PRIME - 1) // n, NTT_PRIME)
-    if invert:
-        root = pow(root, NTT_PRIME - 2, NTT_PRIME)
-    # root^k for k < n/2, by doubling; a stage of width m uses every (n/m)-th
+    # root^k by doubling; a stage of width m uses every (n/m)-th
     twiddles = np.ones(1, dtype=np.uint64)
     while len(twiddles) < n // 2:
         step = np.uint64(pow(root, len(twiddles), NTT_PRIME))
         twiddles = np.concatenate([twiddles, twiddles * step % NTT_PRIME])
+    return rev, twiddles
+
+
+def ntt(values: Sequence[int], invert: bool = False) -> List[int]:
+    """Iterative radix-2 transform mod NTT_PRIME (length a power of two)."""
+    return _ntt(np.asarray(values, dtype=np.uint64), _ntt_tables(len(values)), invert).tolist()
+
+
+def _ntt(
+    values: np.ndarray, tables: Tuple[np.ndarray, np.ndarray], invert: bool = False
+) -> np.ndarray:
+    """The transform of a uint64 array, with the tables of its length.
+
+    The inverse is the forward transform read at -k mod n, scaled by 1/n.
+    """
+    rev, twiddles = tables
+    n, prime = len(values), np.uint64(NTT_PRIME)
+    a = values[rev] % NTT_PRIME
     for s in range(1, n.bit_length()):
         m = 1 << s
         half = m >> 1
         w = twiddles[:: n // m]
         blocks = a.reshape(-1, m)
-        u = blocks[:, :half].copy()
-        t = blocks[:, half:] * w % NTT_PRIME
-        blocks[:, :half] = (u + t) % NTT_PRIME
-        blocks[:, half:] = (u + NTT_PRIME - t) % NTT_PRIME
+        u, t = blocks[:, :half], blocks[:, half:] * w % NTT_PRIME
+        total, diff = u + t, u + prime - t
+        # for x < 2P, x - P wraps around to above x exactly when x < P, so
+        # min(x, x - P) is x mod P
+        blocks[:, :half] = np.minimum(total, total - prime)
+        blocks[:, half:] = np.minimum(diff, diff - prime)
     if invert:
-        n_inv = pow(n, NTT_PRIME - 2, NTT_PRIME)
-        a = a * np.uint64(n_inv) % NTT_PRIME
+        n_inv = np.uint64(pow(n, NTT_PRIME - 2, NTT_PRIME))
+        a = np.concatenate([a[:1], a[:0:-1]]) * n_inv % NTT_PRIME
     return a
 
 
 def ntt_convolve(x: Sequence[int], y: Sequence[int]) -> List[int]:
     """Exact cyclic convolution mod NTT_PRIME of two equal-length vectors."""
+    return _ntt_convolve(np.asarray(x, dtype=np.uint64), np.asarray(y, dtype=np.uint64)).tolist()
+
+
+def _ntt_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if len(x) != len(y):
         raise UsageError("vectors must have equal length")
-    X = _ntt(np.asarray(x, dtype=np.uint64))
-    Y = _ntt(np.asarray(y, dtype=np.uint64))
-    return _ntt(X * Y % NTT_PRIME, invert=True).tolist()
+    tables = _ntt_tables(len(x))
+    product = _ntt(x, tables) * _ntt(y, tables) % NTT_PRIME
+    return _ntt(product, tables, invert=True)
 
 
 # --- backend dispatch ---------------------------------------------------
@@ -309,9 +353,9 @@ def _ntt_mul(a: BigNat, b: BigNat, limb_bits: int) -> Tuple[BigNat, int]:
     """Product and its butterfly count: length/2 per stage, three transforms."""
     total_bits = max(a.bit_length + b.bit_length, 1)
     length = 1 << (-(-total_bits // limb_bits) - 1).bit_length()  # least power of two that fits
-    xa = pack(a, limb_bits, length, modulus=NTT_PRIME)
-    xb = pack(b, limb_bits, length, modulus=NTT_PRIME)
-    conv = ntt_convolve(xa, xb)
+    xa = _pack(a, limb_bits, length, modulus=NTT_PRIME)
+    xb = _pack(b, limb_bits, length, modulus=NTT_PRIME)
+    conv = _ntt_convolve(xa, xb)
     product = BigNat.from_int(carry_propagate(conv, limb_bits), a.limb_bits)
     return product, 3 * (length // 2) * (length.bit_length() - 1)
 

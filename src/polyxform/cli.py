@@ -21,6 +21,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import bigmul, claims, ptransform
 from .errors import (
     PlanNotCertified,
@@ -121,11 +123,12 @@ def _load_plan(path: str) -> ptransform.PTPlan:
 
 def cmd_verify(args) -> tuple:
     plan = _load_plan(args.plan)
-    rng = random.Random(args.seed)
     if args.input == "delta":
         x = [1] + [0] * (plan.n - 1)
+    elif plan.coeff_bound >= 2**63:
+        raise UsageError(f"random input needs coeff_bound below 2^63, not {plan.coeff_bound}")
     else:
-        x = [rng.randint(0, plan.coeff_bound) for _ in range(plan.n)]
+        x = np.random.default_rng(args.seed).integers(0, plan.coeff_bound + 1, size=plan.n)
     report = ptransform.spot_check(x, plan, sample=args.sample, seed=args.seed)
     results = report.to_dict()
     if args.update_ledger:
@@ -153,6 +156,8 @@ def cmd_mul(args) -> tuple:
         b = bigmul.BigNat.from_hex(args.b)
     except ValueError as exc:
         raise UsageError(f"operands must be hexadecimal: {exc}") from exc
+    if args.update_ledger and args.backend != bigmul.POLY_TRANSFORM:
+        raise UsageError("--update-ledger records the polynomial-transform backend only")
     plan = _load_plan(args.plan) if args.plan else None
     backend = bigmul.MulBackend(tag=args.backend, plan=plan)
     report = bigmul.transform_mul(a, b, backend)
@@ -165,6 +170,20 @@ def cmd_mul(args) -> tuple:
         "verdict": report.verdict,
         "extra": report.extra,
     }
+    if args.update_ledger:
+        entry = claims.update_verdict(
+            "s5-multiplication",
+            "confirmed" if report.verdict == "match" else "refuted",
+            f"mul --a {args.a} --b {args.b} --backend {args.backend} --plan "
+            f"p={plan.p.q} ({plan.bound_mode}): backend returned a "
+            f"{len(results['product']) - 2}-digit hex value vs oracle "
+            f"{results['oracle']} ({report.verdict}); "
+            f"{report.extra['outputs_with_nonreal_components']} of {plan.n} "
+            f"inverse-transform outputs carried nonzero root components; "
+            f"packing utilization {report.extra['utilization']:.4f}",
+            path=args.ledger,
+        )
+        results["ledger_entry"] = {"claim_id": entry.claim_id, "verdict": entry.verdict}
     config = {"a": args.a, "b": args.b, "backend": args.backend, "plan": args.plan}
     exact_backends = (bigmul.SCHOOLBOOK, bigmul.KARATSUBA, bigmul.ORACLE_NTT)
     mismatch = args.backend in exact_backends and report.verdict != "match"
@@ -346,6 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=bigmul.SCHOOLBOOK,
     )
     sp.add_argument("--plan", default="")
+    sp.add_argument("--update-ledger", action="store_true")
+    sp.add_argument("--ledger", default=None)
     common(sp)
     sp.set_defaults(func=cmd_mul)
 

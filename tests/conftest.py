@@ -16,6 +16,30 @@ def fold_coefficients(x, slot, root_index):
     return [slot.q.residue(v) for v in sums]
 
 
+def limbs_from_int(value, limb_bits):
+    """The loop reference for BigNat.from_int: one limb a step, little-endian."""
+    limbs = []
+    mask = (1 << limb_bits) - 1
+    while value:
+        limbs.append(value & mask)
+        value >>= limb_bits
+    return tuple(limbs)
+
+
+def int_from_limbs(limbs, limb_bits):
+    """The loop reference for BigNat.to_int."""
+    value = 0
+    for l in reversed(limbs):
+        value = (value << limb_bits) | l
+    return value
+
+
+def pack_limbs(limbs, src_bits, limb_bits, length):
+    """The loop reference for pack: regroup through one integer, zero-padded to length."""
+    out = list(limbs_from_int(int_from_limbs(limbs, src_bits), limb_bits))
+    return out + [0] * (length - len(out))
+
+
 def pytest_terminal_summary(terminalreporter):
     if acceptance_lines:
         terminalreporter.section("acceptance criteria")

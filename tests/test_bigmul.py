@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from polyxform.bigmul import (
     KARATSUBA,
+    NTT_LIMB_BITS,
     NTT_PRIME,
     NTT_ROOT,
     ORACLE_NTT,
@@ -13,6 +15,7 @@ from polyxform.bigmul import (
     SCHOOLBOOK,
     BigNat,
     _karatsuba,
+    _ntt_mul,
     MulBackend,
     carry_propagate,
     karatsuba_mul,
@@ -62,6 +65,61 @@ def test_bignat_int_roundtrip(value, bits):
 def test_bignat_bit_length_reads_limbs(value, bits):
     assert BigNat.from_int(value, bits).bit_length == value.bit_length()
     assert BigNat((), bits).bit_length == 0
+
+
+CONVERSION_WIDTHS = (1, 3, 7, 8, 13, 32, 63, 64)
+
+
+def conversion_values(width):
+    """Edge values for a limb width, 64-bit limbs with the top bit set, random values."""
+    rng = random.Random(width)
+    top_bits = sum(((1 << 63) | rng.getrandbits(63)) << (64 * i) for i in range(5))
+    edges = [v for k in (width, 64, 1000) for v in ((1 << k) - 1, 1 << k)]
+    return [0, 1, top_bits, *edges, *(rng.getrandbits(b) for b in (65, 4_999, 200_000))]
+
+
+@pytest.mark.parametrize("width", CONVERSION_WIDTHS)
+def test_conversions_match_loop_references(width):
+    for value in conversion_values(width):
+        limbs = conftest.limbs_from_int(value, width)
+        n = BigNat.from_int(value, width)
+        assert n.limbs == limbs
+        assert all(type(l) is int for l in n.limbs)
+        assert n.to_int() == conftest.int_from_limbs(limbs, width) == value
+
+
+@pytest.mark.parametrize("width", CONVERSION_WIDTHS)
+def test_pack_matches_loop_reference(width):
+    for value in conversion_values(width)[:-1]:
+        for src_bits in (64, 13, width):
+            a = BigNat.from_int(value, src_bits)
+            fit = max(1, -(-value.bit_length() // width))
+            for length in (fit, fit + 3):
+                got = pack(a, width, length)
+                assert got == conftest.pack_limbs(a.limbs, src_bits, width, length)
+                assert all(type(v) is int for v in got)
+        if value:
+            with pytest.raises(UsageError):
+                pack(BigNat.from_int(value), width, fit - 1)
+
+
+def test_pack_refuses_at_the_modulus_bound():
+    n = BigNat.from_int(0xABCD)
+    worst = 64 * 255**2
+    message = f"worst convolution coefficient {worst} >= modulus {worst}"
+    with pytest.raises(OverflowRisk, match=message):
+        pack(n, 8, 64, modulus=worst)
+    assert pack(n, 8, 64, modulus=worst + 1)[:2] == [0xCD, 0xAB]
+
+
+def test_limb_widths_beyond_one_to_64_are_refused():
+    for width in (0, 65):
+        with pytest.raises(UsageError):
+            BigNat((), width)
+        with pytest.raises(UsageError):
+            BigNat.from_int(5, width)
+        with pytest.raises(UsageError):
+            pack(BigNat.from_int(5), width, 8)
 
 
 def test_schoolbook_golden():
@@ -201,6 +259,36 @@ def test_ntt_convolve_matches_direct():
         assert ntt_convolve(x, y) == direct
     with pytest.raises(UsageError):
         ntt_convolve([1, 2], [1, 2, 3, 4])
+
+
+def test_ntt_mul_matches_python_from_zero_to_20000_bits():
+    rng = random.Random(79)
+    sizes = (0, 1, 2, 3, 7, 8, 63, 64, 65, 1000, 4095, 10_000, 20_000)
+    for bits_a in sizes:
+        for bits_b in (0, 1, 64, bits_a, 20_000):
+            x = rng.getrandbits(bits_a) | (1 << bits_a >> 1)  # exactly bits_a bits
+            y = rng.getrandbits(bits_b) | (1 << bits_b >> 1)
+            product, _ = _ntt_mul(BigNat.from_int(x), BigNat.from_int(y), NTT_LIMB_BITS)
+            assert product.limbs == conftest.limbs_from_int(x * y, 64)
+            assert product.to_int() == x * y
+    # one-limb operands whose product fits one coefficient: a length-1 transform
+    for x, y in ((3, 5), (0, 0)):
+        product = _ntt_mul(BigNat.from_int(x), BigNat.from_int(y), NTT_LIMB_BITS)
+        assert product == (BigNat.from_int(x * y), 0)
+
+
+def test_ntt_limb_ops_unchanged_at_1_1000_10000_bits():
+    # butterflies: length/2 per stage, three transforms; 2 bits pack into one
+    # coefficient, 2,000 bits into 256 and 20,000 bits into 4,096
+    for bits, ops in ((1, 0), (1000, 3 * 128 * 8), (10_000, 3 * 2048 * 12)):
+        a = BigNat.from_int((1 << bits) - 1)
+        assert limb_ops(a, a, ORACLE_NTT) == ops
+
+
+def test_ntt_refuses_100000_bit_operands():
+    a = BigNat.from_int((1 << 100_000) - 1)
+    with pytest.raises(OverflowRisk):
+        transform_mul(a, a, MulBackend(ORACLE_NTT))
 
 
 def test_transform_mul_backends_agree():

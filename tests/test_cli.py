@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from polyxform import bigmul, claims
+from polyxform import bigmul, claims, cli
 from polyxform.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 LEDGER_SRC = Path(__file__).resolve().parents[1] / "claims_ledger.json"
@@ -113,6 +113,16 @@ def test_verify_delta_input(capsys, plan7_file):
     assert json.loads(out)["results"]["aggregate"]["verdict"] == "confirmed"
 
 
+def test_verify_refuses_random_input_beyond_int64(capsys, plan7_file, monkeypatch):
+    plan = cli._load_plan(plan7_file)
+    huge = dataclasses.replace(plan, coeff_bound=2**63)
+    monkeypatch.setattr(cli, "_load_plan", lambda path: huge)
+    code, _ = run(capsys, "verify", "--plan", plan7_file, "--sample", "2")
+    assert code == EXIT_USAGE
+    code, _ = run(capsys, "verify", "--plan", plan7_file, "--sample", "2", "--input", "delta")
+    assert code == EXIT_OK
+
+
 def test_verify_updates_ledger_only_on_request(capsys, plan7_file, tmp_path):
     ledger = tmp_path / "ledger.json"
     shutil.copy(LEDGER_SRC, ledger)
@@ -214,6 +224,31 @@ def test_mul_pt_backend_records_mismatch_without_failing(capsys, plan13_file):
     res = json.loads(out)["results"]
     assert res["verdict"] in ("match", "mismatch")
     assert res["oracle"] == hex(83810205)
+
+
+def test_mul_updates_the_multiplication_claim_only_on_request(capsys, plan13_file, tmp_path):
+    ledger = tmp_path / "ledger.json"
+    shutil.copy(LEDGER_SRC, ledger)
+    claims.update_verdict("s5-multiplication", "pending", "stale", path=ledger)
+    stale = ledger.read_text()
+    argv = (
+        "mul", "--a", "0x3039", "--b", "0x1a85", "--backend", "polynomial-transform",
+        "--plan", plan13_file, "--ledger", str(ledger),
+    )
+    code, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert ledger.read_text() == stale  # no flag, no rewrite
+    code, out = run(capsys, *argv, "--update-ledger")
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["ledger_entry"] == {
+        "claim_id": "s5-multiplication", "verdict": "refuted"}
+    # every other claim untouched, and the committed evidence is what the run gives
+    assert claims.load_ledger(ledger) == claims.load_ledger(LEDGER_SRC)
+    code, _ = run(
+        capsys, "mul", "--a", "0x2", "--b", "0x3", "--backend", "karatsuba",
+        "--update-ledger", "--ledger", str(ledger),
+    )
+    assert code == EXIT_USAGE
 
 
 def test_mul_pt_backend_plan_error_when_inverse_unusable(capsys, plan7_file):
