@@ -364,7 +364,7 @@ def _pt_mul(a: BigNat, b: BigNat, plan: "ptransform.PTPlan") -> Tuple[BigNat, di
     p = plan.p.q
     limb_bits = max(1, min(plan.coeff_bound.bit_length() - 1, p.bit_length() - 1))
     # zero-pad to the plan's full transform length
-    xa, xb = (ptransform.natural_column(pack(v, limb_bits, plan.n), plan) for v in (a, b))
+    xa, xb = (ptransform.natural_column(_pack(v, limb_bits, plan.n), plan) for v in (a, b))
     fa, fb = (ptransform.transform_elements(x, plan) for x in (xa, xb))
     pointwise = ext_mul_array(fa, fb, plan.context)
     inv = ptransform.inverse_plan(plan)
@@ -383,7 +383,6 @@ def transform_mul(a: BigNat, b: BigNat, backend: MulBackend) -> MulReport:
     """Multiply through the requested backend, cross-checked vs CPython's `*`."""
     if a.limb_bits != b.limb_bits:
         raise UsageError("limb bases differ")
-    oracle = BigNat.from_int(a.to_int() * b.to_int(), a.limb_bits)
     if backend.tag == SCHOOLBOOK:
         product = schoolbook_mul(a, b)
         extra = {"limb_ops": len(a.limbs) * len(b.limbs)}
@@ -399,4 +398,6 @@ def transform_mul(a: BigNat, b: BigNat, backend: MulBackend) -> MulReport:
         product, extra = _pt_mul(a, b, backend.plan)
     else:
         raise UsageError(f"unknown backend {backend.tag!r}")
+    # after the backend, so an operand pair it refuses costs no oracle product
+    oracle = BigNat.from_int(a.to_int() * b.to_int(), a.limb_bits)
     return MulReport(backend.tag, product, oracle, extra)

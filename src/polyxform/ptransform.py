@@ -264,19 +264,30 @@ def certify_value_bound(plan: PTPlan, coeff_bound: int) -> int:
     return worst
 
 
-# Rows per block when the slot stage reduces the input mod q and when the
-# CRT gather combines outputs; caps the temporaries of both.
+# Rows per block when the slot stage folds the input and when the final CRT
+# combines outputs; caps the temporaries of both, and the rows one block sums.
 _ROW_BLOCK = 1 << 14
 
 # Power-matrix entries per _slot_dft row block; caps its index and gather arrays.
 _DFT_BLOCK = 1 << 16
 
 
+def _reduce(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q in place, as x - (x // q) * q: numpy divides an int64 array by
+    a scalar through a multiply by its precomputed reciprocal, and its
+    remainder does not, so on long rows this is the faster of the two."""
+    quotient = x // q
+    quotient *= q
+    x -= quotient
+    return x
+
+
 def _fold(values: np.ndarray, period: int, q: int) -> np.ndarray:
     """folded[t] = sum of values[k] over k = t mod period, reduced mod q.
 
-    values is 1-D or (n, 3) and already reduced mod q, so the sums over
-    the full periods and the tail rows stay exact in int64 while n*q < 2^63.
+    values is 1-D or (n, 3) int64 and need not be reduced: the sums over the
+    full periods and the tail rows are exact while each stays within int64,
+    that is while ceil(n / period) * max|values| < 2^63.
     """
     full, tail = divmod(len(values), period)
     acc = values[: full * period].reshape(full, period, *values.shape[1:]).sum(axis=0)
@@ -323,7 +334,10 @@ def _vandermonde(roots: Sequence[int], q: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _slot_table(
-    x: np.ndarray, slot: PTPrimeSlot, rows: Optional[np.ndarray] = None
+    x: np.ndarray,
+    slot: PTPrimeSlot,
+    rows: Optional[np.ndarray] = None,
+    fold_unreduced: bool = False,
 ) -> np.ndarray:
     """Components mod q of the (n, c) inputs x at each output row: (len(rows), 3);
     by default the rows are the slot's index classes, j < index_period.
@@ -333,13 +347,21 @@ def _slot_table(
     start at multiples of it) and from there to each root's period, and
     only the folded rows are reduced at the root, by the first c entries
     of (1, r, r^2), so a natural-number column (c = 1) is never widened.
+    A block sums at most _ROW_BLOCK rows into each folded row, so when
+    fold_unreduced says x is int64 with every |x| < 2^63 / _ROW_BLOCK the
+    blocks are folded as they are and only the folded table is reduced
+    mod q; otherwise each block is reduced mod q before it is folded.
     """
     q, index_period = slot.q.q, slot.index_period
     forward, inverse = _vandermonde(slot.roots, q)
     block = index_period * max(1, _ROW_BLOCK // index_period)
+
+    def input_block(start):
+        values = x[start : start + block]
+        return values if fold_unreduced else np.asarray(values % q, dtype=np.int64)
+
     folded = sum(
-        _fold(np.asarray(x[start : start + block] % q, dtype=np.int64), index_period, q)
-        for start in range(0, len(x), block)
+        _fold(input_block(start), index_period, q) for start in range(0, len(x), block)
     ) % q
     if rows is None:
         rows = np.arange(index_period)
@@ -351,9 +373,9 @@ def _slot_table(
 
 
 def _crt_mod_p(
-    tables: Sequence[np.ndarray], moduli: Sequence[int], m: int, indices: np.ndarray
+    tables: Sequence[np.ndarray], moduli: Sequence[int], m: int, count: int
 ) -> np.ndarray:
-    """x mod m at each index j, for the x in [0, prod(moduli)) that is
+    """x mod m at each row j < count, for the x in [0, prod(moduli)) that is
     tables[k][j mod len(tables[k])] mod moduli[k] for every k.
 
     Garner's mixed-radix digits, each solved mod its modulus and folded
@@ -361,8 +383,11 @@ def _crt_mod_p(
     Digit k is (r_k * inv_k + sum_i v_i * w_ki) mod q_k, one reduction each,
     with inv_k = 1 / (q_0...q_{k-1}) and w_ki = -(q_0...q_{i-1}) * inv_k;
     for residues in [0, q_k) it stays exact in int64 while
-    len(moduli) * max(moduli)^2 < 2^63.  The constants are computed once;
-    the indices are taken in row blocks, each gathering from every table.
+    len(moduli) * max(moduli)^2 < 2^63.  Digit 0 is r_0, so the terms that
+    read one table, r_k * inv_k and v_0 * w_k0 mod q_k and v_0 mod m, are
+    solved once on that table's own rows.  The rows are then taken in blocks
+    of _ROW_BLOCK; each term shorter than count is repeated to at most one
+    block past its end, so a block's rows of it are one slice.
     """
     prefix = [math.prod(moduli[:k]) for k in range(len(moduli))]
     inverses = [pow(c, -1, q) for c, q in zip(prefix, moduli)]
@@ -370,19 +395,33 @@ def _crt_mod_p(
         [-c * inv % q for c in prefix[:k]] for k, (q, inv) in enumerate(zip(moduli, inverses))
     ]
     out_weights = [c % m for c in prefix]
-    out = np.empty((len(indices), *tables[0].shape[1:]), dtype=np.int64)
-    for start in range(0, len(indices), _ROW_BLOCK):
-        j = indices[start : start + _ROW_BLOCK]
+    first, period = tables[0], len(tables[0])
+
+    def repeated(term):
+        size = min(count, len(term) + _ROW_BLOCK - 1)
+        return term if len(term) >= size else np.resize(term, (size, *term.shape[1:]))
+
+    base = repeated(_reduce(first * out_weights[0], m))
+    terms = [
+        (repeated(_reduce(table * inv, q)), len(table), repeated(_reduce(first * w[0], q)))
+        for table, q, inv, w in zip(tables[1:], moduli[1:], inverses[1:], weights[1:])
+    ]
+    out = np.empty((count, *first.shape[1:]), dtype=np.int64)
+    for start in range(0, count, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, count)
+        at = start % period
         digits = []
-        for table, q, inv, w in zip(tables, moduli, inverses, weights):
-            acc = table.take(j % len(table), axis=0) * inv
-            for v, c in zip(digits, w):
+        for (own, own_period, cross), q, w in zip(terms, moduli[1:], weights[1:]):
+            at_own = start % own_period
+            acc = own[at_own : at_own + stop - start] + cross[at : at + stop - start]
+            for v, c in zip(digits, w[1:]):
                 acc += v * c
-            digits.append(acc % q)
-        acc = digits[0] * out_weights[0]
-        for v, c in zip(digits[1:], out_weights[1:]):
+            digits.append(_reduce(acc, q))
+        acc = out[start:stop]
+        acc[...] = base[at : at + stop - start]
+        for v, c in zip(digits, out_weights[1:]):
             acc += v * c
-        out[start : start + _ROW_BLOCK] = acc % m
+        _reduce(acc, m)
     return out
 
 
@@ -406,7 +445,7 @@ def _merge_slots(
             last, m = groups[-1]
             size = math.lcm(len(last), len(table))
             if m * q <= limit and size <= plan.n // 4:
-                combined = _crt_mod_p((last, table), (m, q), m * q, np.arange(size))
+                combined = _crt_mod_p((last, table), (m, q), m * q, size)
                 groups[-1] = (combined, m * q)
                 continue
         groups.append((table, q))
@@ -418,7 +457,9 @@ def _as_array(rows: Sequence) -> np.ndarray:
     """The rows as int64, or as Python ints (dtype object) if one exceeds int64;
     anything but integers is refused, not truncated."""
     array = np.asarray(rows)
-    if array.dtype.kind == "i" or (array.dtype.kind == "u" and array.itemsize < 8):
+    if array.dtype.kind == "i" or (
+        array.dtype.kind == "u" and (array.itemsize < 8 or array.max(initial=0) < 2**63)
+    ):
         return array.astype(np.int64, copy=False)
     # numpy reads integers beyond int64 as uint64, object or even float64 ([2**63, 1])
     array = np.asarray(rows, dtype=object)
@@ -453,9 +494,12 @@ def transform_elements(
     xs is n component triples mod p, or an (n, 1) column of naturals v,
     each standing for (v, 0, 0); the inverse direction needs triples.
     indices (default: all n, in order) name the output rows, one each.  All
-    n rows gather from slot tables merged at their shared periods; given
+    n rows are combined from slot tables merged at their shared periods,
+    each group's terms repeated to one row block past its period; given
     rows are combined from K row-aligned slot tables, whose DFTs run only
-    where those rows fall.
+    where those rows fall.  int64 input with every |x| < 2^63 / _ROW_BLOCK
+    (checked once, by its min and max) is folded without a reduction per
+    input row; any other input is reduced mod q block by block.
     """
     try:
         x = _as_array(xs)
@@ -463,13 +507,16 @@ def transform_elements(
         raise UsageError(f"input must be {plan.n} integer triples: {exc}") from exc
     if x.shape not in ((plan.n, 1), (plan.n, 3)):
         raise UsageError(f"input shape {x.shape} != ({plan.n}, 3) or ({plan.n}, 1)")
+    bound = -(-(2**63) // _ROW_BLOCK)  # |x| < bound iff |x| < 2^63 / _ROW_BLOCK
+    unreduced = x.dtype == np.int64 and -bound < int(x.min()) and int(x.max()) < bound
     if indices is None:
-        tables, moduli = _merge_slots([_slot_table(x, slot) for slot in plan.slots], plan)
-        return _crt_mod_p(tables, moduli, plan.p.q, np.arange(plan.n))
+        tables = [_slot_table(x, slot, fold_unreduced=unreduced) for slot in plan.slots]
+        tables, moduli = _merge_slots(tables, plan)
+        return _crt_mod_p(tables, moduli, plan.p.q, plan.n)
     rows = _integers(indices, 0, plan.n, "indices")
-    tables = [_slot_table(x, slot, rows) for slot in plan.slots]
+    tables = [_slot_table(x, slot, rows, unreduced) for slot in plan.slots]
     moduli = [slot.q.q for slot in plan.slots]
-    return _crt_mod_p(tables, moduli, plan.p.q, np.arange(len(rows)))
+    return _crt_mod_p(tables, moduli, plan.p.q, len(rows))
 
 
 def natural_column(x: Sequence[int], plan: PTPlan) -> np.ndarray:

@@ -285,10 +285,22 @@ def test_ntt_limb_ops_unchanged_at_1_1000_10000_bits():
         assert limb_ops(a, a, ORACLE_NTT) == ops
 
 
-def test_ntt_refuses_100000_bit_operands():
+def test_ntt_refuses_100000_bit_operands(monkeypatch):
+    products = []
+
+    class Operand(int):
+        def __mul__(self, other):
+            products.append(self)
+            return int(self) * int(other)
+
+    to_int = BigNat.to_int
+    monkeypatch.setattr(BigNat, "to_int", lambda self: Operand(to_int(self)))
     a = BigNat.from_int((1 << 100_000) - 1)
     with pytest.raises(OverflowRisk):
         transform_mul(a, a, MulBackend(ORACLE_NTT))
+    assert products == []  # refused before the oracle product is formed
+    transform_mul(BigNat.from_int(6), BigNat.from_int(7), MulBackend(ORACLE_NTT))
+    assert products == [6]
 
 
 def test_transform_mul_backends_agree():

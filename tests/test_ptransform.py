@@ -407,7 +407,7 @@ def test_garner_matches_crt_reconstruct(moduli, p, seed):
     rows = [[rng.randrange(m) for m in moduli] for _ in range(8)]
     rows += [[0] * len(moduli), [m - 1 for m in moduli]]
     residues = [np.array(column, dtype=np.int64) for column in zip(*rows)]
-    got = ptransform._crt_mod_p(residues, moduli, p, np.arange(len(rows))).tolist()
+    got = ptransform._crt_mod_p(residues, moduli, p, len(rows)).tolist()
     basis = CrtBasis.of(moduli)
     assert got == [crt_reconstruct(row, basis) % p for row in rows]
 
@@ -419,8 +419,31 @@ def test_garner_on_plan_primes_beyond_64_bits(plan13_big):
     rows = [[rng.randrange(m) for m in moduli] for _ in range(200)]
     residues = [np.array(column, dtype=np.int64) for column in zip(*rows)]
     basis = CrtBasis.of(moduli)
-    assert ptransform._crt_mod_p(residues, moduli, 13, np.arange(200)).tolist() == [
+    assert ptransform._crt_mod_p(residues, moduli, 13, 200).tolist() == [
         crt_reconstruct(row, basis) % 13 for row in rows
+    ]
+
+
+@pytest.mark.parametrize("lengths, count", [
+    ((5, 60, 1), 300),  # all shorter than a 97-row block; 300 is no multiple of 97
+    ((400, 5, 97), 291),  # longer than count, shorter, and one block exactly
+    ((130,), 500),  # one modulus
+    ((5, 400), 0),  # no rows
+])
+def test_crt_mod_p_over_row_blocks_matches_crt_reconstruct(monkeypatch, lengths, count):
+    monkeypatch.setattr(ptransform, "_ROW_BLOCK", 97)
+    moduli = [65521, 65519, 65497][: len(lengths)]
+    rng = random.Random(count)
+    tables = [
+        np.array([[rng.randrange(q) for _ in range(3)] for _ in range(size)], dtype=np.int64)
+        for size, q in zip(lengths, moduli)
+    ]
+    got = ptransform._crt_mod_p(tables, moduli, 13, count)
+    assert got.shape == (count, 3)
+    basis = CrtBasis.of(moduli)
+    assert got.tolist() == [
+        [crt_reconstruct([int(t[j % len(t), c]) for t in tables], basis) % 13 for c in range(3)]
+        for j in range(count)
     ]
 
 
@@ -442,7 +465,7 @@ def test_merge_step_at_the_int64_limit_matches_crt_reconstruct(k, q, periods, se
     first, second = first[: periods[0]], second[: periods[1]]
     size = math.lcm(*periods)
     tables = [np.array(first, dtype=np.int64), np.array(second, dtype=np.int64)]
-    got = ptransform._crt_mod_p(tables, (m, q), m * q, np.arange(size)).tolist()
+    got = ptransform._crt_mod_p(tables, (m, q), m * q, size).tolist()
     basis = CrtBasis.of([m, q])
     assert got == [
         crt_reconstruct([first[j % periods[0]], second[j % periods[1]]], basis)
@@ -487,6 +510,35 @@ def test_merged_crt_matches_flat_garner_beyond_100_bits(plan13_big):
     column = ptransform.natural_column(x, plan13_big)
     want = flat_garner(column, plan13_big)
     assert np.array_equal(transform_elements(column, plan13_big), want)
+
+
+@pytest.mark.parametrize("case", [
+    "inside", "at +bound", "at -bound", "with -2^63", "negative triples inside",
+])
+def test_unreduced_fold_bound(monkeypatch, plan7, case):
+    # with 97-row blocks the bound is ceil(2^63 / 97); an int64 input inside it
+    # is folded without reducing its rows, any other is reduced block by block,
+    # and both equal the reference, whose object rows are reduced exactly
+    monkeypatch.setattr(ptransform, "_ROW_BLOCK", 97)
+    bound = -(-(2**63) // 97)
+    rng = np.random.default_rng(97)
+    width = 3 if case == "negative triples inside" else 1
+    x = rng.integers(-bound + 1, bound, size=(plan7.n, width))
+    x[:4, 0] = [bound - 1, -(bound - 1), 0, 1]
+    if case == "negative triples inside":
+        x = -np.abs(x)
+    edge = {"at +bound": bound, "at -bound": -bound, "with -2^63": -(2**63)}.get(case)
+    if edge is not None:
+        x[7, 0] = edge
+    want = flat_garner(x.astype(object), plan7)
+    fold, unreduced = ptransform._fold, []
+    monkeypatch.setattr(
+        ptransform,
+        "_fold",
+        lambda v, period, q: unreduced.append(bool(((v < 0) | (v >= q)).any())) or fold(v, period, q),
+    )
+    assert np.array_equal(transform_elements(x, plan7), want)
+    assert any(unreduced) == (edge is None)
 
 
 def test_merge_slots_groups_at_p43():
@@ -680,6 +732,17 @@ def test_non_integer_input_is_refused(plan13):
     for small in (np.array([2, 1], dtype=np.uint8), np.array([3], dtype=np.uint64), [5, -1]):
         got = ptransform._as_array(small)
         assert got.dtype == np.int64 and got.tolist() == np.asarray(small).tolist()
+
+
+def test_natural_column_reads_uint64_below_2_63_as_int64(plan13_big):
+    rng = random.Random(63)
+    x = [rng.randrange(2**63) for _ in range(plan13_big.n)]
+    column = ptransform.natural_column(np.array(x, dtype=np.uint64), plan13_big)
+    assert column.dtype == np.int64
+    assert np.array_equal(column, ptransform.natural_column(x, plan13_big))
+    x[5] = 2**63
+    column = ptransform.natural_column(np.array(x, dtype=np.uint64), plan13_big)
+    assert column.dtype == object and column[:, 0].tolist() == x
 
 
 def test_indices_are_validated_alike_by_pipeline_and_oracle(plan13):
