@@ -557,11 +557,11 @@ def inverse_plan(plan: PTPlan) -> PTPlan:
     return replace(plan, omega=omega_inv, slots=tuple(slots))
 
 
-# Indices per _direct_dft block; caps its temporaries at O(block * sqrt(n)).
+# Indices per oracle_output block; caps its temporaries at O(block * sqrt(n)).
 _ORACLE_BLOCK = 64
 
 
-def _direct_dft(x: Sequence[int], plan: PTPlan, indices: Sequence[int]) -> np.ndarray:
+def oracle_output(x: Sequence[int], plan: PTPlan, indices: Sequence[int]) -> np.ndarray:
     """The honest DFT over F_{p^3}, sum_k x[k] * omega^(j*k), at each index j:
     (len(indices), 3) int64 rows.
 
@@ -601,13 +601,6 @@ def _direct_dft(x: Sequence[int], plan: PTPlan, indices: Sequence[int]) -> np.nd
     return out
 
 
-def oracle_output(
-    x: Sequence[int], plan: PTPlan, index: int
-) -> Tuple[int, int, int]:
-    """Direct extension-field DFT output: sum_k x[k] * omega^(index*k)."""
-    return tuple(_direct_dft(x, plan, [index])[0].tolist())
-
-
 def spot_check(
     x: Sequence[int], plan: PTPlan, sample: int, seed: int
 ) -> TransformReport:
@@ -617,7 +610,7 @@ def spot_check(
     indices = sorted(rng.sample(range(plan.n), min(sample, plan.n)))
     column = natural_column(x, plan)
     pipeline = transform_elements(column, plan, indices).tolist()
-    oracle = _direct_dft(column, plan, indices).tolist()
+    oracle = oracle_output(column, plan, indices).tolist()
     checks = tuple(
         IndexCheck(j, tuple(row), tuple(want))
         for j, row, want in zip(indices, pipeline, oracle)

@@ -34,9 +34,10 @@ def int_from_limbs(limbs, limb_bits):
     return value
 
 
-def pack_limbs(limbs, src_bits, limb_bits, length):
-    """The loop reference for pack: regroup through one integer, zero-padded to length."""
-    out = list(limbs_from_int(int_from_limbs(limbs, src_bits), limb_bits))
+def pack_limbs(limbs, limb_bits, length):
+    """The loop reference for pack: 64-bit limbs regrouped through one integer,
+    zero-padded to length."""
+    out = list(limbs_from_int(int_from_limbs(limbs, 64), limb_bits))
     return out + [0] * (length - len(out))
 
 

@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest
+from polyxform import bigmul
 from polyxform.bigmul import (
     KARATSUBA,
     NTT_LIMB_BITS,
@@ -14,7 +16,7 @@ from polyxform.bigmul import (
     POLY_TRANSFORM,
     SCHOOLBOOK,
     BigNat,
-    _karatsuba,
+    _naturals,
     _ntt_mul,
     MulBackend,
     carry_propagate,
@@ -40,9 +42,9 @@ def test_bignat_canonical_form():
     assert BigNat.from_int(0).limbs == ()
     assert BigNat.from_int(1).limbs == (1,)
     with pytest.raises(UsageError):
-        BigNat((1, 0), 64)  # trailing zero limb
+        BigNat((1, 0))  # trailing zero limb
     with pytest.raises(UsageError):
-        BigNat((1 << 64,), 64)  # limb out of range
+        BigNat((1 << 64,))  # limb out of range
     with pytest.raises(UsageError):
         BigNat.from_int(-3)
 
@@ -51,27 +53,35 @@ def test_bignat_hex_roundtrip():
     n = BigNat.from_hex("0x3039")
     assert n.to_int() == 12345
     assert n.to_hex() == "0x3039"
-    assert BigNat.from_hex("ff", limb_bits=4).limbs == (15, 15)
 
 
-@given(st.integers(min_value=0, max_value=2**512), st.sampled_from([8, 16, 32, 64]))
+def test_bignat_refuses_limbs_that_are_not_a_tuple_of_ints():
+    # a float limb used to be accepted and truncated by to_int, and a list
+    # made an unhashable BigNat unequal to the tuple one
+    for limbs in ((1.5,), [3], (np.uint64(3),), (True,), ("1",), 3):
+        with pytest.raises(UsageError):
+            BigNat(limbs)
+    assert BigNat((3,)).to_int() == 3
+
+
+@given(st.integers(min_value=0, max_value=2**512))
 @settings(max_examples=200, deadline=None)
-def test_bignat_int_roundtrip(value, bits):
-    assert BigNat.from_int(value, bits).to_int() == value
+def test_bignat_int_roundtrip(value):
+    assert BigNat.from_int(value).to_int() == value
 
 
-@given(st.integers(min_value=0, max_value=2**512), st.sampled_from([1, 8, 13, 64]))
+@given(st.integers(min_value=0, max_value=2**512))
 @settings(max_examples=200, deadline=None)
-def test_bignat_bit_length_reads_limbs(value, bits):
-    assert BigNat.from_int(value, bits).bit_length == value.bit_length()
-    assert BigNat((), bits).bit_length == 0
+def test_bignat_bit_length_reads_limbs(value):
+    assert BigNat.from_int(value).bit_length == value.bit_length()
+    assert BigNat(()).bit_length == 0
 
 
 CONVERSION_WIDTHS = (1, 3, 7, 8, 13, 32, 63, 64)
 
 
 def conversion_values(width):
-    """Edge values for a limb width, 64-bit limbs with the top bit set, random values."""
+    """Edge values at a bit width, 64-bit limbs with the top bit set, random values."""
     rng = random.Random(width)
     top_bits = sum(((1 << 63) | rng.getrandbits(63)) << (64 * i) for i in range(5))
     edges = [v for k in (width, 64, 1000) for v in ((1 << k) - 1, 1 << k)]
@@ -81,23 +91,22 @@ def conversion_values(width):
 @pytest.mark.parametrize("width", CONVERSION_WIDTHS)
 def test_conversions_match_loop_references(width):
     for value in conversion_values(width):
-        limbs = conftest.limbs_from_int(value, width)
-        n = BigNat.from_int(value, width)
+        limbs = conftest.limbs_from_int(value, 64)
+        n = BigNat.from_int(value)
         assert n.limbs == limbs
         assert all(type(l) is int for l in n.limbs)
-        assert n.to_int() == conftest.int_from_limbs(limbs, width) == value
+        assert n.to_int() == conftest.int_from_limbs(limbs, 64) == value
 
 
 @pytest.mark.parametrize("width", CONVERSION_WIDTHS)
 def test_pack_matches_loop_reference(width):
     for value in conversion_values(width)[:-1]:
-        for src_bits in (64, 13, width):
-            a = BigNat.from_int(value, src_bits)
-            fit = max(1, -(-value.bit_length() // width))
-            for length in (fit, fit + 3):
-                got = pack(a, width, length)
-                assert got == conftest.pack_limbs(a.limbs, src_bits, width, length)
-                assert all(type(v) is int for v in got)
+        a = BigNat.from_int(value)
+        fit = max(1, -(-value.bit_length() // width))
+        for length in (fit, fit + 3):
+            got = pack(a, width, length)
+            assert got.dtype == np.uint64
+            assert got.tolist() == conftest.pack_limbs(a.limbs, width, length)
         if value:
             with pytest.raises(UsageError):
                 pack(BigNat.from_int(value), width, fit - 1)
@@ -109,15 +118,11 @@ def test_pack_refuses_at_the_modulus_bound():
     message = f"worst convolution coefficient {worst} >= modulus {worst}"
     with pytest.raises(OverflowRisk, match=message):
         pack(n, 8, 64, modulus=worst)
-    assert pack(n, 8, 64, modulus=worst + 1)[:2] == [0xCD, 0xAB]
+    assert pack(n, 8, 64, modulus=worst + 1)[:2].tolist() == [0xCD, 0xAB]
 
 
 def test_limb_widths_beyond_one_to_64_are_refused():
     for width in (0, 65):
-        with pytest.raises(UsageError):
-            BigNat((), width)
-        with pytest.raises(UsageError):
-            BigNat.from_int(5, width)
         with pytest.raises(UsageError):
             pack(BigNat.from_int(5), width, 8)
 
@@ -145,20 +150,17 @@ def test_schoolbook_matches_python(a, b):
 @given(
     st.integers(min_value=0, max_value=2**4000),
     st.integers(min_value=0, max_value=2**4000),
-    st.sampled_from([8, 16, 64]),
 )
 @settings(max_examples=100, deadline=None)
-def test_karatsuba_matches_python(a, b, bits):
-    got = karatsuba_mul(
-        BigNat.from_int(a, bits), BigNat.from_int(b, bits), threshold=4
-    )
+def test_karatsuba_matches_python(a, b):
+    got, _ = karatsuba_mul(BigNat.from_int(a), BigNat.from_int(b), threshold=4)
     assert got.to_int() == a * b
 
 
 def test_karatsuba_unbalanced_operands():
     a = (1 << 3000) - 1
     b = 7
-    got = karatsuba_mul(BigNat.from_int(a), BigNat.from_int(b), threshold=2)
+    got, _ = karatsuba_mul(BigNat.from_int(a), BigNat.from_int(b), threshold=2)
     assert got.to_int() == a * b
 
 
@@ -167,15 +169,10 @@ def test_karatsuba_rejects_tiny_threshold():
         karatsuba_mul(BigNat.from_int(5), BigNat.from_int(7), threshold=1)
 
 
-def test_mixed_limb_bases_rejected():
-    with pytest.raises(UsageError):
-        schoolbook_mul(BigNat.from_int(5, 8), BigNat.from_int(7, 16))
-
-
 def test_pack_golden():
     n = BigNat.from_int(0xABCD)
-    assert pack(n, 8, 4) == [0xCD, 0xAB, 0, 0]
-    assert pack(n, 4, 4) == [0xD, 0xC, 0xB, 0xA]
+    assert pack(n, 8, 4).tolist() == [0xCD, 0xAB, 0, 0]
+    assert pack(n, 4, 4).tolist() == [0xD, 0xC, 0xB, 0xA]
     with pytest.raises(UsageError):
         pack(n, 4, 3)  # does not fit
 
@@ -224,17 +221,45 @@ def test_carry_propagate_rejects_negative():
         carry_propagate([1, -2], 8)
 
 
+def test_carry_propagate_refuses_non_integers_and_widths_below_one():
+    # [1.5, 2.7] at 8 bits used to return 513, and limb_bits = 0 to divide by zero
+    for coeffs in ([1.5, 2.7], np.array([1.0, 2.0]), ["1"], [True]):
+        with pytest.raises(UsageError):
+            carry_propagate(coeffs, 8)
+    for bits in (0, -3):
+        with pytest.raises(UsageError):
+            carry_propagate([1, 2], bits)
+    assert carry_propagate(np.array([1, 2], dtype=np.uint64), 8) == 513
+
+
 def test_ntt_golden_forward():
     # length 4, root of order 4 mod NTT_PRIME; X0 is the plain sum
     x = [1, 2, 3, 4]
     X = ntt(x)
     assert X[0] == 10
-    assert ntt(X, invert=True) == x
+    assert ntt(X, invert=True).tolist() == x
 
 
 def test_ntt_validates_length():
     with pytest.raises(UsageError):
         ntt([1, 2, 3])
+
+
+def test_ntt_refuses_negative_or_non_integer_input():
+    # ntt([-1, 2]) used to raise OverflowError and ntt([1.5, 2]) to truncate
+    for bad in ([-1, 2], [1.5, 2], [2**64, 1], [True, False], np.array([1.0, 2.0]), [[1, 2]]):
+        with pytest.raises(UsageError):
+            ntt(bad)
+        with pytest.raises(UsageError):
+            ntt_convolve([1, 2], bad)
+        with pytest.raises(UsageError):
+            ntt_convolve(bad, [1, 2])
+    # integers past int64, which numpy alone reads as float64, are naturals
+    assert ntt([2**63, 1]).tolist() == ntt([2**63 % NTT_PRIME, 1]).tolist()
+    packed = pack(BigNat.from_int(0xABCD), 8, 4)
+    assert _naturals(packed) is packed  # pack's output is taken without a scan
+    as_list = [0xCD, 0xAB, 0, 0]
+    assert ntt_convolve(packed, packed).tolist() == ntt_convolve(as_list, as_list).tolist()
 
 
 @given(st.lists(st.integers(min_value=0, max_value=NTT_PRIME - 1), min_size=2, max_size=64))
@@ -244,7 +269,7 @@ def test_ntt_roundtrip(values):
     while n < len(values):
         n <<= 1
     values = values + [0] * (n - len(values))
-    assert ntt(ntt(values), invert=True) == values
+    assert ntt(ntt(values), invert=True).tolist() == values
 
 
 def test_ntt_convolve_matches_direct():
@@ -256,7 +281,7 @@ def test_ntt_convolve_matches_direct():
             sum(x[k] * y[(j - k) % n] for k in range(n)) % NTT_PRIME
             for j in range(n)
         ]
-        assert ntt_convolve(x, y) == direct
+        assert ntt_convolve(x, y).tolist() == direct
     with pytest.raises(UsageError):
         ntt_convolve([1, 2], [1, 2, 3, 4])
 
@@ -354,14 +379,14 @@ def test_limb_ops_monotone():
     assert limb_ops(a, a, SCHOOLBOOK) == 16 * 16  # 1024 bits = 16 limbs
     big = BigNat.from_int((1 << 4096) - 1)
     assert limb_ops(big, big, SCHOOLBOOK) == 64 * 64
-    assert _karatsuba(a, a, 4)[1] == 168  # golden; transform_mul's limb_ops
+    assert karatsuba_mul(a, a, 4)[1] == 168  # golden; transform_mul's limb_ops
     assert limb_ops(a, BigNat.from_int(0), KARATSUBA) == 0
 
 
 def test_karatsuba_beats_schoolbook_on_op_count():
     n = BigNat.from_int((1 << 8192) - 5)
     school = limb_ops(n, n, SCHOOLBOOK)
-    kara = _karatsuba(n, n, 8)[1]
+    kara = karatsuba_mul(n, n, 8)[1]
     assert kara < school
 
 
@@ -370,3 +395,22 @@ def test_ntt_limb_ops_count_butterflies():
     # three transforms of 8 stages, 128 butterflies each
     a = BigNat.from_int((1 << 1024) - 1)
     assert limb_ops(a, a, ORACLE_NTT) == 3 * 8 * 128
+
+
+def test_transform_mul_calls_the_public_layers(monkeypatch, plan13):
+    # perfbench traces these names, so the program must reach them by them
+    calls = []
+    for name in ("pack", "ntt_convolve", "karatsuba_mul"):
+        real = getattr(bigmul, name)
+        monkeypatch.setattr(
+            bigmul, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)
+        )
+    a, b = BigNat.from_int(12345), BigNat.from_int(6789)
+    transform_mul(a, b, MulBackend(ORACLE_NTT))
+    assert calls == ["pack", "pack", "ntt_convolve"]
+    calls.clear()
+    transform_mul(a, b, MulBackend(KARATSUBA))
+    assert calls == ["karatsuba_mul"]
+    calls.clear()
+    transform_mul(a, b, MulBackend(POLY_TRANSFORM, plan=plan13))
+    assert calls == ["pack", "pack"]

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import json
 import math
 import random
@@ -13,6 +12,7 @@ from hypothesis import strategies as st
 
 import conftest
 from polyxform import extension, modcore, ptransform, residues
+from polyxform import transform as transform_module
 from polyxform.cli import EXIT_USAGE, main
 from polyxform.errors import (
     PlanNotCertified,
@@ -36,9 +36,6 @@ from polyxform.ptransform import (
 )
 from polyxform.residues import build_recovery, recover_components
 from polyxform.transform import multiplicative_order, naive_dft
-
-# the package re-exports ptransform.transform under the submodule's name
-transform_module = importlib.import_module("polyxform.transform")
 
 
 def test_preprocess_rejects_bad_args():
@@ -596,6 +593,11 @@ def test_transform_zero_input(plan13):
     assert set(out) == {(0, 0, 0)}
 
 
+def oracle_at(x, plan, index):
+    """The direct oracle's output at one index, as a triple of Python ints."""
+    return tuple(oracle_output(x, plan, [index])[0].tolist())
+
+
 def test_transform_delta_input(plan13):
     # delta at 0 folds to delta, every small DFT output is 1, recovery
     # yields (1, 0, 0) and CRT keeps it; matches the oracle exactly
@@ -603,7 +605,7 @@ def test_transform_delta_input(plan13):
     out = transform(x, plan13)
     assert set(out) == {(1, 0, 0)}
     for j in (0, 1, 17, plan13.n - 1):
-        assert oracle_output(x, plan13, j) == (1, 0, 0)
+        assert oracle_at(x, plan13, j) == (1, 0, 0)
 
 
 def test_slot_stage_is_linear_mod_q(plan13):
@@ -644,7 +646,7 @@ def test_oracle_reduces_inputs_above_int64(plan13_big):
     rng = random.Random(71)
     x = [rng.choice((0, 1, 2**63, 2**70 - 1, rng.getrandbits(70))) for _ in range(plan13_big.n)]
     for j in (0, 1, 1000, plan13_big.n - 1):
-        assert oracle_output(x, plan13_big, j) == boxed_dft(x, plan13_big, j)
+        assert oracle_at(x, plan13_big, j) == boxed_dft(x, plan13_big, j)
 
 
 def test_oracle_refuses_n_beyond_int64():
@@ -652,7 +654,7 @@ def test_oracle_refuses_n_beyond_int64():
     plan = preprocess(p=1453, bound_mode=INPUT_AWARE)
     assert plan.n**2 >= 2**63
     with pytest.raises(UsageError):
-        oracle_output([1], plan, 0)
+        oracle_output([1], plan, [0])
 
 
 def test_oracle_refuses_input_of_the_wrong_length(plan7):
@@ -660,11 +662,11 @@ def test_oracle_refuses_input_of_the_wrong_length(plan7):
     # k >= n onto k - n
     for length in (5, plan7.n - 1, plan7.n + 3):
         with pytest.raises(UsageError):
-            oracle_output([1] * length, plan7, 1)
+            oracle_output([1] * length, plan7, [1])
     x = [random.Random(8).randint(0, 6) for _ in range(plan7.n)]
     column = ptransform.natural_column(x, plan7)
     want = boxed_dft(x, plan7, 5)
-    assert oracle_output(column, plan7, 5) == oracle_output(x, plan7, 5) == want
+    assert oracle_at(column, plan7, 5) == oracle_at(x, plan7, 5) == want
 
 
 def gather_oracle(x, plan, indices):
@@ -690,7 +692,7 @@ def test_oracle_matches_gather_reference_across_blocks(monkeypatch):
     indices += [3**3, 2 * 3**3 * 5, n // 2 + 1]
     rng = random.Random(19)
     x = [rng.randint(0, plan.coeff_bound) for _ in range(n)]
-    got = ptransform._direct_dft(x, plan, indices)
+    got = oracle_output(x, plan, indices)
     assert got.shape == (len(indices), 3) and got.dtype == np.int64
     assert [tuple(row) for row in got.tolist()] == gather_oracle(x, plan, indices)
 
@@ -719,7 +721,7 @@ def test_non_integer_input_is_refused(plan13):
         lambda: transform([2**70] * (n - 1) + [1.5], plan13),  # beside an int beyond int64
         lambda: transform_elements([(1.5, 0, 0)] * n, plan13),
         lambda: transform_elements(np.ones((n, 1)), plan13),
-        lambda: oracle_output(floats, plan13, 0),
+        lambda: oracle_output(floats, plan13, [0]),
         lambda: spot_check(floats, plan13, sample=4, seed=1),
     ):
         with pytest.raises(UsageError):
@@ -753,15 +755,27 @@ def test_indices_are_validated_alike_by_pipeline_and_oracle(plan13):
         with pytest.raises(UsageError):
             transform_elements(column, plan13, bad)
         with pytest.raises(UsageError):
-            ptransform._direct_dft(column, plan13, bad)
+            oracle_output(column, plan13, bad)
     for bad in (2.5, -1, n, None):
         with pytest.raises(UsageError):
             oracle_output(x, plan13, bad)
     for bad in (2.5, 0, -3, "4"):
         with pytest.raises(UsageError):
             spot_check(x, plan13, sample=bad, seed=1)
-    assert oracle_output(x, plan13, np.int64(n - 1)) == boxed_dft(x, plan13, n - 1)
-    assert ptransform._direct_dft(column, plan13, []).shape == (0, 3)
+    assert oracle_at(x, plan13, np.int64(n - 1)) == boxed_dft(x, plan13, n - 1)
+    assert oracle_output(column, plan13, []).shape == (0, 3)
+
+
+def test_spot_check_calls_oracle_output_once(monkeypatch, plan13):
+    # perfbench traces ptransform.oracle_output, so spot_check must reach it by that name
+    calls = []
+    real = ptransform.oracle_output
+    monkeypatch.setattr(
+        ptransform, "oracle_output", lambda *a: calls.append(a[2]) or real(*a)
+    )
+    x = [random.Random(4).randint(0, 12) for _ in range(plan13.n)]
+    report = spot_check(x, plan13, sample=16, seed=2)
+    assert calls == [[c.index for c in report.checks]]
 
 
 def test_spot_check_makes_no_boxed_calls(monkeypatch, plan13):
@@ -778,9 +792,9 @@ def test_oracle_output_golden(plan13):
     x = [0] * plan13.n
     x[1] = 1
     # input delta at k=1: output j is omega^j itself
-    assert oracle_output(x, plan13, 0) == (1, 0, 0)
-    assert oracle_output(x, plan13, 1) == plan13.omega.coeffs
-    assert oracle_output(x, plan13, 2) == ext_mul(plan13.omega, plan13.omega).coeffs
+    assert oracle_at(x, plan13, 0) == (1, 0, 0)
+    assert oracle_at(x, plan13, 1) == plan13.omega.coeffs
+    assert oracle_at(x, plan13, 2) == ext_mul(plan13.omega, plan13.omega).coeffs
 
 
 def test_spot_check_deterministic(plan13):
