@@ -130,18 +130,18 @@ def _limb_sub(a: Sequence[int], b: Sequence[int]) -> List[int]:
     return out
 
 
-def _kara_limbs(a: Sequence[int], b: Sequence[int], threshold: int) -> Tuple[List[int], int]:
+def _kara_limbs(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], int]:
     """Product limbs and the limb products spent in the schoolbook base cases."""
-    if min(len(a), len(b)) <= threshold:
+    if min(len(a), len(b)) <= KARATSUBA_THRESHOLD:
         return _school_limbs(a, b), len(a) * len(b)
     m = max(len(a), len(b)) // 2
     a0, a1 = list(a[:m]), list(a[m:])
     b0, b1 = list(b[:m]), list(b[m:])
-    z0, ops0 = _kara_limbs(a0, b0, threshold) if a0 and b0 else ([0], 0)
-    z2, ops2 = _kara_limbs(a1, b1, threshold) if a1 and b1 else ([0], 0)
+    z0, ops0 = _kara_limbs(a0, b0) if a0 and b0 else ([0], 0)
+    z2, ops2 = _kara_limbs(a1, b1) if a1 and b1 else ([0], 0)
     sa = _limb_add(a0, a1)
     sb = _limb_add(b0, b1)
-    z1, ops1 = _kara_limbs(sa, sb, threshold)
+    z1, ops1 = _kara_limbs(sa, sb)
     z1 = _limb_sub(z1, z0)
     z1 = _limb_sub(z1, z2)
     out = _limb_add(z0, [0] * m + z1)
@@ -149,16 +149,12 @@ def _kara_limbs(a: Sequence[int], b: Sequence[int], threshold: int) -> Tuple[Lis
     return out, ops0 + ops1 + ops2
 
 
-def karatsuba_mul(
-    a: BigNat, b: BigNat, threshold: int = KARATSUBA_THRESHOLD
-) -> Tuple[BigNat, int]:
+def karatsuba_mul(a: BigNat, b: BigNat) -> Tuple[BigNat, int]:
     """Exact product by three-way split recursion, schoolbook at the base, and
     the limb products spent in those base cases."""
-    if threshold < 2:
-        raise UsageError("threshold must be >= 2 limbs")
     if not a.limbs or not b.limbs:
         return BigNat(()), 0
-    limbs, ops = _kara_limbs(a.limbs, b.limbs, threshold)
+    limbs, ops = _kara_limbs(a.limbs, b.limbs)
     return _canonical(limbs), ops
 
 

@@ -5,8 +5,14 @@ for bench tables).  Reports are deterministic under a fixed seed; wall
 times live in an isolated "timing" section so the rest of the document
 is byte-comparable across runs.
 
-Exit codes: 0 success, 2 usage error, 3 plan/certification failure,
-4 oracle mismatch in a mode that asserts exactness.
+Each cmd_* only computes: it returns its results, its exit code and the
+claim it would record.  `main` does the rest once: the report's config is
+the parsed arguments minus _NOT_CONFIG, `--update-ledger` records the
+claim, and the report is written to stdout or `--out`.
+
+Exit codes: 0 success, 2 usage error (including a path that cannot be
+read or written), 3 plan failure, 4 oracle mismatch in a mode that
+asserts exactness.
 """
 
 from __future__ import annotations
@@ -24,12 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bigmul, claims, ptransform
-from .errors import (
-    PlanNotCertified,
-    PolyxformError,
-    PrimeSupplyExhausted,
-    UsageError,
-)
+from .errors import PolyxformError, PrimeSupplyExhausted, UsageError
 from .modcore import PrimeModulus
 from .primes import cost_model, sieve_atkin, trial_division_primes
 from .residues import is_cube
@@ -43,6 +44,11 @@ EXIT_PLAN = 3
 EXIT_MISMATCH = 4
 
 _BOUND_MODES = {"strict": ptransform.STRICT, "input-aware": ptransform.INPUT_AWARE}
+
+# Parsed arguments that steer where a report goes, not what it computes.
+_NOT_CONFIG = frozenset(
+    {"command", "func", "format", "out", "plan_out", "update_ledger", "ledger"}
+)
 
 
 def _emit(report: dict, fmt: str, out: str) -> None:
@@ -63,8 +69,8 @@ def _emit(report: dict, fmt: str, out: str) -> None:
         sys.stdout.write(text)
 
 
-# Each cmd_* returns (config, results, exit code); main times the command
-# and emits its report.
+# Each cmd_* returns (results, exit code, claim); claim is None or the
+# (claim_id, verdict, evidence) that --update-ledger records.
 def cmd_sieve(args) -> tuple:
     if args.limit < 2:
         raise UsageError("limit must be >= 2")
@@ -77,8 +83,7 @@ def cmd_sieve(args) -> tuple:
         "first": list(table.primes[:10]),
         "last": list(table.primes[-3:]),
     }
-    code = EXIT_OK if results["agreement"] else EXIT_MISMATCH
-    return {"limit": args.limit}, results, code
+    return results, EXIT_OK if results["agreement"] else EXIT_MISMATCH, None
 
 
 def cmd_plan(args) -> tuple:
@@ -104,14 +109,7 @@ def cmd_plan(args) -> tuple:
         "certified_bound": plan.certified_bound,
         "plan": json.loads(plan_text),
     }
-    config = {
-        "n_target": args.n_target,
-        "p": args.p,
-        "bound_mode": args.bound_mode,
-        "coeff_bound": args.coeff_bound,
-        "seed": args.seed,
-    }
-    return config, results, EXIT_OK
+    return results, EXIT_OK, None
 
 
 def _load_plan(path: str) -> ptransform.PTPlan:
@@ -130,24 +128,12 @@ def cmd_verify(args) -> tuple:
     else:
         x = np.random.default_rng(args.seed).integers(0, plan.coeff_bound + 1, size=plan.n)
     report = ptransform.spot_check(x, plan, sample=args.sample, seed=args.seed)
-    results = report.to_dict()
-    if args.update_ledger:
-        entry = claims.update_verdict(
-            "s2-pipeline-correctness",
-            report.verdict,
-            f"verify --plan p={plan.p.q} --input {args.input} --sample "
-            f"{args.sample} --seed {args.seed}: "
-            f"{report.matches}/{len(report.checks)} outputs matched",
-            path=args.ledger,
-        )
-        results["ledger_entry"] = {"claim_id": entry.claim_id, "verdict": entry.verdict}
-    config = {
-        "plan": args.plan,
-        "input": args.input,
-        "sample": args.sample,
-        "seed": args.seed,
-    }
-    return config, results, EXIT_OK
+    evidence = (
+        f"verify --plan p={plan.p.q} --input {args.input} --sample "
+        f"{args.sample} --seed {args.seed}: "
+        f"{report.matches}/{len(report.checks)} outputs matched"
+    )
+    return report.to_dict(), EXIT_OK, ("s2-pipeline-correctness", report.verdict, evidence)
 
 
 def cmd_mul(args) -> tuple:
@@ -170,24 +156,19 @@ def cmd_mul(args) -> tuple:
         "verdict": report.verdict,
         "extra": report.extra,
     }
-    if args.update_ledger:
-        entry = claims.update_verdict(
-            "s5-multiplication",
-            "confirmed" if report.verdict == "match" else "refuted",
-            f"mul --a {args.a} --b {args.b} --backend {args.backend} --plan "
-            f"p={plan.p.q} ({plan.bound_mode}): backend returned a "
-            f"{len(results['product']) - 2}-digit hex value vs oracle "
-            f"{results['oracle']} ({report.verdict}); "
-            f"{report.extra['outputs_with_nonreal_components']} of {plan.n} "
-            f"inverse-transform outputs carried nonzero root components; "
-            f"packing utilization {report.extra['utilization']:.4f}",
-            path=args.ledger,
-        )
-        results["ledger_entry"] = {"claim_id": entry.claim_id, "verdict": entry.verdict}
-    config = {"a": args.a, "b": args.b, "backend": args.backend, "plan": args.plan}
-    exact_backends = (bigmul.SCHOOLBOOK, bigmul.KARATSUBA, bigmul.ORACLE_NTT)
-    mismatch = args.backend in exact_backends and report.verdict != "match"
-    return config, results, EXIT_MISMATCH if mismatch else EXIT_OK
+    if args.backend != bigmul.POLY_TRANSFORM:  # an exact backend
+        return results, EXIT_OK if report.verdict == "match" else EXIT_MISMATCH, None
+    evidence = (
+        f"mul --a {args.a} --b {args.b} --backend {args.backend} --plan "
+        f"p={plan.p.q} ({plan.bound_mode}): backend returned a "
+        f"{len(results['product']) - 2}-digit hex value vs oracle "
+        f"{results['oracle']} ({report.verdict}); "
+        f"{report.extra['outputs_with_nonreal_components']} of {plan.n} "
+        f"inverse-transform outputs carried nonzero root components; "
+        f"packing utilization {report.extra['utilization']:.4f}"
+    )
+    verdict = "confirmed" if report.verdict == "match" else "refuted"
+    return results, EXIT_OK, ("s5-multiplication", verdict, evidence)
 
 
 def _int_list(text: str, what: str, minimum: int) -> list:
@@ -202,16 +183,17 @@ def _int_list(text: str, what: str, minimum: int) -> list:
 
 
 def cmd_bench(args) -> tuple:
-    sizes = _int_list(args.sizes, "size", 1)
+    # parsed into args, so the report's config records the lists
+    args.sizes = _int_list(args.sizes, "size", 1)
     if args.repetitions < 1:
         raise UsageError("repetitions must be >= 1")
-    backends = [b for b in args.backends.split(",") if b]
+    args.backends = [b for b in args.backends.split(",") if b]
     rng = random.Random(args.seed)
     rows = []
-    for bits in sizes:
+    for bits in args.sizes:
         a = bigmul.BigNat.from_int(rng.getrandbits(bits) | (1 << (bits - 1)))
         b = bigmul.BigNat.from_int(rng.getrandbits(bits) | (1 << (bits - 1)))
-        for tag in backends:
+        for tag in args.backends:
             backend = bigmul.MulBackend(tag=tag)
             best = math.inf
             for _ in range(args.repetitions):
@@ -228,19 +210,12 @@ def cmd_bench(args) -> tuple:
                     "best_wall_seconds": f"{best:.6f}",
                 }
             )
-    results = {"rows": rows}
-    config = {
-        "sizes": sizes,
-        "backends": backends,
-        "repetitions": args.repetitions,
-        "seed": args.seed,
-    }
-    return config, results, EXIT_OK
+    return {"rows": rows}, EXIT_OK, None
 
 
 def cmd_experiments(args) -> tuple:
     if args.which == "density":
-        p = PrimeModulus(args.p or 103)
+        p = PrimeModulus(103 if args.p is None else args.p)
         if p.q % 3 != 1:
             raise UsageError("density experiment needs p = 1 mod 3")
         noncubes = sum(1 for v in range(1, p.q) if not is_cube(p.residue(v)))
@@ -255,7 +230,7 @@ def cmd_experiments(args) -> tuple:
         claim = "s3-noncube-density"
         evidence = f"experiments density --p {p.q}: {noncubes}/{p.q - 1} non-cubes"
     elif args.which == "singularity":
-        q = PrimeModulus(args.q or 103)
+        q = PrimeModulus(103 if args.q is None else args.q)
         results = singularity_experiment(q, args.trials, args.seed)
         ok = abs(results["fraction"] - 1 / q.q) < 5 / math.sqrt(args.trials)
         results["within_statistical_tolerance"] = ok
@@ -267,7 +242,7 @@ def cmd_experiments(args) -> tuple:
             f"{1 / q.q:.6f}"
         )
     else:  # cost-model
-        bounds = _int_list(args.bounds or "1000,10000", "bound", 2)
+        bounds = _int_list("1000,10000" if args.bounds is None else args.bounds, "bound", 2)
         rows = []
         for bound in bounds:
             est = cost_model(bound)
@@ -301,18 +276,7 @@ def cmd_experiments(args) -> tuple:
         verdict = "confirmed" if within else "refuted"
         claim = "s3-prime-sum-scaling"
         evidence = f"experiments cost-model --bounds {','.join(map(str, bounds))}"
-    if args.update_ledger:
-        entry = claims.update_verdict(claim, verdict, evidence, path=args.ledger)
-        results["ledger_entry"] = {"claim_id": entry.claim_id, "verdict": entry.verdict}
-    config = {
-        "which": args.which,
-        "seed": args.seed,
-        "trials": args.trials,
-        "p": args.p,
-        "q": args.q,
-        "bounds": args.bounds,
-    }
-    return config, results, EXIT_OK
+    return results, EXIT_OK, (claim, verdict, evidence)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,6 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default="", help="report path (default stdout)")
+
+    def ledger(sp):
+        sp.add_argument("--update-ledger", action="store_true")
+        sp.add_argument("--ledger", default=None)
 
     sp = sub.add_parser("sieve", help="run the prime sieve against its oracle")
     sp.add_argument("--limit", type=int, required=True)
@@ -346,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", choices=("random", "delta"), default="random")
     sp.add_argument("--sample", type=int, default=16)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--update-ledger", action="store_true")
-    sp.add_argument("--ledger", default=None)
+    ledger(sp)
     common(sp)
     sp.set_defaults(func=cmd_verify)
 
@@ -365,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=bigmul.SCHOOLBOOK,
     )
     sp.add_argument("--plan", default="")
-    sp.add_argument("--update-ledger", action="store_true")
-    sp.add_argument("--ledger", default=None)
+    ledger(sp)
     common(sp)
     sp.set_defaults(func=cmd_mul)
 
@@ -387,8 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--bounds", default=None)
-    sp.add_argument("--update-ledger", action="store_true")
-    sp.add_argument("--ledger", default=None)
+    ledger(sp)
     common(sp)
     sp.set_defaults(func=cmd_experiments)
 
@@ -403,20 +368,23 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         start = time.perf_counter()
-        config, results, code = args.func(args)
+        results, code, claim = args.func(args)
+        if claim is not None and args.update_ledger:
+            entry = claims.update_verdict(*claim, path=args.ledger)
+            results["ledger_entry"] = {"claim_id": entry.claim_id, "verdict": entry.verdict}
         report = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
-            "config": config,
+            "config": {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG},
             "results": results,
             "timing": {"wall_seconds": time.perf_counter() - start},
         }
         _emit(report, args.format, args.out)
         return code
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PrimeSupplyExhausted, PlanNotCertified) as exc:
+    except PrimeSupplyExhausted as exc:
         print(f"plan error: {exc}", file=sys.stderr)
         return EXIT_PLAN
     except PolyxformError as exc:

@@ -33,15 +33,5 @@ class PrimeSupplyExhausted(PolyxformError):
     """Plan construction ran out of candidate primes before meeting its bound."""
 
 
-class PlanNotCertified(PolyxformError):
-    """Worst-case intermediate exceeds what the plan's primes can represent."""
-
-    def __init__(self, message, stage=None, bound=None, capacity=None):
-        super().__init__(message)
-        self.stage = stage
-        self.bound = bound
-        self.capacity = capacity
-
-
 class OverflowRisk(PolyxformError):
     """Packing parameters would let a convolution coefficient wrap the modulus."""

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import PlanNotCertified, PrimeSupplyExhausted, UsageError
+from .errors import PrimeSupplyExhausted, UsageError
 from .extension import ExtensionContext, ExtensionElement, ext_mul_array, ext_pow, ext_powers
 from .modcore import PrimeModulus, Residue
 from .primes import ascending_primes, descending_primes, doubling_estimate, next_prime_at_or_above
@@ -82,7 +82,7 @@ class PTPlan:
     @property
     def certified_bound(self) -> int:
         """Worst-case intermediate over this plan's slots, per _interval_bound."""
-        return _interval_bound(self.n, self.coeff_bound, self.slots)[0]
+        return _interval_bound(self.n, self.coeff_bound, self.slots)
 
     @property
     def target_bound(self) -> int:
@@ -165,26 +165,22 @@ def _try_slot(
     return PTPrimeSlot(q, roots, omegas, periods)
 
 
-def _interval_bound(
-    n: int, coeff_bound: int, slots: Sequence[PTPrimeSlot]
-) -> Tuple[int, str]:
+def _interval_bound(n: int, coeff_bound: int, slots: Sequence[PTPrimeSlot]) -> int:
     """Worst-case intermediate magnitude by interval arithmetic.
 
-    Tracks the pipeline stages over the integers: folding sums, the DFT
-    row dot-product, and the recovery combination.  Returns the largest
-    bound across slots together with the stage that produced it.
+    Over the integers, a fold sums ceil(n/period) inputs, a DFT row adds
+    `period` folded values times q - 1, and recovery adds three DFT
+    values times q - 1; for coeff_bound >= 0 that last term bounds the
+    other two.  Returns its largest value across slots and periods.
     """
-    worst, stage = 0, "fold"
-    for slot in slots:
-        qv = slot.q.q
-        for period in slot.periods:
-            fold_hi = -(-n // period) * coeff_bound
-            eval_hi = period * fold_hi * (qv - 1)
-            rec_hi = 3 * eval_hi * (qv - 1)
-            for value, name in ((fold_hi, "fold"), (eval_hi, "dft"), (rec_hi, "recovery")):
-                if value > worst:
-                    worst, stage = value, name
-    return worst, stage
+    return max(
+        (
+            3 * period * -(-n // period) * coeff_bound * (slot.q.q - 1) ** 2
+            for slot in slots
+            for period in slot.periods
+        ),
+        default=0,
+    )
 
 
 def preprocess(
@@ -242,26 +238,6 @@ def preprocess(
         f"prod(q) = {plan.prime_product} <= required {plan.target_bound} scanning "
         f"up to {MAX_SCAN_FACTOR}*p; try input-aware mode or a larger scan"
     )
-
-
-def certify_value_bound(plan: PTPlan, coeff_bound: int) -> int:
-    """Exact worst-case intermediate for inputs bounded by coeff_bound.
-
-    Raises PlanNotCertified (naming the offending stage) when the plan's
-    primes cannot represent that worst case.
-    """
-    if coeff_bound < 0:
-        raise UsageError("coeff_bound must be >= 0")
-    worst, stage = _interval_bound(plan.n, coeff_bound, plan.slots)
-    capacity = plan.prime_product
-    if worst >= capacity:
-        raise PlanNotCertified(
-            f"stage {stage!r} can reach {worst} >= prod(q) = {capacity}",
-            stage=stage,
-            bound=worst,
-            capacity=capacity,
-        )
-    return worst
 
 
 # Rows per block when the slot stage folds the input and when the final CRT

@@ -153,20 +153,18 @@ def test_schoolbook_matches_python(a, b):
 )
 @settings(max_examples=100, deadline=None)
 def test_karatsuba_matches_python(a, b):
-    got, _ = karatsuba_mul(BigNat.from_int(a), BigNat.from_int(b), threshold=4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bigmul, "KARATSUBA_THRESHOLD", 4)
+        got, _ = karatsuba_mul(BigNat.from_int(a), BigNat.from_int(b))
     assert got.to_int() == a * b
 
 
-def test_karatsuba_unbalanced_operands():
+def test_karatsuba_unbalanced_operands(monkeypatch):
+    monkeypatch.setattr(bigmul, "KARATSUBA_THRESHOLD", 2)
     a = (1 << 3000) - 1
     b = 7
-    got, _ = karatsuba_mul(BigNat.from_int(a), BigNat.from_int(b), threshold=2)
+    got, _ = karatsuba_mul(BigNat.from_int(a), BigNat.from_int(b))
     assert got.to_int() == a * b
-
-
-def test_karatsuba_rejects_tiny_threshold():
-    with pytest.raises(UsageError):
-        karatsuba_mul(BigNat.from_int(5), BigNat.from_int(7), threshold=1)
 
 
 def test_pack_golden():
@@ -374,19 +372,21 @@ def limb_ops(a, b, tag):
     return transform_mul(a, b, MulBackend(tag)).extra["limb_ops"]
 
 
-def test_limb_ops_monotone():
+def test_limb_ops_monotone(monkeypatch):
     a = BigNat.from_int((1 << 1024) - 1)
     assert limb_ops(a, a, SCHOOLBOOK) == 16 * 16  # 1024 bits = 16 limbs
     big = BigNat.from_int((1 << 4096) - 1)
     assert limb_ops(big, big, SCHOOLBOOK) == 64 * 64
-    assert karatsuba_mul(a, a, 4)[1] == 168  # golden; transform_mul's limb_ops
+    monkeypatch.setattr(bigmul, "KARATSUBA_THRESHOLD", 4)
+    assert karatsuba_mul(a, a)[1] == 168  # golden; transform_mul's limb_ops
     assert limb_ops(a, BigNat.from_int(0), KARATSUBA) == 0
 
 
-def test_karatsuba_beats_schoolbook_on_op_count():
+def test_karatsuba_beats_schoolbook_on_op_count(monkeypatch):
+    monkeypatch.setattr(bigmul, "KARATSUBA_THRESHOLD", 8)
     n = BigNat.from_int((1 << 8192) - 5)
     school = limb_ops(n, n, SCHOOLBOOK)
-    kara = karatsuba_mul(n, n, 8)[1]
+    kara = karatsuba_mul(n, n)[1]
     assert kara < school
 
 

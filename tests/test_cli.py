@@ -337,3 +337,101 @@ def test_experiments_cost_model(capsys):
     res = json.loads(out)["results"]
     assert res["scaling_within_factor_two"] is True
     assert len(res["bounds"]) == 2
+
+
+def test_config_is_the_parsed_arguments(capsys, plan7_file, tmp_path):
+    ledger = tmp_path / "ledger.json"
+    shutil.copy(LEDGER_SRC, ledger)
+    cases = [
+        (("sieve", "--limit", "100"), {"limit": 100}),
+        (
+            ("plan", "--p", "7", "--plan-out", str(tmp_path / "p.json")),
+            {"n_target": None, "p": 7, "bound_mode": "strict", "coeff_bound": None, "seed": 0},
+        ),
+        (
+            ("verify", "--plan", plan7_file, "--sample", "2", "--update-ledger", "--ledger", str(ledger)),
+            {"plan": plan7_file, "input": "random", "sample": 2, "seed": 0},
+        ),
+        (
+            ("mul", "--a", "0x2", "--b", "0x3", "--backend", "karatsuba"),
+            {"a": "0x2", "b": "0x3", "backend": "karatsuba", "plan": ""},
+        ),
+        (
+            ("bench", "--sizes", "64,,128", "--backends", "schoolbook,", "--repetitions", "1"),
+            {"sizes": [64, 128], "backends": ["schoolbook"], "repetitions": 1, "seed": 0},
+        ),
+        (
+            ("experiments", "--which", "density", "--p", "13"),
+            {"which": "density", "seed": 0, "trials": 100_000, "p": 13, "q": None, "bounds": None},
+        ),
+    ]
+    for argv, config in cases:
+        code, out = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["config"] == config, argv[0]
+
+
+@pytest.mark.parametrize(
+    "argv, claim_id",
+    [
+        (("--which", "density", "--p", "13"), "s3-noncube-density"),
+        (("--which", "singularity", "--q", "13", "--trials", "500"), "s3-circulant-singularity"),
+        (("--which", "cost-model", "--bounds", "100,1000"), "s3-prime-sum-scaling"),
+    ],
+)
+def test_experiments_update_only_their_own_claim(capsys, tmp_path, argv, claim_id):
+    ledger = tmp_path / "ledger.json"
+    shutil.copy(LEDGER_SRC, ledger)
+    code, out = run(capsys, "experiments", *argv, "--update-ledger", "--ledger", str(ledger))
+    assert code == EXIT_OK
+    entry = claims.get_entry(claim_id, path=ledger)
+    assert json.loads(out)["results"]["ledger_entry"] == {
+        "claim_id": claim_id, "verdict": entry.verdict}
+    assert entry.evidence.startswith(f"experiments {argv[1]} ")
+    others = [e for e in claims.load_ledger(ledger) if e.claim_id != claim_id]
+    assert others == [e for e in claims.load_ledger(LEDGER_SRC) if e.claim_id != claim_id]
+
+
+def test_mul_ledger_refused_before_any_multiply(capsys, tmp_path, monkeypatch):
+    ledger = tmp_path / "ledger.json"
+    shutil.copy(LEDGER_SRC, ledger)
+    calls = []
+    monkeypatch.setattr(bigmul, "transform_mul", lambda *a: calls.append(a))
+    code = main([
+        "mul", "--a", "0x2", "--b", "0x3", "--backend", "karatsuba",
+        "--update-ledger", "--ledger", str(ledger),
+    ])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.err.startswith("usage error:")
+    assert calls == [] and captured.out == ""
+    assert ledger.read_text() == LEDGER_SRC.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--which", "density", "--p", "0"),
+        ("--which", "singularity", "--q", "0", "--trials", "10"),
+        ("--which", "cost-model", "--bounds", ""),
+    ],
+)
+def test_experiments_take_zero_and_empty_as_given(capsys, argv):
+    code = main(["experiments", *argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == "" and captured.err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--plan-out", "--ledger"])
+def test_unusable_path_is_a_usage_error(capsys, plan7_file, tmp_path, flag):
+    path = str(tmp_path / "no-such-dir" / "x.json")
+    argv = {
+        "--out": ("sieve", "--limit", "10", "--out", path),
+        "--plan-out": ("plan", "--p", "7", "--plan-out", path),
+        "--ledger": ("verify", "--plan", plan7_file, "--sample", "2", "--update-ledger", "--ledger", path),
+    }[flag]
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == "" and captured.err.startswith("usage error:")
+    assert path in captured.err and "Traceback" not in captured.err

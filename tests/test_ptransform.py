@@ -14,17 +14,13 @@ import conftest
 from polyxform import extension, modcore, ptransform, residues
 from polyxform import transform as transform_module
 from polyxform.cli import EXIT_USAGE, main
-from polyxform.errors import (
-    PlanNotCertified,
-    PrimeSupplyExhausted,
-    UsageError,
-)
+from polyxform.errors import PrimeSupplyExhausted, UsageError
 from polyxform.extension import ext_mul
 from polyxform.modcore import CrtBasis, PrimeModulus, crt_reconstruct, is_prime
 from polyxform.ptransform import (
     INPUT_AWARE,
     STRICT,
-    certify_value_bound,
+    _interval_bound,
     inverse_plan,
     oracle_output,
     plan_from_json,
@@ -129,7 +125,7 @@ def test_plan_omega_has_full_order(plan13):
 
 def test_plan_prime_product_exceeds_certified(plan13):
     assert plan13.prime_product > plan13.certified_bound
-    assert plan13.certified_bound == certify_value_bound(plan13, 12)
+    assert plan13.certified_bound == _interval_bound(plan13.n, 12, plan13.slots)
 
 
 def test_prime_supply_exhausted_when_scan_capped(monkeypatch):
@@ -139,20 +135,26 @@ def test_prime_supply_exhausted_when_scan_capped(monkeypatch):
 
 
 def test_certify_zero_and_monotone(plan13):
-    assert certify_value_bound(plan13, 0) == 0
-    b1 = certify_value_bound(plan13, 1)
-    b12 = certify_value_bound(plan13, 12)
-    assert 0 < b1 < b12
+    def bound(coeff_bound):
+        return replace(plan13, coeff_bound=coeff_bound).certified_bound
+
+    assert bound(0) == 0
+    assert 0 < bound(1) < bound(12)
     with pytest.raises(UsageError):
-        certify_value_bound(plan13, -1)
+        replace(plan13, coeff_bound=-1)
 
 
-def test_certify_overflow_names_stage(plan13):
-    with pytest.raises(PlanNotCertified) as exc:
-        certify_value_bound(plan13, 10**30)
-    err = exc.value
-    assert err.stage in ("fold", "dft", "recovery")
-    assert err.bound >= err.capacity == plan13.prime_product
+@pytest.mark.parametrize("coeff_bound", [0, 1, 12, 10**30])
+def test_interval_bound_is_the_largest_stage(plan7, plan13, coeff_bound):
+    # the fold, DFT-row and recovery bounds stage by stage; recovery is largest
+    for plan in (plan7, plan13):
+        stages = [0]
+        for slot in plan.slots:
+            for period in slot.periods:
+                fold = -(-plan.n // period) * coeff_bound
+                row = period * fold * (slot.q.q - 1)
+                stages += [fold, row, 3 * row * (slot.q.q - 1)]
+        assert _interval_bound(plan.n, coeff_bound, plan.slots) == max(stages)
 
 
 def test_folding_identity(plan13):
@@ -827,8 +829,8 @@ def test_inverse_plan_omega(plan13):
 def test_inverse_plan_bounds_are_its_own(plan13):
     # the rebuilt slots have their own periods, so their own bounds
     inv = inverse_plan(plan13)
-    assert inv.certified_bound == certify_value_bound(inv, inv.coeff_bound)
-    assert inv.target_bound == certify_value_bound(inv, inv.coeff_bound)
+    assert inv.certified_bound == _interval_bound(inv.n, inv.coeff_bound, inv.slots)
+    assert inv.target_bound == _interval_bound(inv.n, inv.coeff_bound, inv.slots)
 
 
 def test_inverse_plan_roundtrips_delta(plan13):
