@@ -51,11 +51,19 @@ class BigNat:
             raise UsageError("trailing zero limb; not canonical")
 
     @classmethod
+    def _trusted(cls, limbs: Tuple[int, ...]) -> "BigNat":
+        """A BigNat of limbs that are canonical and in range by construction,
+        without __post_init__'s three scans of them."""
+        nat = object.__new__(cls)
+        object.__setattr__(nat, "limbs", limbs)
+        return nat
+
+    @classmethod
     def from_int(cls, value: int) -> "BigNat":
         if value < 0:
             raise UsageError("BigNat is unsigned")
         data = value.to_bytes(-(-value.bit_length() // LIMB_BITS) * 8, "little")
-        return cls(tuple(np.frombuffer(data, "<u8").tolist()))
+        return cls._trusted(tuple(np.frombuffer(data, "<u8").tolist()))
 
     @classmethod
     def from_hex(cls, text: str) -> "BigNat":
@@ -74,9 +82,10 @@ class BigNat:
 
 
 def _canonical(limbs: List[int]) -> BigNat:
+    """The BigNat of limbs already masked to LIMB_BITS, trailing zeros dropped."""
     while limbs and limbs[-1] == 0:
         limbs.pop()
-    return BigNat(tuple(limbs))
+    return BigNat._trusted(tuple(limbs))
 
 
 def _school_limbs(a: Sequence[int], b: Sequence[int]) -> List[int]:

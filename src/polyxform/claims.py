@@ -32,11 +32,19 @@ class ClaimsLedgerEntry:
 
 
 def load_ledger(path: Optional[Path] = None) -> List[ClaimsLedgerEntry]:
+    """The ledger's claims; UsageError for a file that is not a ledger."""
     path = Path(path or DEFAULT_LEDGER_PATH)
-    doc = json.loads(path.read_text())
-    if doc.get("ledger_version") != LEDGER_VERSION:
-        raise UsageError(f"unsupported ledger version {doc.get('ledger_version')!r}")
-    return [ClaimsLedgerEntry(**e) for e in doc["claims"]]
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise UsageError(f"ledger {path} is not JSON: {exc}") from exc
+    version = doc.get("ledger_version") if isinstance(doc, dict) else None
+    if version != LEDGER_VERSION:
+        raise UsageError(f"unsupported ledger version {version!r}")
+    try:
+        return [ClaimsLedgerEntry(**e) for e in doc["claims"]]
+    except (KeyError, TypeError) as exc:  # no claims list, or a claim's fields wrong
+        raise UsageError(f"malformed ledger {path}: {exc!r}") from exc
 
 
 def save_ledger(entries: List[ClaimsLedgerEntry], path: Optional[Path] = None) -> None:

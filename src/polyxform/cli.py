@@ -51,7 +51,7 @@ _NOT_CONFIG = frozenset(
 )
 
 
-def _emit(report: dict, fmt: str, out: str) -> None:
+def _render(report: dict, fmt: str) -> str:
     if fmt == "csv":
         rows = report["results"].get("rows")
         if not rows:
@@ -60,13 +60,8 @@ def _emit(report: dict, fmt: str, out: str) -> None:
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-        text = buf.getvalue()
-    else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+        return buf.getvalue()
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 # Each cmd_* returns (results, exit code, claim); claim is None or the
@@ -369,9 +364,9 @@ def main(argv=None) -> int:
     try:
         start = time.perf_counter()
         results, code, claim = args.func(args)
-        if claim is not None and args.update_ledger:
-            entry = claims.update_verdict(*claim, path=args.ledger)
-            results["ledger_entry"] = {"claim_id": entry.claim_id, "verdict": entry.verdict}
+        record = claim is not None and args.update_ledger
+        if record:
+            results["ledger_entry"] = {"claim_id": claim[0], "verdict": claim[1]}
         report = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
@@ -379,7 +374,14 @@ def main(argv=None) -> int:
             "results": results,
             "timing": {"wall_seconds": time.perf_counter() - start},
         }
-        _emit(report, args.format, args.out)
+        # rendered first, so a refused format leaves the ledger as it was
+        text = _render(report, args.format)
+        if record:
+            claims.update_verdict(*claim, path=args.ledger)
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
         return code
     except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -4,11 +4,17 @@ Preprocessing selects the base prime p, a non-cube y, a full-order root
 of unity in the cubic extension, and a set of helper primes q where y
 does have three cube roots.  The transform folds the input rows per
 prime to each root's period, reduces the folded rows at the root, runs
-small DFTs as blocked power-matrix products, recovers components by the
-closed-form Vandermonde inverse, merges the primes' tables by CRT at
-their shared periods, and combines only the requested output rows
+small DFTs as products with the root's power matrix, recovers components
+by the closed-form Vandermonde inverse, merges the primes' tables by CRT
+at their shared periods, and combines only the requested output rows
 across the merged groups, all on int64 arrays.  The boxed `naive_dft`,
 Gauss-Jordan `recover_components` and `crt_reconstruct` are oracles.
+
+Everything that does not depend on the input is built on first use and
+kept with the plan: each slot's Vandermonde pair, each root's power table
+and, once a call needs every row of a root, its DFT matrix; and the plan
+that inverse_plan returns.  None of it is a field, so plan equality and
+the plan file see only the plan's inputs and slots.
 
 Whether the end result agrees with the honest extension-field DFT is
 deliberately NOT assumed anywhere: `spot_check` runs the comparison and
@@ -21,6 +27,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,8 +51,44 @@ INPUT_AWARE = "input-aware"
 MAX_SCAN_FACTOR = 64
 
 
+def _held(array: np.ndarray) -> np.ndarray:
+    """array made read-only: a table kept for a plan's life is shared by every call."""
+    array.setflags(write=False)
+    return array
+
+
+class _RootDFT:
+    """X[j] = sum_k v[k] * w^(j*k) mod q at any rows j, for the period d of w.
+
+    Holds w^t for t < d, and the d x d matrix w^((j*k) mod d) once a call
+    needs at least d rows; fewer rows are gathered from the power table
+    where they fall, so they never build the matrix.  Exact in int64 while
+    d * (q-1)^2 < 2^63, and refused when the table is built otherwise.
+    """
+
+    def __init__(self, w: int, d: int, q: int):
+        if d * (q - 1) ** 2 >= 2**63:
+            raise UsageError(f"a DFT of length {d} mod {q} overflows int64")
+        self.q = q
+        self.powers = _held(np.array([pow(w, t, q) for t in range(d)], dtype=np.int64))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        k = np.arange(len(self.powers))
+        return _held(self.powers[np.multiply.outer(k, k) % len(k)])
+
+    def __call__(self, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """X[j mod d] at each j in rows, for the d values v."""
+        d = len(self.powers)
+        if len(rows) < d:
+            return self.powers[np.multiply.outer(rows % d, np.arange(d)) % d] @ values % self.q
+        return (self.matrix @ values % self.q)[rows % d]
+
+
 @dataclass(frozen=True)
 class PTPrimeSlot:
+    """One helper prime's slot; its tables are built on first use and kept."""
+
     q: PrimeModulus
     roots: Tuple[int, int, int]  # the cube roots of y mod q, ascending
     omegas: Tuple[int, int, int]  # omega reduced at each root
@@ -55,6 +98,15 @@ class PTPrimeSlot:
     def index_period(self) -> int:
         """Output indices are equivalent for this slot mod this value."""
         return math.lcm(*self.periods)
+
+    @cached_property
+    def vandermonde(self) -> Tuple[np.ndarray, np.ndarray]:
+        forward, inverse = _vandermonde(self.roots, self.q.q)
+        return _held(forward), _held(inverse)
+
+    @cached_property
+    def dfts(self) -> Tuple[_RootDFT, _RootDFT, _RootDFT]:
+        return tuple(_RootDFT(w, d, self.q.q) for w, d in zip(self.omegas, self.periods))
 
 
 @dataclass(frozen=True)
@@ -96,6 +148,20 @@ class PTPlan:
     @property
     def prime_product(self) -> int:
         return math.prod(s.q.q for s in self.slots)
+
+    @cached_property
+    def _inverse(self) -> "PTPlan":
+        """The plan inverse_plan returns, built on first use and kept."""
+        omega_inv = ext_pow(self.omega, self.n - 1)
+        slots = []
+        for slot in self.slots:
+            rebuilt = _try_slot(slot.q, self.y, omega_inv)
+            if rebuilt is None:
+                raise PrimeSupplyExhausted(
+                    f"slot prime {slot.q.q} unusable for the inverse direction"
+                )
+            slots.append(rebuilt)
+        return replace(self, omega=omega_inv, slots=tuple(slots))
 
 
 @dataclass(frozen=True)
@@ -244,9 +310,6 @@ def preprocess(
 # combines outputs; caps the temporaries of both, and the rows one block sums.
 _ROW_BLOCK = 1 << 14
 
-# Power-matrix entries per _slot_dft row block; caps its index and gather arrays.
-_DFT_BLOCK = 1 << 16
-
 
 def _reduce(x: np.ndarray, q: int) -> np.ndarray:
     """x mod q in place, as x - (x // q) * q: numpy divides an int64 array by
@@ -269,33 +332,6 @@ def _fold(values: np.ndarray, period: int, q: int) -> np.ndarray:
     acc = values[: full * period].reshape(full, period, *values.shape[1:]).sum(axis=0)
     acc[:tail] += values[full * period :]
     return acc % q
-
-
-def _slot_dft(
-    folded: np.ndarray, w: int, q: int, rows: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """X[j mod d] at each j in rows (default: j < d = len(folded)), where
-    X[j] = sum_k folded[k] * w^(j*k) mod q.
-
-    Fewer rows than d are evaluated where they fall, more are gathered from
-    all d points.  Row blocks of the power matrix w^((j*k) mod d), gathered
-    from a table of w^k, are multiplied by folded.  Exact in int64 while
-    d * (q-1)^2 < 2^63.
-    """
-    d = len(folded)
-    if d * (q - 1) ** 2 >= 2**63:
-        raise UsageError(f"a DFT of length {d} mod {q} overflows int64")
-    k = np.arange(d)
-    if rows is None:
-        rows = k
-    points = rows % d if len(rows) < d else k
-    powers = np.array([pow(w, e, q) for e in range(d)], dtype=np.int64)
-    block = max(1, _DFT_BLOCK // d)
-    out = np.empty(len(points), dtype=np.int64)
-    for start in range(0, len(points), block):
-        j = points[start : start + block, None]
-        out[start : start + block] = powers[j * k % d] @ folded % q
-    return out if len(rows) < d else out[rows % d]
 
 
 def _vandermonde(roots: Sequence[int], q: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -329,7 +365,7 @@ def _slot_table(
     mod q; otherwise each block is reduced mod q before it is folded.
     """
     q, index_period = slot.q.q, slot.index_period
-    forward, inverse = _vandermonde(slot.roots, q)
+    forward, inverse = slot.vandermonde
     block = index_period * max(1, _ROW_BLOCK // index_period)
 
     def input_block(start):
@@ -342,9 +378,9 @@ def _slot_table(
     if rows is None:
         rows = np.arange(index_period)
     evals = np.empty((len(rows), 3), dtype=np.int64)
-    for i, (w, period) in enumerate(zip(slot.omegas, slot.periods)):
+    for i, (dft, period) in enumerate(zip(slot.dfts, slot.periods)):
         at_root = _fold(folded, period, q) @ forward[i, : x.shape[1]] % q
-        evals[:, i] = _slot_dft(at_root, w, q, rows)
+        evals[:, i] = dft(at_root, rows)
     return evals @ inverse.T % q
 
 
@@ -519,18 +555,10 @@ def inverse_plan(plan: PTPlan) -> PTPlan:
 
     The slots are rebuilt from scratch because reduction at a root does
     not commute with inversion mod p; their periods, and so the plan's
-    bounds, can differ from the forward plan's.
+    bounds, can differ from the forward plan's.  Built once per plan: every
+    call returns the same object, whose slots keep their tables.
     """
-    omega_inv = ext_pow(plan.omega, plan.n - 1)
-    slots = []
-    for slot in plan.slots:
-        rebuilt = _try_slot(slot.q, plan.y, omega_inv)
-        if rebuilt is None:
-            raise PrimeSupplyExhausted(
-                f"slot prime {slot.q.q} unusable for the inverse direction"
-            )
-        slots.append(rebuilt)
-    return replace(plan, omega=omega_inv, slots=tuple(slots))
+    return plan._inverse
 
 
 # Indices per oracle_output block; caps its temporaries at O(block * sqrt(n)).

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest
-from polyxform import bigmul
+from polyxform import bigmul, extension, ptransform
 from polyxform.bigmul import (
     KARATSUBA,
     NTT_LIMB_BITS,
@@ -47,6 +47,20 @@ def test_bignat_canonical_form():
         BigNat((1 << 64,))  # limb out of range
     with pytest.raises(UsageError):
         BigNat.from_int(-3)
+
+
+def test_unchecked_constructions_would_pass_the_checks(monkeypatch):
+    # from_int and products skip __post_init__'s scans; their limbs must pass them
+    monkeypatch.setattr(bigmul, "KARATSUBA_THRESHOLD", 2)
+    rng = random.Random(64)
+    values = [0, 1, (1 << 64) - 1, 1 << 64, (1 << 640) - 1]
+    values += [rng.getrandbits(700) for _ in range(20)]
+    for a in map(BigNat.from_int, values):
+        b = BigNat.from_int(rng.getrandbits(300))
+        for nat in (a, schoolbook_mul(a, b), karatsuba_mul(a, b)[0]):
+            checked = BigNat(nat.limbs)
+            assert checked == nat and hash(checked) == hash(nat)
+            assert all(type(v) is int for v in nat.limbs)
 
 
 def test_bignat_hex_roundtrip():
@@ -414,3 +428,22 @@ def test_transform_mul_calls_the_public_layers(monkeypatch, plan13):
     calls.clear()
     transform_mul(a, b, MulBackend(POLY_TRANSFORM, plan=plan13))
     assert calls == ["pack", "pack"]
+
+
+def test_second_pt_product_makes_no_boxed_multiply(monkeypatch):
+    # the inverse plan (a boxed ext_pow of omega) is built by the first
+    # product and kept with the plan; inverse_plan is still the name called
+    plan = ptransform.preprocess(p=13, bound_mode=ptransform.INPUT_AWARE, coeff_bound=1)
+    calls = []
+    real_mul, real_inverse = extension.ext_mul, ptransform.inverse_plan
+    monkeypatch.setattr(extension, "ext_mul", lambda *a: calls.append("ext_mul") or real_mul(*a))
+    monkeypatch.setattr(
+        ptransform, "inverse_plan", lambda p: calls.append("inverse_plan") or real_inverse(p)
+    )
+    a, b = BigNat.from_int(0x3039), BigNat.from_int(0x1A85)
+    first = transform_mul(a, b, MulBackend(POLY_TRANSFORM, plan=plan))
+    assert calls.count("ext_mul") > 0 and calls.count("inverse_plan") == 1
+    calls.clear()
+    second = transform_mul(a, b, MulBackend(POLY_TRANSFORM, plan=plan))
+    assert calls == ["inverse_plan"]
+    assert second == first

@@ -7,6 +7,7 @@ import pytest
 
 from polyxform import bigmul, claims, cli
 from polyxform.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from polyxform.errors import UsageError
 
 LEDGER_SRC = Path(__file__).resolve().parents[1] / "claims_ledger.json"
 
@@ -435,3 +436,45 @@ def test_unusable_path_is_a_usage_error(capsys, plan7_file, tmp_path, flag):
     assert code == EXIT_USAGE
     assert captured.out == "" and captured.err.startswith("usage error:")
     assert path in captured.err and "Traceback" not in captured.err
+
+
+def test_refused_format_leaves_the_ledger_as_it_was(capsys, tmp_path):
+    ledger = tmp_path / "ledger.json"
+    shutil.copy(LEDGER_SRC, ledger)
+    claims.update_verdict("s3-noncube-density", "pending", "stale", path=ledger)
+    stale = ledger.read_bytes()
+    code = main([
+        "experiments", "--which", "density", "--p", "13", "--format", "csv",
+        "--update-ledger", "--ledger", str(ledger),
+    ])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert "--format csv needs table rows" in captured.err
+    assert ledger.read_bytes() == stale
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        json.dumps({"ledger_version": 1}),  # no claims
+        json.dumps({"ledger_version": 1, "claims": [{"claim_id": "x"}]}),  # missing fields
+        json.dumps({"ledger_version": 1, "claims": [
+            {**dataclasses.asdict(claims.load_ledger(LEDGER_SRC)[0]), "colour": "red"}
+        ]}),  # unknown field
+    ],
+    ids=["invalid-json", "no-claims", "missing-fields", "unknown-field"],
+)
+def test_malformed_ledger_is_a_usage_error(capsys, tmp_path, text):
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text(text)
+    with pytest.raises(UsageError):
+        claims.load_ledger(ledger)
+    code = main([
+        "experiments", "--which", "density", "--p", "13",
+        "--update-ledger", "--ledger", str(ledger),
+    ])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith("usage error:") and "Traceback" not in captured.err
+    assert ledger.read_text() == text

@@ -317,35 +317,35 @@ def _element_of_order(q, d):
     return pow(g, (q - 1) // d, q)
 
 
-@pytest.mark.parametrize("q, d, block", [
-    (31, 1, None),
-    (157, 156, None),  # one row block
-    (157, 156, 1500),  # 9 rows a block, the last one partial
+@pytest.mark.parametrize("q, d, order", [
+    (31, 1, "all-first"),
+    (157, 156, "all-first"),
+    (157, 156, "sampled-first"),  # sampled rows gathered before the matrix exists
 ])
-def test_slot_dft_matches_naive_dft(monkeypatch, q, d, block):
-    if block is not None:
-        monkeypatch.setattr(ptransform, "_DFT_BLOCK", block)
+def test_slot_dft_matches_naive_dft(q, d, order):
     w = _element_of_order(q, d)
-    x = [random.Random(d).randrange(q) for _ in range(d)]
-    got = ptransform._slot_dft(np.array(x, dtype=np.int64), w, q)
+    x = np.array([random.Random(d).randrange(q) for _ in range(d)], dtype=np.int64)
     modulus = PrimeModulus(q)
-    want = naive_dft([modulus.residue(v) for v in x], modulus.residue(w))
-    assert got.tolist() == [v.value for v in want]
-    # rows beyond d, fewer than d (evaluated where they fall) and more (gathered)
-    for rows in ([5 * d + 1, 0, 3 * d - 1], list(range(2 * d + 7))[::-1]):
-        at = ptransform._slot_dft(np.array(x, dtype=np.int64), w, q, np.array(rows))
-        assert at.tolist() == [got[j % d] for j in rows]
+    boxed = naive_dft([modulus.residue(v) for v in x.tolist()], modulus.residue(w))
+    want = [v.value for v in boxed]
+    dft = ptransform._RootDFT(w, d, q)
+    # all d rows, rows beyond d, fewer than d (evaluated where they fall) and
+    # more (gathered)
+    cases = [list(range(d)), [5 * d + 1, 0, 3 * d - 1], list(range(2 * d + 7))[::-1]]
+    if order == "sampled-first":
+        cases = cases[1:] + cases[:1]
+    for rows in cases:
+        assert dft(x, np.array(rows)).tolist() == [want[j % d] for j in rows]
 
 
 def test_slot_dft_spanning_many_blocks():
-    # d = 3000 takes the default block size over 100 row blocks; the boxed
-    # naive_dft needs about a minute here, so sampled rows are summed instead
+    # d = 3000: the boxed naive_dft needs about a minute here, so sampled
+    # rows of the full matrix are summed instead
     q, d = 3001, 3000
-    assert ptransform._DFT_BLOCK // d * 100 < d
     w = _element_of_order(q, d)
     rng = random.Random(3001)
     x = [rng.randrange(q) for _ in range(d)]
-    got = ptransform._slot_dft(np.array(x, dtype=np.int64), w, q).tolist()
+    got = ptransform._RootDFT(w, d, q)(np.array(x, dtype=np.int64), np.arange(d)).tolist()
     powers = [pow(w, k, q) for k in range(d)]
     for j in [0, d - 1] + rng.sample(range(d), 100):
         assert got[j] == sum(v * powers[j * k % d] for k, v in enumerate(x)) % q
@@ -354,7 +354,56 @@ def test_slot_dft_spanning_many_blocks():
 def test_slot_dft_refuses_int64_overflow():
     q = 2**31 - 1  # 4 * (q - 1)^2 >= 2^63
     with pytest.raises(UsageError):
-        ptransform._slot_dft(np.zeros(4, dtype=np.int64), 1, q)
+        ptransform._RootDFT(1, 4, q)
+    with pytest.raises(UsageError):
+        ptransform._RootDFT(1, 3, q)
+    assert ptransform._RootDFT(1, 2, q).powers.tolist() == [1, 1]  # 2 * (q - 1)^2 < 2^63
+
+
+def _held_tables(plan):
+    """Every input-independent array a plan's slots hold, by identity; all read-only."""
+    held = []
+    for slot in plan.slots:
+        held += list(slot.vandermonde)
+        for dft in slot.dfts:
+            held += [dft.powers] + ([dft.matrix] if "matrix" in vars(dft) else [])
+    assert not any(a.flags.writeable for a in held)
+    return [id(a) for a in held]
+
+
+@pytest.mark.parametrize("indices", [None, [0, 5, 2000]])
+def test_second_transform_rebuilds_no_table(monkeypatch, indices):
+    plan = preprocess(p=13, bound_mode=INPUT_AWARE, coeff_bound=12)
+    x = np.random.default_rng(13).integers(0, 13, size=(plan.n, 3))
+    first = transform_elements(x, plan, indices)
+    held = _held_tables(plan)
+    built = []
+    monkeypatch.setattr(ptransform, "_vandermonde", lambda *a: built.append(a))
+    monkeypatch.setattr(ptransform, "_RootDFT", lambda *a: built.append(a))
+    again = transform_elements(x, plan, indices)
+    assert built == [] and _held_tables(plan) == held
+    assert np.array_equal(first, again)
+
+
+def test_sampled_call_below_every_period_builds_no_matrix():
+    plan = preprocess(p=19)  # periods from 3 to 156
+    rows = [7, 5000]
+    assert len(rows) < min(d for slot in plan.slots for d in slot.periods)
+    got = transform_elements(np.ones((plan.n, 1), dtype=np.int64), plan, rows)
+    assert all("matrix" not in vars(dft) for slot in plan.slots for dft in slot.dfts)
+    want = transform_elements(np.ones((plan.n, 1), dtype=np.int64), plan)[rows]
+    assert np.array_equal(got, want)
+
+
+def test_matrix_held_only_for_roots_a_call_needs_whole():
+    plan = preprocess(p=13, bound_mode=INPUT_AWARE, coeff_bound=12)
+    rows = list(range(0, plan.n, plan.n // 20))  # 21 rows
+    transform_elements(np.ones((plan.n, 1), dtype=np.int64), plan, rows)
+    for slot in plan.slots:
+        for dft, d in zip(slot.dfts, slot.periods):
+            assert ("matrix" in vars(dft)) == (len(rows) >= d)
+            if len(rows) >= d:
+                assert dft.matrix.shape == (d, d)
 
 
 @pytest.fixture(scope="module")
@@ -824,6 +873,30 @@ def test_inverse_plan_omega(plan13):
     for slot in inv.slots:
         for r, w in zip(slot.roots, slot.omegas):
             assert inv.omega.reduce_at(slot.q.residue(r)).value == w
+
+
+def test_inverse_plan_is_built_once_per_plan(monkeypatch):
+    plan = preprocess(p=13, bound_mode=INPUT_AWARE, coeff_bound=12)
+    inv = inverse_plan(plan)
+    monkeypatch.setattr(ptransform, "_try_slot", lambda *a: pytest.fail("slot rebuilt"))
+    assert inverse_plan(plan) is inv
+    monkeypatch.undo()
+    assert inverse_plan(plan_from_json(plan_to_json(plan))) is not inv  # a plan of its own
+    omega_inv = extension.ext_pow(plan.omega, plan.n - 1)
+    assert inv.omega == omega_inv
+    assert inv.slots == tuple(ptransform._try_slot(s.q, plan.y, omega_inv) for s in plan.slots)
+
+
+def test_held_tables_leave_plan_equality_and_json_alone():
+    plan, twin = (preprocess(p=13, bound_mode=INPUT_AWARE, coeff_bound=12) for _ in range(2))
+    text = plan_to_json(plan)
+    inv = inverse_plan(plan)
+    transform_elements(np.ones((plan.n, 1), dtype=np.int64), plan)
+    transform_elements(np.ones((plan.n, 3), dtype=np.int64), inv)
+    assert plan == twin and plan.slots == twin.slots and hash(plan) == hash(twin)
+    assert inv == replace(plan, omega=inv.omega, slots=inv.slots)
+    assert plan_to_json(plan) == text == plan_to_json(twin)
+    assert plan_from_json(text) == plan
 
 
 def test_inverse_plan_bounds_are_its_own(plan13):
