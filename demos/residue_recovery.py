@@ -1,18 +1,19 @@
-"""Worked tour of the residue toolkit: cube tables, Fermat cube roots,
-non-cube search, and the three-root recovery matrix.
+"""Worked tour of the residue toolkit: the boxed references in
+`polyxform.oracles` (cube tables, Fermat cube roots, the Gauss-Jordan
+recovery matrix) and the program's non-cube search.
 
 Run:  python demos/residue_recovery.py
 """
 
 from polyxform.modcore import PrimeModulus
-from polyxform.residues import (
+from polyxform.oracles import (
     build_recovery,
     cube_root_fermat,
     cube_table,
     evaluate_components,
-    find_noncube,
     recover_components,
 )
+from polyxform.residues import find_noncube
 
 # --- the classic 2x2 example: recover components from evaluations ------
 q5 = PrimeModulus(5)
@@ -40,7 +41,7 @@ q7 = PrimeModulus(7)
 table = cube_table(q7)
 print("mod 7 (= 1 mod 3): cubes bunch up, most values have no root")
 for x in range(7):
-    roots7 = table[q7.residue(x)].roots
+    roots7 = table[q7.residue(x)]
     print(f"  {x}: roots {[r.value for r in roots7] or '--'}")
 print()
 
@@ -51,5 +52,5 @@ for p in (7, 13, 103):
 
 # the density is exactly 2/3 for p = 1 mod 3 -- count, don't estimate
 p = PrimeModulus(103)
-noncubes = sum(1 for v in range(1, 103) if not cube_table(p)[p.residue(v)].roots)
+noncubes = sum(1 for v in range(1, 103) if not cube_table(p)[p.residue(v)])
 print(f"non-cubes mod 103: {noncubes}/102 = {noncubes / 102:.4f} (exactly 2/3)")

@@ -1,23 +1,22 @@
-"""The trusted oracles: naive DFTs over prime fields and the cubic
-extension, the principal-root certificate, and the circulant determinant
-identity with its measured singularity rate.
+"""The trusted oracles in `polyxform.oracles`: naive DFTs over prime
+fields and the cubic extension, the principal-root certificate, and the
+circulant determinant identity, beside the program's singularity rate.
 
 Run:  python demos/transform_oracles.py
 """
 
 from polyxform.extension import ExtensionContext
 from polyxform.modcore import PrimeModulus
-from polyxform.transform import (
+from polyxform.oracles import (
     CirculantSpec,
     check_principal_root,
     circulant_det_bruteforce,
     circulant_det_formula,
-    find_extension_root_of_order,
     find_root_of_order,
     naive_dft,
     naive_inverse_dft,
-    singularity_experiment,
 )
+from polyxform.transform import find_extension_root_of_order, singularity_experiment
 
 # --- a DFT round trip in a small prime field ----------------------------
 q13 = PrimeModulus(13)

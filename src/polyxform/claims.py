@@ -56,13 +56,18 @@ def save_ledger(entries: List[ClaimsLedgerEntry], path: Optional[Path] = None) -
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def update_verdict(
+def set_verdict(
     claim_id: str,
     verdict: str,
     evidence: str,
     path: Optional[Path] = None,
-) -> ClaimsLedgerEntry:
-    """Set the verdict for one claim and persist the ledger."""
+) -> List[ClaimsLedgerEntry]:
+    """The ledger's claims with one claim's verdict and evidence set.
+
+    Nothing is written: save_ledger persists the result, so a caller can
+    refuse an unreadable ledger or an unknown claim before it writes
+    anything else.
+    """
     if verdict not in VERDICTS:
         raise UsageError(f"verdict must be one of {VERDICTS}")
     entries = load_ledger(path)
@@ -70,8 +75,7 @@ def update_verdict(
         if entry.claim_id == claim_id:
             entry.verdict = verdict
             entry.evidence = evidence
-            save_ledger(entries, path)
-            return entry
+            return entries
     raise UsageError(f"no ledger entry with id {claim_id!r}")
 
 

@@ -7,8 +7,8 @@ is byte-comparable across runs.
 
 Each cmd_* only computes: it returns its results, its exit code and the
 claim it would record.  `main` does the rest once: the report's config is
-the parsed arguments minus _NOT_CONFIG, `--update-ledger` records the
-claim, and the report is written to stdout or `--out`.
+the parsed arguments minus _NOT_CONFIG, the report is written to stdout
+or `--out`, and then `--update-ledger` records the claim.
 
 Exit codes: 0 success, 2 usage error (including a path that cannot be
 read or written), 3 plan failure, 4 oracle mismatch in a mode that
@@ -166,6 +166,14 @@ def cmd_mul(args) -> tuple:
     return results, EXIT_OK, ("s5-multiplication", verdict, evidence)
 
 
+def _seed(text: str) -> int:
+    """argparse type of every --seed: an integer >= 0, as numpy's generators take."""
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, not {text!r}")
+    return value
+
+
 def _int_list(text: str, what: str, minimum: int) -> list:
     """Parse a non-empty comma-separated integer list, each item >= minimum."""
     try:
@@ -300,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bound-mode", choices=tuple(_BOUND_MODES), default="strict")
     sp.add_argument("--coeff-bound", type=int, default=None)
     sp.add_argument("--plan-out", default="", help="where to write the plan JSON")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     common(sp)
     sp.set_defaults(func=cmd_plan)
 
@@ -308,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--plan", required=True)
     sp.add_argument("--input", choices=("random", "delta"), default="random")
     sp.add_argument("--sample", type=int, default=16)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     ledger(sp)
     common(sp)
     sp.set_defaults(func=cmd_verify)
@@ -337,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backends", default=f"{bigmul.SCHOOLBOOK},{bigmul.KARATSUBA}"
     )
     sp.add_argument("--repetitions", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     common(sp)
     sp.set_defaults(func=cmd_bench)
 
@@ -346,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--q", type=int, default=None)
     sp.add_argument("--trials", type=int, default=100_000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--bounds", default=None)
     ledger(sp)
     common(sp)
@@ -374,14 +382,16 @@ def main(argv=None) -> int:
             "results": results,
             "timing": {"wall_seconds": time.perf_counter() - start},
         }
-        # rendered first, so a refused format leaves the ledger as it was
+        # rendered and the ledger read first, then the report written, so a
+        # refused format, ledger or --out path leaves the ledger as it was
         text = _render(report, args.format)
-        if record:
-            claims.update_verdict(*claim, path=args.ledger)
+        ledger = claims.set_verdict(*claim, path=args.ledger) if record else None
         if args.out:
             Path(args.out).write_text(text)
         else:
             sys.stdout.write(text)
+        if record:
+            claims.save_ledger(ledger, args.ledger)
         return code
     except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,18 +1,15 @@
-"""Exact modular arithmetic, prime-field linear algebra, and CRT reconstruction.
+"""Exact modular arithmetic: prime moduli and their boxed residues.
 
 Everything here is a pure function over immutable values.  Machine-word
 moduli are assumed small enough that Python's arbitrary-precision integers
-make double-width intermediates a non-issue; CRT reconstruction is exact
-big-integer arithmetic by construction.
+make double-width intermediates a non-issue.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
 
-from .errors import NotInvertible, Singular, UsageError
+from .errors import NotInvertible, UsageError
 
 # Deterministic Miller-Rabin witnesses, sufficient for all n < 3.3e24
 # (covers 64-bit inputs with a wide margin).
@@ -129,100 +126,3 @@ def inv_mod(a: Residue) -> Residue:
         old_s, s = s, old_s - quo * s
     assert old_r == 1  # gcd with a prime is 1 for nonzero a
     return Residue(old_s % a.q, a.modulus)
-
-
-@dataclass(frozen=True)
-class CrtBasis:
-    """Ordered pairwise-coprime moduli with their exact product."""
-
-    moduli: tuple
-    Q: int
-
-    @classmethod
-    def of(cls, moduli: Sequence[int]) -> "CrtBasis":
-        mods = tuple(int(m) for m in moduli)
-        for i in range(len(mods)):
-            for j in range(i + 1, len(mods)):
-                if math.gcd(mods[i], mods[j]) != 1:
-                    raise UsageError(
-                        f"moduli {mods[i]} and {mods[j]} are not coprime"
-                    )
-        return cls(mods, math.prod(mods))
-
-
-def crt_reconstruct(residues: Sequence[int], basis: CrtBasis) -> int:
-    """Unique x in [0, Q) with x = residues[k] mod moduli[k], exact.
-
-    Uses the idempotent combination: for each modulus, the integer that is
-    1 mod that modulus and 0 mod every other one.
-    """
-    if len(residues) != len(basis.moduli):
-        raise UsageError("residue count does not match basis size")
-    x = 0
-    for r, m in zip(residues, basis.moduli):
-        if not 0 <= r < m:
-            raise UsageError(f"residue {r} out of range for modulus {m}")
-        others = basis.Q // m
-        x += r * others * pow(others, -1, m)
-    return x % basis.Q
-
-
-def _eliminate(
-    A: Sequence[Sequence[Residue]], extra: Sequence[Sequence[int]]
-) -> Tuple[Residue, Optional[list]]:
-    """Gauss-Jordan elimination of [A | extra] over the prime field.
-
-    Returns det(A) mod q and the extra columns of the reduced matrix, which
-    are A^-1 * extra; the columns are None when A is singular.
-    """
-    n = len(A)
-    if n == 0 or any(len(row) != n for row in A) or len(extra) != n:
-        raise UsageError("A must be square and match the extra columns")
-    mod = A[0][0].modulus
-    if any(e.modulus != mod for row in A for e in row):
-        raise UsageError("matrix entries must share one modulus")
-    q = mod.q
-    m = [[e.value for e in row] + list(x) for row, x in zip(A, extra)]
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Residue(0, mod), None
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col] % q
-        inv = pow(m[col][col], -1, q)
-        m[col] = [v * inv % q for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [(a - factor * c) % q for a, c in zip(m[r], m[col])]
-    return Residue(det % q, mod), [[Residue(v, mod) for v in row[n:]] for row in m]
-
-
-def determinant(A: Sequence[Sequence[Residue]]) -> Residue:
-    """Determinant over the prime field by elimination mod q."""
-    return _eliminate(A, [[] for _ in A])[0]
-
-
-def solve_linear_mod(
-    A: Sequence[Sequence[Residue]], b: Sequence[Residue]
-) -> list:
-    """Solve A*x = b over the prime field by Gaussian elimination.
-
-    Raises Singular (carrying determinant 0) when A is not invertible.
-    """
-    _, x = _eliminate(A, [[v.value] for v in b])
-    if x is None:
-        raise Singular("singular system", determinant=0)
-    return [row[0] for row in x]
-
-
-def invert_matrix(A: Sequence[Sequence[Residue]]) -> list:
-    """Matrix inverse over the prime field; raises Singular when det = 0."""
-    n = len(A)
-    _, inverse = _eliminate(A, [[int(c == r) for c in range(n)] for r in range(n)])
-    if inverse is None:
-        raise Singular("matrix not invertible", determinant=0)
-    return inverse

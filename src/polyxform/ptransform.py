@@ -7,8 +7,10 @@ prime to each root's period, reduces the folded rows at the root, runs
 small DFTs as products with the root's power matrix, recovers components
 by the closed-form Vandermonde inverse, merges the primes' tables by CRT
 at their shared periods, and combines only the requested output rows
-across the merged groups, all on int64 arrays.  The boxed `naive_dft`,
-Gauss-Jordan `recover_components` and `crt_reconstruct` are oracles.
+across the merged groups, all on int64 arrays.  The boxed references
+each stage is tested against (`naive_dft`, the Gauss-Jordan
+`recover_components`, `crt_reconstruct`) live in `oracles`, which no
+program module imports.
 
 Everything that does not depend on the input is built on first use and
 kept with the plan: each slot's Vandermonde pair, each root's power table
@@ -644,6 +646,8 @@ def plan_from_json(text: str) -> PTPlan:
     Raises UsageError for a plan preprocess could not have produced.
     """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise UsageError(f"a plan file holds a JSON object, not {type(doc).__name__}")
     if doc.get("format_version") != PLAN_FORMAT_VERSION:
         raise UsageError(
             f"unsupported plan format version {doc.get('format_version')!r}"

@@ -1,22 +1,19 @@
-"""Ground-truth DFT machinery over prime fields and the cubic extension.
+"""Roots of unity and the circulant singularity experiment.
 
-The DFTs here are deliberately naive O(n^2) sums: they are the trusted
-oracles everything faster is judged against.  Also houses the principal
-root-of-unity certificate, root search, and the circulant determinant
-identity with its singularity experiment.
+Element orders in a prime field or the cubic extension, the search for
+the extension's root of full order that a plan is built on, and the
+measured rate at which random 3x3 circulants are singular.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Union
 
 import numpy as np
 
 from .errors import NoSuchRoot, UsageError
 from .extension import ExtensionContext, ExtensionElement, ext_pow
-from .modcore import PrimeModulus, Residue, determinant
+from .modcore import PrimeModulus, Residue
 
 FieldElement = Union[Residue, ExtensionElement]
 
@@ -47,67 +44,6 @@ def _prime_factors(n: int) -> List[int]:
     return factors
 
 
-@dataclass(frozen=True)
-class PrincipalRootCertificate:
-    """Result of the two principal-root criteria for (omega, order)."""
-
-    omega: FieldElement
-    order: int
-    power_check: bool  # omega^order == 1
-    sum_check: bool  # sum_i omega^(i*j) == 0 for every j in 1..order-1
-    failed_j: int = None  # first j whose sum was nonzero, if any
-
-    @property
-    def passed(self) -> bool:
-        return self.power_check and self.sum_check
-
-
-def check_principal_root(omega: FieldElement, n: int) -> PrincipalRootCertificate:
-    """Evaluate both principal-root criteria exactly (all n-1 sums).
-
-    Failure is reported in the certificate, never raised.
-    """
-    one = omega**0
-    zero = one - one
-    power_check = omega**n == one
-    omega_j = one
-    for j in range(1, n):
-        omega_j = omega_j * omega  # omega^j
-        acc = zero
-        term = one
-        for _ in range(n):
-            acc = acc + term
-            term = term * omega_j
-        if acc != zero:
-            return PrincipalRootCertificate(omega, n, power_check, False, j)
-    return PrincipalRootCertificate(omega, n, power_check, True)
-
-
-def find_root_of_order(n: int, q: PrimeModulus) -> Residue:
-    """Smallest residue of exact multiplicative order n mod q.
-
-    Requires n | q-1; the result additionally passes the full principal
-    certificate before being returned.
-    """
-    if n < 1:
-        raise UsageError("order must be >= 1")
-    if (q.q - 1) % n != 0:
-        raise NoSuchRoot(f"{n} does not divide {q.q - 1}")
-    if n == 1:
-        return q.residue(1)
-    factors = _prime_factors(n)
-    for a in range(2, q.q):
-        cand = q.residue(a)
-        if pow(a, n, q.q) != 1:
-            continue
-        if any(pow(a, n // r, q.q) == 1 for r in factors):
-            continue
-        cert = check_principal_root(cand, n)
-        assert cert.passed  # exact order n in a field implies principal
-        return cand
-    raise NoSuchRoot(f"no element of order {n} mod {q.q}")
-
-
 def find_extension_root_of_order(
     n: int, ctx: ExtensionContext
 ) -> ExtensionElement:
@@ -135,75 +71,6 @@ def find_extension_root_of_order(
                     assert multiplicative_order(omega, group) == n
                     return omega
     raise NoSuchRoot("no generator found; is the extension a field?")
-
-
-def naive_dft(
-    x: Sequence[FieldElement], omega: FieldElement
-) -> List[FieldElement]:
-    """X[j] = sum_k x[k] * omega^(j*k); the O(n^2) trusted oracle.
-
-    omega must have multiplicative order exactly len(x).
-    """
-    n = len(x)
-    one = omega**0
-    zero = one - one
-    if omega**n != one:
-        raise UsageError("omega^n != 1: order does not match input length")
-    out = []
-    omega_j = one
-    for j in range(n):
-        if j:
-            omega_j = omega_j * omega
-        acc = zero
-        term = one
-        for k in range(n):
-            acc = acc + x[k] * term
-            term = term * omega_j
-        out.append(acc)
-    return out
-
-
-def naive_inverse_dft(
-    X: Sequence[FieldElement], omega: FieldElement
-) -> List[FieldElement]:
-    """x[k] = n^-1 * sum_j X[j] * omega^(-j*k); exact round-trip partner."""
-    one = omega**0
-    n_elem = sum((one for _ in X), one - one)  # len(X) in the field
-    n_inv = n_elem**-1  # raises NotInvertible when the length is 0 there
-    return [n_inv * v for v in naive_dft(X, omega**-1)]
-
-
-@dataclass(frozen=True)
-class CirculantSpec:
-    """First row c_1..c_t of a t x t circulant (rows rotate right)."""
-
-    coeffs: Tuple[Residue, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.coeffs)
-
-    def materialize(self) -> List[List[Residue]]:
-        t = self.dimension
-        return [
-            [self.coeffs[(c - r) % t] for c in range(t)] for r in range(t)
-        ]
-
-
-def circulant_det_formula(spec: CirculantSpec, q: PrimeModulus) -> Residue:
-    """Determinant via the eigenvalue product over a t-th root of unity.
-
-    det = prod_j sum_l c_l * omega^(j*l) with omega of order t mod q;
-    requires t | q-1 so such an omega exists in the field.
-    """
-    omega = find_root_of_order(spec.dimension, q)  # NoSuchRoot unless t | q-1
-    # the eigenvalues of a circulant are the DFT of its first row
-    return math.prod(naive_dft(spec.coeffs, omega), start=q.residue(1))
-
-
-def circulant_det_bruteforce(spec: CirculantSpec) -> Residue:
-    """Independent oracle: Gaussian-elimination determinant."""
-    return determinant(spec.materialize())
 
 
 def singularity_experiment(

@@ -22,29 +22,24 @@ from polyxform.bigmul import (
     transform_mul,
 )
 from polyxform.cli import EXIT_OK, main
-from polyxform.modcore import (
-    CrtBasis,
-    PrimeModulus,
-    crt_reconstruct,
-    is_prime,
-)
-from polyxform.primes import sieve_atkin, trial_division_primes
-from polyxform.residues import (
-    build_recovery,
-    cube_root_fermat,
-    cube_table,
-    evaluate_components,
-    recover_components,
-)
-from polyxform.transform import (
+from polyxform.modcore import PrimeModulus, is_prime
+from polyxform.oracles import (
     CirculantSpec,
+    CrtBasis,
+    build_recovery,
     check_principal_root,
     circulant_det_bruteforce,
     circulant_det_formula,
+    crt_reconstruct,
+    cube_root_fermat,
+    cube_table,
+    evaluate_components,
     find_root_of_order,
     naive_dft,
-    singularity_experiment,
+    recover_components,
 )
+from polyxform.primes import sieve_atkin, trial_division_primes
+from polyxform.transform import singularity_experiment
 
 
 def _verdict(num, desc, ok):
@@ -100,8 +95,8 @@ def test_03_residue_suite_exhaustive():
         if q % 3 == 1:
             count = sum(
                 1
-                for x, rs in cube_table(mod).items()
-                if x.value != 0 and rs.roots
+                for x, roots in cube_table(mod).items()
+                if x.value != 0 and roots
             )
             ok &= count == (q - 1) // 3
         elif q % 3 == 2:
@@ -140,6 +135,8 @@ def test_04_principal_root_criterion():
 
 
 def test_05_folding_identity(plan13, plan7):
+    # the program's stage, _fold then the slot's DFT, at every row j < d;
+    # the boxed fold and naive_dft as its reference, on the same instance
     rng = random.Random(101)
     ok = True
     instances = 0
@@ -151,26 +148,31 @@ def test_05_folding_identity(plan13, plan7):
             i = rng.randrange(3)
             q = slot.q.q
             w, d = slot.omegas[i], slot.periods[i]
-            folded = conftest.fold_coefficients(x, slot, i)
-            got = [r.value for r in naive_dft(folded, slot.q.residue(w))]
-            wp = np.array([pow(w, e, q) for e in range(d)], dtype=np.int64)
             xv = np.asarray(x, dtype=np.int64)
+            stage = slot.dfts[i](ptransform._fold(xv, d, q), np.arange(d)).tolist()
+            folded = conftest.fold_coefficients(x, slot, i)
+            boxed = [r.value for r in naive_dft(folded, slot.q.residue(w))]
+            wp = np.array([pow(w, e, q) for e in range(d)], dtype=np.int64)
             k = np.arange(plan.n)
             direct = [
                 int(np.sum(xv * wp[(j * k) % d] % q) % q) for j in range(d)
             ]
-            ok &= got == direct
+            ok &= stage == boxed == direct
             instances += 1
     _verdict(
         5,
-        f"folding identity: dft(fold(x)) equals the direct full-length sum "
-        f"on every output, {instances} random (slot, input) instances",
+        f"folding identity: the slot DFT of _fold(x) and the boxed dft(fold(x)) "
+        f"equal the direct full-length sum on every output, {instances} random "
+        f"(slot, input) instances",
         ok and instances >= 100,
     )
 
 
 def test_06_recovery_roundtrip():
+    # the boxed Gauss-Jordan round trip, and the program's closed-form
+    # _vandermonde pair at the cube roots of a random cube y mod the same q
     rng = random.Random(103)
+    cube_rng = random.Random(1031)
     primes = [q for q in range(7, 10_000) if q % 3 == 1 and is_prime(q)]
     ok = True
     for _ in range(1000):
@@ -180,25 +182,42 @@ def test_06_recovery_roundtrip():
         rm = build_recovery(roots)
         comps = [q.residue(rng.randrange(q.q)) for _ in range(3)]
         ok &= recover_components(evaluate_components(comps, roots), rm) == comps
+        r = cube_rng.randrange(1, q.q)
+        # r times each cube root of unity: the three cube roots of y = r^3
+        zeta = next(z for z in (pow(a, (q.q - 1) // 3, q.q) for a in range(2, q.q)) if z != 1)
+        cube_roots = sorted(r * zeta**k % q.q for k in range(3))
+        ok &= len({pow(v, 3, q.q) for v in cube_roots}) == 1  # one y, three roots
+        forward, inverse = ptransform._vandermonde(cube_roots, q.q)
+        gauss_jordan = build_recovery([q.residue(v) for v in cube_roots]).inverse
+        ok &= inverse.tolist() == [[e.value for e in row] for row in gauss_jordan]
+        c = np.array([v.value for v in comps], dtype=np.int64)
+        ok &= (inverse @ (forward @ c % q.q) % q.q).tolist() == c.tolist()
     _verdict(
         6,
         "recovery round-trip: 1000 random component triples across primes "
-        "q = 1 mod 3 below 1e4, evaluate-then-recover exact",
+        "q = 1 mod 3 below 1e4, evaluate-then-recover exact by Gauss-Jordan, "
+        "and the closed-form _vandermonde pair at the cube roots of a random "
+        "cube equal to it and exact",
         ok,
     )
 
 
 def test_07_crt_stage_p103(plan103):
+    # the boxed crt_reconstruct, and the program's Garner _crt_mod_p against it
     ok = plan103.prime_product > 9 * 103**6
     basis = CrtBasis.of([s.q.q for s in plan103.slots])
     rng = random.Random(107)
-    for _ in range(10_000):
-        v = rng.randrange(basis.Q)
-        ok &= crt_reconstruct([v % m for m in basis.moduli], basis) == v
+    values = [rng.randrange(basis.Q) for _ in range(10_000)]
+    tables = [np.array([v % m for v in values], dtype=np.int64) for m in basis.moduli]
+    garner = ptransform._crt_mod_p(tables, basis.moduli, 103, len(values)).tolist()
+    for v, got in zip(values, garner):
+        exact = crt_reconstruct([v % m for m in basis.moduli], basis)
+        ok &= exact == v and got == exact % 103
     _verdict(
         7,
         f"CRT stage: 1e4 random values reconstruct exactly over the p = 103 "
-        f"strict plan (primes {[s.q.q for s in plan103.slots]})",
+        f"strict plan (primes {[s.q.q for s in plan103.slots]}), and Garner's "
+        f"_crt_mod_p gives each mod 103",
         ok,
     )
 

@@ -147,9 +147,11 @@ def test_verify_updates_ledger_only_on_request(capsys, plan7_file, tmp_path):
 
 def test_verify_rejects_corrupted_plan(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _ = run(capsys, "verify", "--plan", str(bad))
-    assert code == EXIT_USAGE
+    for text in ("{not json", "[]", "3", '"x"'):  # not JSON, or not an object
+        bad.write_text(text)
+        assert main(["verify", "--plan", str(bad)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
     missing = tmp_path / "missing.json"
     code, _ = run(capsys, "verify", "--plan", str(missing))
     assert code == EXIT_USAGE
@@ -197,6 +199,18 @@ def test_seed_refused_where_unread(capsys, argv):
     assert run(capsys, *argv, "--seed", "3")[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ("plan", "--p", "7"),
+    ("verify", "--plan", "unread.json"),
+    ("bench", "--sizes", "64"),
+    ("experiments", "--which", "singularity", "--trials", "10"),
+])
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    assert main([*argv, "--seed", "-1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "seed must be an integer >= 0" in captured.err
+
+
 def test_mul_usage_errors(capsys):
     code, _ = run(capsys, "mul", "--a", "zz", "--b", "0x1")
     assert code == EXIT_USAGE
@@ -230,7 +244,7 @@ def test_mul_pt_backend_records_mismatch_without_failing(capsys, plan13_file):
 def test_mul_updates_the_multiplication_claim_only_on_request(capsys, plan13_file, tmp_path):
     ledger = tmp_path / "ledger.json"
     shutil.copy(LEDGER_SRC, ledger)
-    claims.update_verdict("s5-multiplication", "pending", "stale", path=ledger)
+    claims.save_ledger(claims.set_verdict("s5-multiplication", "pending", "stale", path=ledger), ledger)
     stale = ledger.read_text()
     argv = (
         "mul", "--a", "0x3039", "--b", "0x1a85", "--backend", "polynomial-transform",
@@ -438,10 +452,24 @@ def test_unusable_path_is_a_usage_error(capsys, plan7_file, tmp_path, flag):
     assert path in captured.err and "Traceback" not in captured.err
 
 
+def test_unwritable_out_leaves_the_ledger_as_it_was(capsys, tmp_path):
+    ledger = tmp_path / "ledger.json"
+    shutil.copy(LEDGER_SRC, ledger)
+    claims.save_ledger(claims.set_verdict("s3-noncube-density", "pending", "stale", path=ledger), ledger)
+    before = ledger.read_bytes()
+    code = main([
+        "experiments", "--which", "density", "--p", "13", "--update-ledger",
+        "--ledger", str(ledger), "--out", str(tmp_path / "missing-dir" / "x.json"),
+    ])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.err.startswith("usage error:")
+    assert ledger.read_bytes() == before
+
+
 def test_refused_format_leaves_the_ledger_as_it_was(capsys, tmp_path):
     ledger = tmp_path / "ledger.json"
     shutil.copy(LEDGER_SRC, ledger)
-    claims.update_verdict("s3-noncube-density", "pending", "stale", path=ledger)
+    claims.save_ledger(claims.set_verdict("s3-noncube-density", "pending", "stale", path=ledger), ledger)
     stale = ledger.read_bytes()
     code = main([
         "experiments", "--which", "density", "--p", "13", "--format", "csv",

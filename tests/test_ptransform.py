@@ -11,12 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conftest
-from polyxform import extension, modcore, ptransform, residues
-from polyxform import transform as transform_module
+from polyxform import extension, modcore, oracles, ptransform
 from polyxform.cli import EXIT_USAGE, main
 from polyxform.errors import PrimeSupplyExhausted, UsageError
 from polyxform.extension import ext_mul
-from polyxform.modcore import CrtBasis, PrimeModulus, crt_reconstruct, is_prime
+from polyxform.modcore import PrimeModulus, is_prime
+from polyxform.oracles import CrtBasis, build_recovery, crt_reconstruct, naive_dft, recover_components
 from polyxform.ptransform import (
     INPUT_AWARE,
     STRICT,
@@ -30,8 +30,7 @@ from polyxform.ptransform import (
     transform,
     transform_elements,
 )
-from polyxform.residues import build_recovery, recover_components
-from polyxform.transform import multiplicative_order, naive_dft
+from polyxform.transform import multiplicative_order
 
 
 def test_preprocess_rejects_bad_args():
@@ -88,14 +87,16 @@ def test_slots_hold_plain_integers(plan7, plan13):
 def test_plan_building_inverts_no_matrix(monkeypatch, plan13):
     # recovery is the closed-form Vandermonde inverse; Gauss-Jordan is an oracle
     calls = []
-    invert = modcore.invert_matrix
+    invert = oracles.invert_matrix
 
     def counting(*args):
         calls.append(1)
         return invert(*args)
 
-    monkeypatch.setattr(modcore, "invert_matrix", counting)
-    monkeypatch.setattr(residues, "invert_matrix", counting)  # the binding residues calls
+    monkeypatch.setattr(oracles, "invert_matrix", counting)
+    build_recovery([PrimeModulus(7).residue(r) for r in (1, 2, 4)])
+    assert calls == [1]  # the counter sees the binding build_recovery calls
+    calls.clear()
     preprocess(p=13, bound_mode=INPUT_AWARE, coeff_bound=12)
     plan_from_json(plan_to_json(plan13))
     inverse_plan(plan13)
@@ -433,9 +434,11 @@ def test_transform_makes_no_boxed_calls(monkeypatch):
 
     counting(modcore, "mul_mod")
     counting(extension, "ext_mul")
-    counting(transform_module, "naive_dft")
-    if hasattr(ptransform, "naive_dft"):
-        counting(ptransform, "naive_dft")
+    counting(oracles, "naive_dft")
+    q7 = PrimeModulus(7)
+    oracles.circulant_det_formula(oracles.CirculantSpec((q7.residue(1),) * 3), q7)
+    assert "naive_dft" in calls and "mul_mod" in calls  # the counters see boxed calls
+    calls.clear()
     transform(x, plan)
     assert calls == []
 

@@ -5,16 +5,18 @@ import pytest
 from polyxform.errors import NoSuchRoot, NotInvertible, UsageError
 from polyxform.extension import ExtensionContext
 from polyxform.modcore import PrimeModulus, is_prime
-from polyxform.transform import (
+from polyxform.oracles import (
     CirculantSpec,
     check_principal_root,
     circulant_det_bruteforce,
     circulant_det_formula,
-    find_extension_root_of_order,
     find_root_of_order,
-    multiplicative_order,
     naive_dft,
     naive_inverse_dft,
+)
+from polyxform.transform import (
+    find_extension_root_of_order,
+    multiplicative_order,
     singularity_experiment,
 )
 
