@@ -14,9 +14,10 @@ program module imports.
 
 Everything that does not depend on the input is built on first use and
 kept with the plan: each slot's Vandermonde pair, each root's power table
-and, once a call needs every row of a root, its DFT matrix; and the plan
-that inverse_plan returns.  None of it is a field, so plan equality and
-the plan file see only the plan's inputs and slots.
+and, once a call needs every row of a root, its DFT matrix; the direct
+oracle's baby and giant tables of omega's powers; and the plan that
+inverse_plan returns.  None of it is a field, so plan equality and the
+plan file see only the plan's inputs and slots.
 
 Whether the end result agrees with the honest extension-field DFT is
 deliberately NOT assumed anywhere: `spot_check` runs the comparison and
@@ -164,6 +165,15 @@ class PTPlan:
                 )
             slots.append(rebuilt)
         return replace(self, omega=omega_inv, slots=tuple(slots))
+
+    @cached_property
+    def _oracle_powers(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The direct oracle's tables, built on first use and kept: omega^t for
+        t <= B and omega^(s*B) for s < A, with B = ceil(sqrt(n)), A = ceil(n/B)."""
+        b = math.isqrt(self.n - 1) + 1
+        baby = ext_powers(self.omega, b + 1)
+        giant = ext_powers(self.context.element(*baby[b].tolist()), -(-self.n // b))
+        return _held(baby), _held(giant)
 
 
 @dataclass(frozen=True)
@@ -567,32 +577,53 @@ def inverse_plan(plan: PTPlan) -> PTPlan:
 _ORACLE_BLOCK = 64
 
 
+def matmul_mod(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """a @ b mod m as int64, for integer entries in [0, m), on float64 BLAS.
+
+    Each term of a dot product of length L is at most (m-1)^2, so while
+    L * (m-1)^2 < 2^53 every partial sum is an integer that float64 holds
+    exactly, in whatever order BLAS adds them; past that it is refused.
+    """
+    length = a.shape[-1]
+    if length * (m - 1) ** 2 >= 2**53:
+        raise UsageError(f"a dot product of length {length} mod {m} is not exact in float64")
+    product = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
+    return np.fmod(product, m, out=product).astype(np.int64)
+
+
 def oracle_output(x: Sequence[int], plan: PTPlan, indices: Sequence[int]) -> np.ndarray:
     """The honest DFT over F_{p^3}, sum_k x[k] * omega^(j*k), at each index j:
     (len(indices), 3) int64 rows.
 
-    x is n naturals, as a list or an (n, 1) column; any other length is
-    refused.  Independent of the pipeline: it reads only p, y, n, omega and
-    x, and shares only ext_mul_array, ext_powers and the input checks.
-    Baby-step/giant-step: with k = s*B + t and B = ceil(sqrt(n)), each
-    omega^e is baby[e mod B] * giant[e // B] (omega^t for t <= B, omega^(s*B)
-    for s < A), so no n-row table is built, and a block of indices is one
-    (A, B) @ (B, 3*block) int64 matmul of the padded input.  That is exact
-    while B * (p-1)^2 < 2^63, which n^2 < 2^63 (bounding j*t and j*s*B) implies.
+    x is n naturals, as a list or an (n, 1) column; any other shape is
+    refused before its values are read.  Independent of the pipeline: it
+    reads only p, y, n, omega and x, and shares only ext_mul_array,
+    ext_powers and the input checks.  Baby-step/giant-step: with
+    k = s*B + t and B = ceil(sqrt(n)), each omega^e is
+    baby[e mod B] * giant[e // B] from the plan's two tables, so no n-row
+    table is built.  The input mod p is written once into a zero-padded
+    (A, B) float64 matrix (no remainder when it is already in [0, p)), and
+    a block of indices is one (A, B) @ (B, 3*block) matmul_mod of it on
+    float64 BLAS.  That is exact while B * (p-1)^2 < 2^53, which holds with
+    a margin over 2^16 wherever n^2 < 2^63 (p <= 1447), the bound that keeps
+    the exponents j*t and j*s*B exact in int64 and past which the oracle
+    refuses.
     """
     p, n = plan.p.q, plan.n
     if n * n >= 2**63:
-        raise UsageError(f"n = {n} is too large for the int64 direct oracle")
-    xr = np.asarray(_as_array(x) % p, dtype=np.int64)
-    if xr.shape not in ((n,), (n, 1)):
-        raise UsageError(f"input shape {xr.shape} != ({n},) or ({n}, 1)")
+        raise UsageError(f"n = {n} is too large for the direct oracle's int64 exponents")
+    x = _as_array(x)
+    if x.shape not in ((n,), (n, 1)):
+        raise UsageError(f"input shape {x.shape} != ({n},) or ({n}, 1)")
     rows = _integers(indices, 0, n, "indices")
     ctx = plan.context
-    b = math.isqrt(n - 1) + 1
-    a = -(-n // b)
-    baby = ext_powers(plan.omega, b + 1)
-    giant = ext_powers(ctx.element(*baby[b].tolist()), a)
-    padded = np.pad(xr.reshape(n), (0, a * b - n)).reshape(a, b)
+    baby, giant = plan._oracle_powers
+    b, a = len(baby) - 1, len(giant)
+    padded = np.zeros(a * b)
+    x = x.reshape(n)
+    reduced = x.dtype == np.int64 and 0 <= x.min() and x.max() < p
+    padded[:n] = x if reduced else x % p
+    padded = padded.reshape(a, b)
     t, sb = np.arange(b)[:, None], np.arange(a)[:, None] * b
 
     def power(e):
@@ -601,7 +632,7 @@ def oracle_output(x: Sequence[int], plan: PTPlan, indices: Sequence[int]) -> np.
     out = np.empty((len(rows), 3), dtype=np.int64)
     for start in range(0, len(rows), _ORACLE_BLOCK):
         j = rows[start : start + _ORACLE_BLOCK]
-        inner = padded @ power(t * j % n).reshape(b, -1) % p
+        inner = matmul_mod(padded, power(t * j % n).reshape(b, -1), p)
         steps = ext_mul_array(inner.reshape(a, len(j), 3), power(sb * j % n), ctx)
         out[start : start + _ORACLE_BLOCK] = steps.sum(axis=0) % p
     return out

@@ -1,8 +1,11 @@
+import ast
 import dataclasses
+import inspect
 import json
 import math
 import random
 import re
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +25,7 @@ from polyxform.ptransform import (
     STRICT,
     _interval_bound,
     inverse_plan,
+    matmul_mod,
     oracle_output,
     plan_from_json,
     plan_to_json,
@@ -759,8 +763,129 @@ def test_spot_check_builds_no_n_row_table(monkeypatch):
         ptransform, "ext_powers", lambda u, count: counts.append(count) or powers_fn(u, count)
     )
     x = [random.Random(6).randint(0, plan.coeff_bound) for _ in range(plan.n)]
-    spot_check(x, plan, sample=16, seed=2)
-    assert counts and max(counts) <= 2 * math.isqrt(plan.n) + 2
+    first = spot_check(x, plan, sample=16, seed=2)
+    assert len(counts) == 2 and max(counts) <= 2 * math.isqrt(plan.n) + 2
+    # the tables are kept with the plan: a second verdict builds none
+    counts.clear()
+    assert spot_check(x, plan, sample=16, seed=2).to_dict() == first.to_dict()
+    assert counts == []
+
+
+def test_oracle_tables_are_not_part_of_the_plan():
+    plan = preprocess(p=13, bound_mode=INPUT_AWARE, coeff_bound=12)
+    twin = plan_from_json(plan_to_json(plan))
+    text = plan_to_json(plan)
+    baby, giant = plan._oracle_powers
+    assert plan._oracle_powers[0] is baby  # kept, not rebuilt
+    assert len(baby) - 1 == math.isqrt(plan.n - 1) + 1 and len(giant) * (len(baby) - 1) >= plan.n
+    assert plan_to_json(plan) == text
+    assert plan == twin and twin == plan and hash(plan) == hash(twin)
+    assert [f.name for f in dataclasses.fields(plan)] == [
+        "p", "y", "omega", "slots", "bound_mode", "coeff_bound"
+    ]
+    for table in (baby, giant):
+        with pytest.raises(ValueError):
+            table[0, 0] = 2
+    assert baby[0].tolist() == giant[0].tolist() == [1, 0, 0]
+
+
+def test_oracle_matches_gather_reference_at_p43():
+    # B = 282, against B = 83 at p = 19: the float64 inner products are longer
+    plan = preprocess(p=43, bound_mode=STRICT)
+    n = plan.n
+    assert len(plan._oracle_powers[0]) - 1 == 282
+    factors = [f for f in range(2, n) if n % f == 0 and is_prime(f)]
+    assert factors == [2, 3, 7, 631]
+    indices = [0, 1, n - 1, n // 2]
+    for f in factors:
+        indices += [f, 2 * f, n - f, n // f, (f - 1) * n // f]
+    rng = random.Random(43)
+    x = [rng.randint(0, plan.coeff_bound) for _ in range(n)]
+    shifted = [v + plan.p.q * rng.randrange(10) for v in x]  # reduced by the oracle
+    want = gather_oracle(x, plan, indices)
+    for given in (x, shifted, np.array(shifted)[:, None]):
+        assert [tuple(row) for row in oracle_output(given, plan, indices).tolist()] == want
+
+
+class _Watched(np.ndarray):
+    """An array that records every ufunc run on it."""
+
+    ufuncs = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _Watched.ufuncs.append(ufunc.__name__)
+        inputs = tuple(np.asarray(v) if isinstance(v, _Watched) else v for v in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_oracle_refuses_a_wrong_shape_before_reading_values(monkeypatch, plan7):
+    as_array = ptransform._as_array
+    monkeypatch.setattr(ptransform, "_as_array", lambda rows: as_array(rows).view(_Watched))
+    monkeypatch.setattr(_Watched, "ufuncs", [])
+    n = plan7.n
+    for wrong in (np.ones((n, 3), dtype=np.int64), [50] * (n + 1), [[1, 2]] * n):
+        with pytest.raises(UsageError):
+            oracle_output(wrong, plan7, [1])
+    assert _Watched.ufuncs == []
+    oracle_output([50] * n, plan7, [1])
+    assert _Watched.ufuncs  # the watch sees the values read from a right shape
+
+
+def test_matmul_mod_is_exact_at_its_bound():
+    # length * (m-1)^2 just below 2^53, all entries m - 1: every partial sum
+    # is an integer float64 holds exactly
+    length = 2**13 - 1
+    m = math.isqrt((2**53 - 1) // length) + 1
+    assert length * (m - 1) ** 2 < 2**53 <= length * m**2
+    a = np.full((2, length), m - 1)
+    b = np.full((length, 3), m - 1)
+    want = [[sum(int(u) * int(v) for u, v in zip(row, col)) % m for col in b.T] for row in a]
+    got = matmul_mod(a, b, m)
+    assert got.dtype == np.int64 and got.tolist() == want
+    rng = np.random.default_rng(53)
+    a, b = rng.integers(0, m, size=(3, length)), rng.integers(0, m, size=(length, 4))
+    want = (a.astype(object) @ b.astype(object)) % m
+    assert matmul_mod(a, b, m).tolist() == want.tolist()
+
+
+def test_matmul_mod_refuses_one_step_past_its_bound():
+    length = 2**13 - 1
+    m = math.isqrt((2**53 - 1) // length) + 1
+    for rows, m_past in ((length + 1, m), (length, m + 1), (2**13, 2**20 + 1)):
+        assert rows * (m_past - 1) ** 2 >= 2**53
+        a = np.full((2, rows), m_past - 1)
+        b = np.full((rows, 3), m_past - 1)
+        with pytest.raises(UsageError):
+            matmul_mod(a, b, m_past)
+
+
+def test_oracle_domain_lies_inside_the_float64_bound():
+    # every p = 1 mod 3 the oracle accepts (n^2 < 2^63) keeps its inner
+    # products of length B = ceil(sqrt(n)) below 2^53 by a factor 2^16
+    accepted = [p for p in range(4, 2000, 3) if is_prime(p) and (p**3 - 1) ** 2 < 2**63]
+    assert accepted[0] == 7 and accepted[-1] == 1447
+    for p in accepted:
+        b = math.isqrt(p**3 - 2) + 1
+        assert b * (p - 1) ** 2 < 2**53 // 2**16
+
+
+PIPELINE_STAGES = {
+    "_slot_table", "_fold", "_RootDFT", "_crt_mod_p", "_merge_slots", "_reduce",
+    "_vandermonde", "transform_elements",
+}
+
+
+def test_oracle_shares_no_code_with_the_pipeline():
+    named = set()
+    for fn in (oracle_output, matmul_mod, ptransform.PTPlan._oracle_powers.func):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert {"matmul_mod", "ext_mul_array", "ext_powers", "_as_array"} <= named
+    assert not named & PIPELINE_STAGES
 
 
 def test_non_integer_input_is_refused(plan13):
