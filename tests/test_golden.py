@@ -1,0 +1,79 @@
+"""Golden digests: SHA-256 of outputs the pipeline must keep, bit for bit.
+
+The pipeline's outputs are not the honest DFT (spot_check reports that), so
+no formula pins them; these digests do.  Each hashes fixed seeded inputs
+through the public API, so a refactor of any stage that changes one output
+bit fails here.  A change that means to change outputs records new digests
+and says why.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from polyxform import bigmul, ptransform
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def array_digest(array: np.ndarray) -> str:
+    """Digest of an int64 array's shape and little-endian bytes."""
+    array = np.ascontiguousarray(array, dtype="<i8")
+    return sha256(repr(array.shape).encode() + array.tobytes())
+
+
+def natural_input(plan, seed):
+    """n naturals in [0, coeff_bound] from numpy's generator at seed."""
+    return np.random.default_rng(seed).integers(0, plan.coeff_bound + 1, size=plan.n)
+
+
+@pytest.mark.parametrize("p, want", [
+    (7, "49012c06d2cfc77af31f44413ffaf728bc9d2fb7d61d54ada4e3dfc6b84fd224"),
+    (43, "b3129366a634fcbf069405275a5cda610323e90d98ffce51f79c8ed84ac5a673"),
+])
+def test_all_n_strict_transform_digest(p, want):
+    plan = ptransform.preprocess(p=p, bound_mode=ptransform.STRICT)
+    column = natural_input(plan, p)[:, None]
+    assert array_digest(ptransform.transform_elements(column, plan)) == want
+
+
+def test_input_aware_round_trip_digest(plan13):
+    # forward on naturals, then the inverse plan on the (n, 3) forward output
+    column = natural_input(plan13, 13)[:, None]
+    forward = ptransform.transform_elements(column, plan13)
+    back = ptransform.transform_elements(forward, ptransform.inverse_plan(plan13))
+    assert (array_digest(forward), array_digest(back)) == (
+        "d7cdb4ae78dfe1351d3de1171787c6cef6d497701372ff7972e226e769fb3da7",
+        "cc6e2d0da4a9c0b1c314c2ce57a4be45dfe70d4bf74ade24b26504a2510bac6a",
+    )
+
+
+def test_spot_check_report_digest():
+    plan = ptransform.preprocess(p=19, bound_mode=ptransform.STRICT)
+    report = ptransform.spot_check(natural_input(plan, 19).tolist(), plan, sample=16, seed=2)
+    text = json.dumps(report.to_dict(), sort_keys=True)
+    assert sha256(text.encode()) == (
+        "b13a44a77d0a956b40757b105a9c0f4bfe3739b9e2580a39fb5556a2594ab66d"
+    )
+
+
+def test_polynomial_transform_products_digest(plan13):
+    # ten products through the backend `mul --backend polynomial-transform`
+    # runs, with the extras it reports, on operands of 1 to 2,000 bits
+    rng = np.random.default_rng(10)
+    backend = bigmul.MulBackend(bigmul.POLY_TRANSFORM, plan13)
+    lines = []
+    for bits in (1, 2, 12, 12, 64, 100, 500, 1000, 1500, 2000):
+        a, b = (int.from_bytes(rng.bytes(bits // 8 + 1), "little") % 2**bits for _ in "ab")
+        report = bigmul.transform_mul(bigmul.BigNat.from_int(a), bigmul.BigNat.from_int(b), backend)
+        lines.append(json.dumps(
+            [hex(a), hex(b), report.product.to_hex(), report.verdict, report.extra],
+            sort_keys=True,
+        ))
+    assert sha256("\n".join(lines).encode()) == (
+        "4404303af1b1eb3445b1d6dde1a8a8f3eed002213645c573d01bef18cf867225"
+    )
