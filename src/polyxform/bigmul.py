@@ -350,8 +350,7 @@ def _pt_mul(a: BigNat, b: BigNat, plan: "ptransform.PTPlan") -> Tuple[BigNat, di
     p = plan.p.q
     limb_bits = max(1, min(plan.coeff_bound.bit_length() - 1, p.bit_length() - 1))
     # zero-pad to the plan's full transform length
-    xa, xb = (ptransform.natural_column(pack(v, limb_bits, plan.n), plan) for v in (a, b))
-    fa, fb = (ptransform.transform_elements(x, plan) for x in (xa, xb))
+    fa, fb = (ptransform.transform_naturals(pack(v, limb_bits, plan.n), plan) for v in (a, b))
     pointwise = ext_mul_array(fa, fb, plan.context)
     inv = ptransform.inverse_plan(plan)
     back = ptransform.transform_elements(pointwise, inv)

@@ -3,18 +3,20 @@
 Preprocessing selects the base prime p, a non-cube y, a full-order root
 of unity in the cubic extension, and a set of helper primes q where y
 does have three cube roots.  The transform folds the input rows per
-prime to each root's period, reduces the folded rows at the root, runs
-small DFTs as products with the root's power matrix, recovers components
-by the closed-form Vandermonde inverse, merges the primes' tables by CRT
-at their shared periods, and combines only the requested output rows
-across the merged groups, all on int64 arrays.  The boxed references
-each stage is tested against (`naive_dft`, the Gauss-Jordan
-`recover_components`, `crt_reconstruct`) live in `oracles`, which no
-program module imports.
+prime to the prime's index period (in one pass where int64 sums the rows
+exactly), reduces the folded rows at all three roots in one product and
+folds each on to its root's period, runs small DFTs as products with the
+root's power matrix, recovers components by the closed-form Vandermonde
+inverse, merges the primes' tables by CRT at their shared periods, and
+combines only the requested output rows across the merged groups, all on
+int64 arrays.  The boxed references each stage is tested against
+(`naive_dft`, the Gauss-Jordan `recover_components`, `crt_reconstruct`)
+live in `oracles`, which no program module imports.
 
 Everything that does not depend on the input is built on first use and
 kept with the plan: each slot's Vandermonde pair, each root's power table
-and, once a call needs every row of a root, its DFT matrix; the direct
+and, once a call needs every row of a root, its DFT matrix; the CRT
+schedule, which slot tables merge and every Garner constant; the direct
 oracle's baby and giant tables of omega's powers; and the plan that
 inverse_plan returns.  None of it is a field, so plan equality and the
 plan file see only the plan's inputs and slots.
@@ -80,12 +82,14 @@ class _RootDFT:
         k = np.arange(len(self.powers))
         return _held(self.powers[np.multiply.outer(k, k) % len(k)])
 
-    def __call__(self, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """X[j mod d] at each j in rows, for the d values v."""
+    def __call__(self, values: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """X[j mod d] at each j in rows, for the d values v; all d of them by default."""
         d = len(self.powers)
+        if rows is None:
+            return self.matrix @ values % self.q
         if len(rows) < d:
             return self.powers[np.multiply.outer(rows % d, np.arange(d)) % d] @ values % self.q
-        return (self.matrix @ values % self.q)[rows % d]
+        return self(values)[rows % d]
 
 
 @dataclass(frozen=True)
@@ -174,6 +178,12 @@ class PTPlan:
         baby = ext_powers(self.omega, b + 1)
         giant = ext_powers(self.context.element(*baby[b].tolist()), -(-self.n // b))
         return _held(baby), _held(giant)
+
+    @cached_property
+    def _crt(self) -> "_CrtSchedule":
+        """How the slot tables are combined, with every Garner constant: built
+        on first use and kept."""
+        return _crt_schedule(self.slots, self.n, self.p.q)
 
 
 @dataclass(frozen=True)
@@ -318,8 +328,8 @@ def preprocess(
     )
 
 
-# Rows per block when the slot stage folds the input and when the final CRT
-# combines outputs; caps the temporaries of both, and the rows one block sums.
+# Rows per block when the slot stage reduces the input mod q before folding
+# it, and when the CRT combines outputs; caps the temporaries of both.
 _ROW_BLOCK = 1 << 14
 
 
@@ -361,74 +371,145 @@ def _slot_table(
     x: np.ndarray,
     slot: PTPrimeSlot,
     rows: Optional[np.ndarray] = None,
-    fold_unreduced: bool = False,
+    peak: Optional[int] = None,
 ) -> np.ndarray:
     """Components mod q of the (n, c) inputs x at each output row: (len(rows), 3);
     by default the rows are the slot's index classes, j < index_period.
 
     Folding and reducing at a root are both linear, so they commute: the
-    input rows are folded first, once to the index period (in row blocks that
-    start at multiples of it) and from there to each root's period, and
-    only the folded rows are reduced at the root, by the first c entries
-    of (1, r, r^2), so a natural-number column (c = 1) is never widened.
-    A block sums at most _ROW_BLOCK rows into each folded row, so when
-    fold_unreduced says x is int64 with every |x| < 2^63 / _ROW_BLOCK the
-    blocks are folded as they are and only the folded table is reduced
-    mod q; otherwise each block is reduced mod q before it is folded.
+    input rows are folded first, to the index period P, and only the folded
+    rows are reduced, at all three roots by one product with the first c
+    entries of each (1, r, r^2), so a natural-number column (c = 1) is never
+    widened.  Every root's period d divides P, so each root's row folds on to
+    d by a reshape-sum, and an all-rows table is its d values repeated.
+
+    The first fold reads the input in blocks that start at multiples of P.
+    When peak bounds every |x| of int64 x, a block sums up to
+    (2^63 - 1) // peak input rows into each folded row, all exact, and is
+    folded as it is: the whole input is one block when
+    ceil(n / P) * peak < 2^63, as for naturals below p.  When that allows
+    fewer than _ROW_BLOCK rows, or peak is None, each block of about
+    _ROW_BLOCK rows is reduced mod q before it is folded.
     """
-    q, index_period = slot.q.q, slot.index_period
+    q, period = slot.q.q, slot.index_period
     forward, inverse = slot.vandermonde
-    block = index_period * max(1, _ROW_BLOCK // index_period)
+    sums = (2**63 - 1) // max(peak, 1) if peak is not None else 0
+    if sums >= _ROW_BLOCK:
+        block = period * min(sums, -(-len(x) // period))
+        blocks = (x[start : start + block] for start in range(0, len(x), block))
+    else:
+        block = period * max(1, _ROW_BLOCK // period)
+        blocks = (
+            np.asarray(x[start : start + block] % q, dtype=np.int64)
+            for start in range(0, len(x), block)
+        )
+    folded = sum(_fold(values, period, q) for values in blocks) % q
+    at_roots = forward[:, : x.shape[1]] @ folded.T % q
+    evals = np.empty((3, period if rows is None else len(rows)), dtype=np.int64)
+    for out, at_root, d, dft in zip(evals, at_roots, slot.periods, slot.dfts):
+        at_root = at_root.reshape(-1, d).sum(axis=0) % q
+        if rows is None:
+            out.reshape(-1, d)[...] = dft(at_root)
+        else:
+            out[...] = dft(at_root, rows)
+    return evals.T @ inverse.T % q
 
-    def input_block(start):
-        values = x[start : start + block]
-        return values if fold_unreduced else np.asarray(values % q, dtype=np.int64)
 
-    folded = sum(
-        _fold(input_block(start), index_period, q) for start in range(0, len(x), block)
-    ) % q
-    if rows is None:
-        rows = np.arange(index_period)
-    evals = np.empty((len(rows), 3), dtype=np.int64)
-    for i, (dft, period) in enumerate(zip(slot.dfts, slot.periods)):
-        at_root = _fold(folded, period, q) @ forward[i, : x.shape[1]] % q
-        evals[:, i] = dft(at_root, rows)
-    return evals @ inverse.T % q
+class _Garner:
+    """Garner's constants for the x in [0, prod(moduli)) given mod each modulus,
+    taken mod m.
+
+    Digit k of x is (r_k * inverses[k] + sum_i v_i * weights[k][i]) mod q_k,
+    with inverses[k] = 1 / (q_0...q_{k-1}) and
+    weights[k][i] = -(q_0...q_{i-1}) * inverses[k], and x mod m is
+    sum_k v_k * out_weights[k] mod m, with out_weights[k] = q_0...q_{k-1} mod m.
+    For residues in [0, q_k), each digit's sum stays below K * Q^2 and the
+    result's below K * Q * m, for K moduli of which Q is the largest.  So the
+    constants are refused unless K * Q * max(Q, m) < 2^63, the bound within
+    which int64 holds every sum exactly.
+    """
+
+    def __init__(self, moduli: Sequence[int], m: int):
+        top = max(moduli)
+        if len(moduli) * top * max(top, m) >= 2**63:
+            raise UsageError(f"Garner's digits over {list(moduli)} mod {m} overflow int64")
+        prefix = [math.prod(moduli[:k]) for k in range(len(moduli))]
+        self.moduli, self.m = tuple(moduli), m
+        self.inverses = tuple(pow(c, -1, q) for c, q in zip(prefix, moduli))
+        self.weights = tuple(
+            tuple(-c * inv % q for c in prefix[:k])
+            for k, (q, inv) in enumerate(zip(moduli, self.inverses))
+        )
+        self.out_weights = tuple(c % m for c in prefix)
 
 
-def _crt_mod_p(
-    tables: Sequence[np.ndarray], moduli: Sequence[int], m: int, count: int
-) -> np.ndarray:
-    """x mod m at each row j < count, for the x in [0, prod(moduli)) that is
-    tables[k][j mod len(tables[k])] mod moduli[k] for every k.
+@dataclass(frozen=True)
+class _CrtSchedule:
+    """How a plan's slot tables are combined, with every Garner constant.
+
+    groups holds, per group of merged slots, its first slot's index and one
+    (slot index, merged table size, Garner step) per slot that joins it, in
+    plan order.  final combines the group tables mod p at all n rows, and
+    sampled combines the K slot tables mod p at given rows.
+    """
+
+    groups: Tuple[Tuple[int, Tuple[Tuple[int, int, _Garner], ...]], ...]
+    final: _Garner
+    sampled: _Garner
+
+
+def _crt_schedule(slots: Sequence[PTPrimeSlot], n: int, p: int) -> _CrtSchedule:
+    """The merge schedule for slots.
+
+    A slot joins the current group (modulus M) by a two-modulus Garner step
+    over the lcm of the two periods, exact mod M*q, while M*q stays within
+    the int64 limit of the final Garner over all groups and the merged table
+    stays well short of n.
+    """
+    limit = math.isqrt((2**63 - 1) // len(slots))
+    groups = []  # [first slot index, joins, table size, modulus]
+    for index, slot in enumerate(slots):
+        q, period = slot.q.q, slot.index_period
+        if groups:
+            first, joins, size, m = groups[-1]
+            size = math.lcm(size, period)
+            if m * q <= limit and size <= n // 4:
+                joins.append((index, size, _Garner((m, q), m * q)))
+                groups[-1] = [first, joins, size, m * q]
+                continue
+        groups.append([index, [], period, q])
+    return _CrtSchedule(
+        groups=tuple((first, tuple(joins)) for first, joins, _, _ in groups),
+        final=_Garner([m for *_, m in groups], p),
+        sampled=_Garner([slot.q.q for slot in slots], p),
+    )
+
+
+def _crt_mod_p(tables: Sequence[np.ndarray], garner: _Garner, count: int) -> np.ndarray:
+    """x mod garner.m at each row j < count, for the x in [0, prod(moduli))
+    that is tables[k][j mod len(tables[k])] mod garner.moduli[k] for every k.
 
     Garner's mixed-radix digits, each solved mod its modulus and folded
-    straight into the result mod m: no intermediate grows with prod(moduli).
-    Digit k is (r_k * inv_k + sum_i v_i * w_ki) mod q_k, one reduction each,
-    with inv_k = 1 / (q_0...q_{k-1}) and w_ki = -(q_0...q_{i-1}) * inv_k;
-    for residues in [0, q_k) it stays exact in int64 while
-    len(moduli) * max(moduli)^2 < 2^63.  Digit 0 is r_0, so the terms that
-    read one table, r_k * inv_k and v_0 * w_k0 mod q_k and v_0 mod m, are
-    solved once on that table's own rows.  The rows are then taken in blocks
-    of _ROW_BLOCK; each term shorter than count is repeated to at most one
-    block past its end, so a block's rows of it are one slice.
+    straight into the result mod m: no intermediate grows with prod(moduli),
+    and every sum stays exact in int64 (see _Garner).  Digit 0 is r_0, so the
+    terms that read one table, r_k * inv_k and v_0 * w_k0 mod q_k and v_0 mod
+    m, are solved once on that table's own rows.  The rows are then taken in
+    blocks of _ROW_BLOCK; each term shorter than count is repeated to at most
+    one block past its end, so a block's rows of it are one slice.
     """
-    prefix = [math.prod(moduli[:k]) for k in range(len(moduli))]
-    inverses = [pow(c, -1, q) for c, q in zip(prefix, moduli)]
-    weights = [
-        [-c * inv % q for c in prefix[:k]] for k, (q, inv) in enumerate(zip(moduli, inverses))
-    ]
-    out_weights = [c % m for c in prefix]
+    moduli, m, weights = garner.moduli, garner.m, garner.weights
     first, period = tables[0], len(tables[0])
 
     def repeated(term):
         size = min(count, len(term) + _ROW_BLOCK - 1)
-        return term if len(term) >= size else np.resize(term, (size, *term.shape[1:]))
+        if len(term) >= size:
+            return term
+        return np.tile(term, (-(-size // len(term)),) + (1,) * (term.ndim - 1))
 
-    base = repeated(_reduce(first * out_weights[0], m))
+    base = repeated(_reduce(first * garner.out_weights[0], m))
     terms = [
         (repeated(_reduce(table * inv, q)), len(table), repeated(_reduce(first * w[0], q)))
-        for table, q, inv, w in zip(tables[1:], moduli[1:], inverses[1:], weights[1:])
+        for table, q, inv, w in zip(tables[1:], moduli[1:], garner.inverses[1:], weights[1:])
     ]
     out = np.empty((count, *first.shape[1:]), dtype=np.int64)
     for start in range(0, count, _ROW_BLOCK):
@@ -443,38 +524,28 @@ def _crt_mod_p(
             digits.append(_reduce(acc, q))
         acc = out[start:stop]
         acc[...] = base[at : at + stop - start]
-        for v, c in zip(digits, out_weights[1:]):
+        for v, c in zip(digits, garner.out_weights[1:]):
             acc += v * c
         _reduce(acc, m)
     return out
 
 
-def _merge_slots(
-    tables: Sequence[np.ndarray], plan: PTPlan
-) -> Tuple[Tuple[np.ndarray, ...], Tuple[int, ...]]:
-    """The slot tables merged, in plan order, into group tables mod products of primes.
+def _merge_slots(tables: Sequence[np.ndarray], schedule: _CrtSchedule) -> List[np.ndarray]:
+    """The slot tables merged into the schedule's groups, each a table mod the
+    product of its primes.
 
-    A slot joins the current group (modulus M) by a two-modulus Garner step
-    over the lcm of the two periods, exact mod M*q, while M*q stays within
-    the int64 limit of the final Garner over all groups and the merged table
-    stays well short of n.  The group stays the first modulus, so its digit
-    is its residue as it is and only the new prime's digit is solved, mod q.
-    Each group holds the same x as its slots would, so the outputs are too.
+    Each joining slot's table is combined with its group's over the lcm of
+    their lengths.  The group stays the first modulus, so its digit is its
+    residue as it is and only the new prime's digit is solved, mod q.  Each
+    group holds the same x as its slots would, so the outputs are too.
     """
-    limit = math.isqrt((2**63 - 1) // len(tables))
-    groups = []
-    for table, slot in zip(tables, plan.slots):
-        q = slot.q.q
-        if groups:
-            last, m = groups[-1]
-            size = math.lcm(len(last), len(table))
-            if m * q <= limit and size <= plan.n // 4:
-                combined = _crt_mod_p((last, table), (m, q), m * q, size)
-                groups[-1] = (combined, m * q)
-                continue
-        groups.append((table, q))
-    merged, moduli = zip(*groups)
-    return merged, moduli
+    merged = []
+    for first, joins in schedule.groups:
+        table = tables[first]
+        for index, size, garner in joins:
+            table = _crt_mod_p((table, tables[index]), garner, size)
+        merged.append(table)
+    return merged
 
 
 def _as_array(rows: Sequence) -> np.ndarray:
@@ -510,6 +581,21 @@ def _integers(values: Sequence, low: int, high: float, name: str) -> np.ndarray:
     return array.astype(np.int64)
 
 
+def _transform(
+    x: np.ndarray, plan: PTPlan, rows: Optional[np.ndarray], peak: Optional[int]
+) -> np.ndarray:
+    """The pipeline on a checked (n, c) input at the given rows (all n if None),
+    where peak, if given, bounds every |x| of an int64 x."""
+    schedule = plan._crt
+    if x.dtype != np.int64:
+        peak = None
+    if rows is None:
+        tables = [_slot_table(x, slot, peak=peak) for slot in plan.slots]
+        return _crt_mod_p(_merge_slots(tables, schedule), schedule.final, plan.n)
+    tables = [_slot_table(x, slot, rows, peak) for slot in plan.slots]
+    return _crt_mod_p(tables, schedule.sampled, len(rows))
+
+
 def transform_elements(
     xs: Sequence, plan: PTPlan, indices: Optional[Sequence[int]] = None
 ) -> np.ndarray:
@@ -521,9 +607,10 @@ def transform_elements(
     n rows are combined from slot tables merged at their shared periods,
     each group's terms repeated to one row block past its period; given
     rows are combined from K row-aligned slot tables, whose DFTs run only
-    where those rows fall.  int64 input with every |x| < 2^63 / _ROW_BLOCK
-    (checked once, by its min and max) is folded without a reduction per
-    input row; any other input is reduced mod q block by block.
+    where those rows fall.  An int64 input's peak |x| (one scan of its min
+    and max) sizes the slot stage's first fold: as few blocks as int64
+    sums exactly, unreduced, and one per slot when ceil(n / P) * peak < 2^63
+    for index period P; any other input is reduced mod q block by block.
     """
     try:
         x = _as_array(xs)
@@ -531,16 +618,9 @@ def transform_elements(
         raise UsageError(f"input must be {plan.n} integer triples: {exc}") from exc
     if x.shape not in ((plan.n, 1), (plan.n, 3)):
         raise UsageError(f"input shape {x.shape} != ({plan.n}, 3) or ({plan.n}, 1)")
-    bound = -(-(2**63) // _ROW_BLOCK)  # |x| < bound iff |x| < 2^63 / _ROW_BLOCK
-    unreduced = x.dtype == np.int64 and -bound < int(x.min()) and int(x.max()) < bound
-    if indices is None:
-        tables = [_slot_table(x, slot, fold_unreduced=unreduced) for slot in plan.slots]
-        tables, moduli = _merge_slots(tables, plan)
-        return _crt_mod_p(tables, moduli, plan.p.q, plan.n)
-    rows = _integers(indices, 0, plan.n, "indices")
-    tables = [_slot_table(x, slot, rows, unreduced) for slot in plan.slots]
-    moduli = [slot.q.q for slot in plan.slots]
-    return _crt_mod_p(tables, moduli, plan.p.q, len(rows))
+    rows = None if indices is None else _integers(indices, 0, plan.n, "indices")
+    peak = max(-int(x.min()), int(x.max())) if x.dtype == np.int64 else None
+    return _transform(x, plan, rows, peak)
 
 
 def natural_column(x: Sequence[int], plan: PTPlan) -> np.ndarray:
@@ -553,13 +633,22 @@ def natural_column(x: Sequence[int], plan: PTPlan) -> np.ndarray:
     return column
 
 
+def transform_naturals(x: Sequence[int], plan: PTPlan) -> np.ndarray:
+    """The pipeline on n natural-number coefficients: (n, 3) int64 rows.
+
+    natural_column checks every entry against the plan's coeff_bound, and
+    that bound is the peak the slot stage folds by, so the input is scanned
+    once, not again as transform_elements scans an input it cannot trust.
+    """
+    return _transform(natural_column(x, plan), plan, None, plan.coeff_bound)
+
+
 def transform(x: Sequence[int], plan: PTPlan) -> List[Tuple[int, int, int]]:
     """The pipeline on natural-number coefficients, as n triples of Python ints.
 
-    The naturals enter transform_elements as one (n, 1) column, and its
-    (n, 3) result is converted to a list once, here.
+    transform_naturals' (n, 3) result is converted to a list once, here.
     """
-    return list(zip(*transform_elements(natural_column(x, plan), plan).T.tolist()))
+    return list(zip(*transform_naturals(x, plan).T.tolist()))
 
 
 def inverse_plan(plan: PTPlan) -> PTPlan:
@@ -646,7 +735,8 @@ def spot_check(
     rng = random.Random(seed)
     indices = sorted(rng.sample(range(plan.n), min(sample, plan.n)))
     column = natural_column(x, plan)
-    pipeline = transform_elements(column, plan, indices).tolist()
+    rows = np.array(indices, dtype=np.int64)
+    pipeline = _transform(column, plan, rows, plan.coeff_bound).tolist()
     oracle = oracle_output(column, plan, indices).tolist()
     checks = tuple(
         IndexCheck(j, tuple(row), tuple(want))

@@ -203,13 +203,14 @@ def test_06_recovery_roundtrip():
 
 
 def test_07_crt_stage_p103(plan103):
-    # the boxed crt_reconstruct, and the program's Garner _crt_mod_p against it
+    # the boxed crt_reconstruct, and the program's Garner _crt_mod_p, on the
+    # constants the plan keeps for its K slots, against it
     ok = plan103.prime_product > 9 * 103**6
     basis = CrtBasis.of([s.q.q for s in plan103.slots])
     rng = random.Random(107)
     values = [rng.randrange(basis.Q) for _ in range(10_000)]
     tables = [np.array([v % m for v in values], dtype=np.int64) for m in basis.moduli]
-    garner = ptransform._crt_mod_p(tables, basis.moduli, 103, len(values)).tolist()
+    garner = ptransform._crt_mod_p(tables, plan103._crt.sampled, len(values)).tolist()
     for v, got in zip(values, garner):
         exact = crt_reconstruct([v % m for m in basis.moduli], basis)
         ok &= exact == v and got == exact % 103

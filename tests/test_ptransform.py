@@ -382,12 +382,32 @@ def test_second_transform_rebuilds_no_table(monkeypatch, indices):
     x = np.random.default_rng(13).integers(0, 13, size=(plan.n, 3))
     first = transform_elements(x, plan, indices)
     held = _held_tables(plan)
+    schedule = plan._crt
     built = []
-    monkeypatch.setattr(ptransform, "_vandermonde", lambda *a: built.append(a))
-    monkeypatch.setattr(ptransform, "_RootDFT", lambda *a: built.append(a))
+    for name in ("_vandermonde", "_RootDFT", "_crt_schedule", "_Garner"):
+        monkeypatch.setattr(ptransform, name, lambda *a: built.append(a))
     again = transform_elements(x, plan, indices)
-    assert built == [] and _held_tables(plan) == held
+    assert built == [] and _held_tables(plan) == held and plan._crt is schedule
     assert np.array_equal(first, again)
+
+
+def test_first_transform_builds_the_schedule_once(monkeypatch):
+    # one schedule per plan, with one Garner per merge step plus the final and
+    # sampled ones, all on the first call, none in preprocess
+    plan = preprocess(p=13, bound_mode=STRICT)
+    schedules, garners = [], []
+    schedule_fn, garner_cls = ptransform._crt_schedule, ptransform._Garner
+    monkeypatch.setattr(
+        ptransform, "_crt_schedule", lambda *a: schedules.append(1) or schedule_fn(*a)
+    )
+    monkeypatch.setattr(ptransform, "_Garner", lambda *a: garners.append(a) or garner_cls(*a))
+    assert "_crt" not in vars(plan)
+    column = np.ones((plan.n, 1), dtype=np.int64)
+    for indices in (None, [0, 5], None):
+        transform_elements(column, plan, indices)
+    moduli = [slot.q.q for slot in plan.slots]
+    assert schedules == [1]
+    assert garners == [((31, 43), 31 * 43), ([31 * 43] + moduli[2:], 13), (moduli, 13)]
 
 
 def test_sampled_call_below_every_period_builds_no_matrix():
@@ -462,7 +482,7 @@ def test_garner_matches_crt_reconstruct(moduli, p, seed):
     rows = [[rng.randrange(m) for m in moduli] for _ in range(8)]
     rows += [[0] * len(moduli), [m - 1 for m in moduli]]
     residues = [np.array(column, dtype=np.int64) for column in zip(*rows)]
-    got = ptransform._crt_mod_p(residues, moduli, p, len(rows)).tolist()
+    got = ptransform._crt_mod_p(residues, ptransform._Garner(moduli, p), len(rows)).tolist()
     basis = CrtBasis.of(moduli)
     assert got == [crt_reconstruct(row, basis) % p for row in rows]
 
@@ -474,9 +494,42 @@ def test_garner_on_plan_primes_beyond_64_bits(plan13_big):
     rows = [[rng.randrange(m) for m in moduli] for _ in range(200)]
     residues = [np.array(column, dtype=np.int64) for column in zip(*rows)]
     basis = CrtBasis.of(moduli)
-    assert ptransform._crt_mod_p(residues, moduli, 13, 200).tolist() == [
+    assert ptransform._crt_mod_p(residues, ptransform._Garner(moduli, 13), 200).tolist() == [
         crt_reconstruct(row, basis) % 13 for row in rows
     ]
+
+
+def _prime_at_or_below(n):
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+@pytest.mark.parametrize("moduli, m", [
+    # 3 * Q^2 < 2^63 for the largest Q, with m below Q
+    ((13, 31, _prime_at_or_below(math.isqrt((2**63 - 1) // 3))), 13),
+    # 3 * Q * m < 2^63 for m above Q
+    ((31, 43, 61), (2**63 - 1) // (3 * 61)),
+])
+def test_garner_is_exact_at_its_int64_bound_and_refused_past_it(moduli, m):
+    top = max(moduli)
+    assert len(moduli) * top * max(top, m) < 2**63
+    rng = random.Random(63)
+    rows = [[q - 1 for q in moduli], [0] * len(moduli)]
+    rows += [[rng.randrange(q) for q in moduli] for _ in range(30)]
+    tables = [np.array(column, dtype=np.int64) for column in zip(*rows)]
+    got = ptransform._crt_mod_p(tables, ptransform._Garner(moduli, m), len(rows)).tolist()
+    basis = CrtBasis.of(moduli)
+    assert got == [crt_reconstruct(row, basis) % m for row in rows]
+    # one step past: the next prime for Q, or m + 1
+    if m < top:
+        past = moduli[:-1] + (next(q for q in range(top + 1, 2 * top) if is_prime(q)),), m
+        assert 3 * past[0][-1] ** 2 >= 2**63
+    else:
+        past = moduli, m + 1
+        assert 3 * top * (m + 1) >= 2**63
+    with pytest.raises(UsageError):
+        ptransform._Garner(*past)
 
 
 @pytest.mark.parametrize("lengths, count", [
@@ -493,7 +546,7 @@ def test_crt_mod_p_over_row_blocks_matches_crt_reconstruct(monkeypatch, lengths,
         np.array([[rng.randrange(q) for _ in range(3)] for _ in range(size)], dtype=np.int64)
         for size, q in zip(lengths, moduli)
     ]
-    got = ptransform._crt_mod_p(tables, moduli, 13, count)
+    got = ptransform._crt_mod_p(tables, ptransform._Garner(moduli, 13), count)
     assert got.shape == (count, 3)
     basis = CrtBasis.of(moduli)
     assert got.tolist() == [
@@ -520,7 +573,7 @@ def test_merge_step_at_the_int64_limit_matches_crt_reconstruct(k, q, periods, se
     first, second = first[: periods[0]], second[: periods[1]]
     size = math.lcm(*periods)
     tables = [np.array(first, dtype=np.int64), np.array(second, dtype=np.int64)]
-    got = ptransform._crt_mod_p(tables, (m, q), m * q, size).tolist()
+    got = ptransform._crt_mod_p(tables, ptransform._Garner((m, q), m * q), size).tolist()
     basis = CrtBasis.of([m, q])
     assert got == [
         crt_reconstruct([first[j % periods[0]], second[j % periods[1]]], basis)
@@ -596,13 +649,48 @@ def test_unreduced_fold_bound(monkeypatch, plan7, case):
     assert any(unreduced) == (edge is None)
 
 
+@pytest.mark.parametrize("row_block, peak, width, sums", [
+    # the peak allows only k rows a folded entry: unreduced blocks of k * P rows
+    (2, (2**63 - 1) // 2, 1, 2),
+    (2, (2**63 - 1) // 3, 3, 3),
+    (2, (2**63 - 1) // 5, 1, 5),
+    # ceil(n / P) * peak < 2^63: one fold of the whole input per slot
+    (1 << 14, 2**49 - 1, 3, "whole"),
+    # just above 2^63 / _ROW_BLOCK: every block reduced mod q before its fold
+    (1 << 14, 2**49, 1, "reduced"),
+])
+def test_first_fold_sums_what_the_peak_allows(monkeypatch, plan7, row_block, peak, width, sums):
+    monkeypatch.setattr(ptransform, "_ROW_BLOCK", row_block)
+    rng = np.random.default_rng(peak % 1000)
+    x = rng.integers(-peak, peak, size=(plan7.n, width), endpoint=True)
+    x[:2, 0] = [peak, -peak]
+    want = flat_garner(x.astype(object), plan7)
+    fold, calls = ptransform._fold, []
+
+    def spy(values, period, q):
+        calls.append((len(values), period, bool(((values < 0) | (values >= q)).any())))
+        return fold(values, period, q)
+
+    monkeypatch.setattr(ptransform, "_fold", spy)
+    assert np.array_equal(transform_elements(x, plan7), want)
+    # every _fold call is the first fold of one slot
+    if sums == "reduced":
+        assert not any(unreduced for *_, unreduced in calls)
+    elif sums == "whole":
+        assert [(rows, unreduced) for rows, _, unreduced in calls] == [(plan7.n, True)] * 4
+    else:
+        assert max(-(-rows // period) for rows, period, _ in calls) == sums
+        assert len(calls) == sum(-(-plan7.n // (sums * s.index_period)) for s in plan7.slots)
+
+
 def test_merge_slots_groups_at_p43():
     # slots merge in plan order while the table stays within n // 4 rows
     plan = preprocess(p=43, bound_mode=STRICT)
     column = np.ones((plan.n, 1), dtype=np.int64)
-    tables, moduli = ptransform._merge_slots(
-        [ptransform._slot_table(column, slot) for slot in plan.slots], plan
+    tables = ptransform._merge_slots(
+        [ptransform._slot_table(column, slot) for slot in plan.slots], plan._crt
     )
+    moduli = plan._crt.final.moduli
     assert [slot.q.q for slot in plan.slots] == [61, 67, 73, 103, 151, 193]
     assert moduli == (61 * 67 * 73, 103 * 151, 193)
     assert [len(t) for t in tables] == [3960, 2550, 192]
@@ -787,6 +875,34 @@ def test_oracle_tables_are_not_part_of_the_plan():
         with pytest.raises(ValueError):
             table[0, 0] = 2
     assert baby[0].tolist() == giant[0].tolist() == [1, 0, 0]
+
+
+def test_crt_schedule_is_not_part_of_the_plan():
+    plan = preprocess(p=13, bound_mode=INPUT_AWARE, coeff_bound=12)
+    twin = plan_from_json(plan_to_json(plan))
+    text = plan_to_json(plan)
+    inv = inverse_plan(plan)
+    transform_elements(np.ones((plan.n, 1), dtype=np.int64), plan)
+    schedule = plan._crt
+    assert "_crt" in vars(plan) and "_crt" not in vars(twin)
+    assert plan._crt is schedule  # kept, not rebuilt
+    assert plan_to_json(plan) == text
+    assert plan == twin and twin == plan and hash(plan) == hash(twin)
+    assert [f.name for f in dataclasses.fields(plan)] == [
+        "p", "y", "omega", "slots", "bound_mode", "coeff_bound"
+    ]
+    # the inverse plan's slots have their own periods, so their own schedule
+    assert inv._crt is not schedule and inv._crt is inverse_plan(plan)._crt
+
+    def shape(schedule):
+        groups = [(first, [(i, size) for i, size, _ in joins]) for first, joins in schedule.groups]
+        return groups, schedule.final.moduli, schedule.sampled.moduli
+
+    assert shape(schedule) == (
+        [(0, [(1, 210)]), (2, []), (3, []), (4, [])], (31 * 43, 109, 127, 157),
+        (31, 43, 109, 127, 157),
+    )
+    assert shape(inv._crt) == shape(ptransform._crt_schedule(inv.slots, inv.n, 13))
 
 
 def test_oracle_matches_gather_reference_at_p43():
