@@ -504,7 +504,9 @@ def _crt_mod_p(tables: Sequence[np.ndarray], garner: _Garner, count: int) -> np.
         size = min(count, len(term) + _ROW_BLOCK - 1)
         if len(term) >= size:
             return term
-        return np.tile(term, (-(-size // len(term)),) + (1,) * (term.ndim - 1))
+        tiled = np.empty((-(-size // len(term)), *term.shape), dtype=np.int64)
+        tiled[...] = term
+        return tiled.reshape(-1, *term.shape[1:])
 
     base = repeated(_reduce(first * garner.out_weights[0], m))
     terms = [
