@@ -494,8 +494,9 @@ def _crt_mod_p(tables: Sequence[np.ndarray], garner: _Garner, count: int) -> np.
     and every sum stays exact in int64 (see _Garner).  Digit 0 is r_0, so the
     terms that read one table, r_k * inv_k and v_0 * w_k0 mod q_k and v_0 mod
     m, are solved once on that table's own rows.  The rows are then taken in
-    blocks of _ROW_BLOCK; each term shorter than count is repeated to at most
-    one block past its end, so a block's rows of it are one slice.
+    blocks of _ROW_BLOCK; each term shorter than count is tiled, in whole
+    periods, to cover one block past its start, so a block's rows of it are
+    one slice.
     """
     moduli, m, weights = garner.moduli, garner.m, garner.weights
     first, period = tables[0], len(tables[0])
