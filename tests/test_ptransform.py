@@ -499,21 +499,22 @@ def test_garner_on_plan_primes_beyond_64_bits(plan13_big):
     ]
 
 
-def _prime_at_or_below(n):
-    while not is_prime(n):
-        n -= 1
-    return n
+# the largest prime Q with 3 * Q^2 < 2^63, and the next prime
+_Q_AT_BOUND = next(q for q in range(math.isqrt((2**63 - 1) // 3), 0, -1) if is_prime(q))
+_Q_PAST_BOUND = next(q for q in range(_Q_AT_BOUND + 1, 2 * _Q_AT_BOUND) if is_prime(q))
+# the largest m with 3 * 61 * m < 2^63
+_M_AT_BOUND = (2**63 - 1) // (3 * 61)
 
 
-@pytest.mark.parametrize("moduli, m", [
-    # 3 * Q^2 < 2^63 for the largest Q, with m below Q
-    ((13, 31, _prime_at_or_below(math.isqrt((2**63 - 1) // 3))), 13),
-    # 3 * Q * m < 2^63 for m above Q
-    ((31, 43, 61), (2**63 - 1) // (3 * 61)),
+@pytest.mark.parametrize("moduli, m, past", [
+    ((13, 31, _Q_AT_BOUND), 13, ((13, 31, _Q_PAST_BOUND), 13)),  # K * Q^2, m below Q
+    ((31, 43, 61), _M_AT_BOUND, ((31, 43, 61), _M_AT_BOUND + 1)),  # K * Q * m, m above Q
 ])
-def test_garner_is_exact_at_its_int64_bound_and_refused_past_it(moduli, m):
-    top = max(moduli)
-    assert len(moduli) * top * max(top, m) < 2**63
+def test_garner_is_exact_at_its_int64_bound_and_refused_past_it(moduli, m, past):
+    def bound(moduli, m):
+        return len(moduli) * max(moduli) * max(max(moduli), m)
+
+    assert bound(moduli, m) < 2**63 <= bound(*past)
     rng = random.Random(63)
     rows = [[q - 1 for q in moduli], [0] * len(moduli)]
     rows += [[rng.randrange(q) for q in moduli] for _ in range(30)]
@@ -521,13 +522,6 @@ def test_garner_is_exact_at_its_int64_bound_and_refused_past_it(moduli, m):
     got = ptransform._crt_mod_p(tables, ptransform._Garner(moduli, m), len(rows)).tolist()
     basis = CrtBasis.of(moduli)
     assert got == [crt_reconstruct(row, basis) % m for row in rows]
-    # one step past: the next prime for Q, or m + 1
-    if m < top:
-        past = moduli[:-1] + (next(q for q in range(top + 1, 2 * top) if is_prime(q)),), m
-        assert 3 * past[0][-1] ** 2 >= 2**63
-    else:
-        past = moduli, m + 1
-        assert 3 * top * (m + 1) >= 2**63
     with pytest.raises(UsageError):
         ptransform._Garner(*past)
 
@@ -677,7 +671,8 @@ def test_first_fold_sums_what_the_peak_allows(monkeypatch, plan7, row_block, pea
     if sums == "reduced":
         assert not any(unreduced for *_, unreduced in calls)
     elif sums == "whole":
-        assert [(rows, unreduced) for rows, _, unreduced in calls] == [(plan7.n, True)] * 4
+        whole = [(plan7.n, True)] * len(plan7.slots)
+        assert [(rows, unreduced) for rows, _, unreduced in calls] == whole
     else:
         assert max(-(-rows // period) for rows, period, _ in calls) == sums
         assert len(calls) == sum(-(-plan7.n // (sums * s.index_period)) for s in plan7.slots)
