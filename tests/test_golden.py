@@ -9,6 +9,7 @@ and says why.
 
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
@@ -39,6 +40,30 @@ def test_all_n_strict_transform_digest(p, want):
     plan = ptransform.preprocess(p=p, bound_mode=ptransform.STRICT)
     column = natural_input(plan, p)[:, None]
     assert array_digest(ptransform.transform_elements(column, plan)) == want
+
+
+def test_sampled_strict_transform_digest():
+    # repeated and out-of-order rows at p = 103, n = 1,092,726
+    plan = ptransform.preprocess(p=103, bound_mode=ptransform.STRICT)
+    rng = random.Random(103)
+    rows = [plan.n - 1, 0, 5, 5] + [rng.randrange(plan.n) for _ in range(12)]
+    column = natural_input(plan, 103)[:, None]
+    assert array_digest(ptransform.transform_elements(column, plan, rows)) == (
+        "f3451c5d865fd993e6afd743c99f1da15b8a5f13430ce0b42f577696041f45bb"
+    )
+
+
+def test_sampled_digest_beyond_int64():
+    # object-dtype input up to 2^70 on the 14-slot p = 13 plan, which the
+    # slot stage reduces mod q before it folds
+    plan = ptransform.preprocess(p=13, bound_mode=ptransform.INPUT_AWARE, coeff_bound=2**70)
+    assert len(plan.slots) == 14
+    rng = random.Random(70)
+    column = np.array([rng.getrandbits(70) for _ in range(plan.n)], dtype=object)[:, None]
+    rows = [plan.n - 1, 0, 5, 5, 1000, 17]
+    assert array_digest(ptransform.transform_elements(column, plan, rows)) == (
+        "771197a61254325a7db1660cac659fc6b72d95baa7e3dfa25609aae527e901c2"
+    )
 
 
 def test_input_aware_round_trip_digest(plan13):
