@@ -6,20 +6,21 @@ does have three cube roots.  The transform folds the input rows per
 prime to the prime's index period (in one pass where int64 sums the rows
 exactly), reduces the folded rows at all three roots in one product and
 folds each on to its root's period, runs small DFTs as products with the
-root's power matrix, recovers components by the closed-form Vandermonde
-inverse, merges the primes' tables by CRT at their shared periods, and
-combines only the requested output rows across the merged groups, all on
-int64 arrays.  The boxed references each stage is tested against
-(`naive_dft`, the Gauss-Jordan `recover_components`, `crt_reconstruct`)
-live in `oracles`, which no program module imports.
+root's DFT matrix, recovers components by the closed-form Vandermonde
+inverse into one table per prime over its index classes, merges the
+primes' tables by CRT at their shared periods, and combines the merged
+groups mod p, all on int64 arrays.  Sampled output rows take the same
+path: each prime's class table is read at the sampled rows before the
+merge.  The boxed references each stage is tested against (`naive_dft`,
+the Gauss-Jordan `recover_components`, `crt_reconstruct`) live in
+`oracles`, which no program module imports.
 
 Everything that does not depend on the input is built on first use and
-kept with the plan: each slot's Vandermonde pair, each root's power table
-and, once a call needs every row of a root, its DFT matrix; the CRT
-schedule, which slot tables merge and every Garner constant; the direct
-oracle's baby and giant tables of omega's powers; and the plan that
-inverse_plan returns.  None of it is a field, so plan equality and the
-plan file see only the plan's inputs and slots.
+kept with the plan: each slot's Vandermonde pair and its roots' DFT
+matrices; the CRT schedule, which slot tables merge and every Garner
+constant; the direct oracle's baby and giant tables of omega's powers; and
+the plan that inverse_plan returns.  None of it is a field, so plan
+equality and the plan file see only the plan's inputs and slots.
 
 Whether the end result agrees with the honest extension-field DFT is
 deliberately NOT assumed anywhere: `spot_check` runs the comparison and
@@ -62,34 +63,17 @@ def _held(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class _RootDFT:
-    """X[j] = sum_k v[k] * w^(j*k) mod q at any rows j, for the period d of w.
+def _dft_matrix(w: int, d: int, q: int) -> np.ndarray:
+    """The d x d matrix w^((j*k) mod d) mod q, for the period d of w mod q.
 
-    Holds w^t for t < d, and the d x d matrix w^((j*k) mod d) once a call
-    needs at least d rows; fewer rows are gathered from the power table
-    where they fall, so they never build the matrix.  Exact in int64 while
-    d * (q-1)^2 < 2^63, and refused when the table is built otherwise.
+    A product with d values in [0, q) is exact in int64 while
+    d * (q-1)^2 < 2^63, and the matrix is refused otherwise.
     """
-
-    def __init__(self, w: int, d: int, q: int):
-        if d * (q - 1) ** 2 >= 2**63:
-            raise UsageError(f"a DFT of length {d} mod {q} overflows int64")
-        self.q = q
-        self.powers = _held(np.array([pow(w, t, q) for t in range(d)], dtype=np.int64))
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        k = np.arange(len(self.powers))
-        return _held(self.powers[np.multiply.outer(k, k) % len(k)])
-
-    def __call__(self, values: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """X[j mod d] at each j in rows, for the d values v; all d of them by default."""
-        d = len(self.powers)
-        if rows is None:
-            return self.matrix @ values % self.q
-        if len(rows) < d:
-            return self.powers[np.multiply.outer(rows % d, np.arange(d)) % d] @ values % self.q
-        return self(values)[rows % d]
+    if d * (q - 1) ** 2 >= 2**63:
+        raise UsageError(f"a DFT of length {d} mod {q} overflows int64")
+    powers = np.array([pow(w, t, q) for t in range(d)], dtype=np.int64)
+    k = np.arange(d)
+    return _held(powers[np.multiply.outer(k, k) % d])
 
 
 @dataclass(frozen=True)
@@ -112,8 +96,9 @@ class PTPrimeSlot:
         return _held(forward), _held(inverse)
 
     @cached_property
-    def dfts(self) -> Tuple[_RootDFT, _RootDFT, _RootDFT]:
-        return tuple(_RootDFT(w, d, self.q.q) for w, d in zip(self.omegas, self.periods))
+    def dfts(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each root's DFT matrix, w^((j*k) mod d) mod q for its omega w and period d."""
+        return tuple(_dft_matrix(w, d, self.q.q) for w, d in zip(self.omegas, self.periods))
 
 
 @dataclass(frozen=True)
@@ -367,21 +352,17 @@ def _vandermonde(roots: Sequence[int], q: int) -> Tuple[np.ndarray, np.ndarray]:
     return forward, inverse
 
 
-def _slot_table(
-    x: np.ndarray,
-    slot: PTPrimeSlot,
-    rows: Optional[np.ndarray] = None,
-    peak: Optional[int] = None,
-) -> np.ndarray:
-    """Components mod q of the (n, c) inputs x at each output row: (len(rows), 3);
-    by default the rows are the slot's index classes, j < index_period.
+def _slot_table(x: np.ndarray, slot: PTPrimeSlot, peak: Optional[int] = None) -> np.ndarray:
+    """Components mod q of the (n, c) inputs x at each index class j < P of the
+    slot's index period P: (P, 3).  Output row j of the slot is row j mod P.
 
     Folding and reducing at a root are both linear, so they commute: the
-    input rows are folded first, to the index period P, and only the folded
-    rows are reduced, at all three roots by one product with the first c
-    entries of each (1, r, r^2), so a natural-number column (c = 1) is never
-    widened.  Every root's period d divides P, so each root's row folds on to
-    d by a reshape-sum, and an all-rows table is its d values repeated.
+    input rows are folded first, to P, and only the folded rows are reduced,
+    at all three roots by one product with the first c entries of each
+    (1, r, r^2), so a natural-number column (c = 1) is never widened.  Every
+    root's period d divides P, so each root's row folds on to d by a
+    reshape-sum, its DFT is one product with the root's d x d matrix, and its
+    P-row table is those d values repeated.
 
     The first fold reads the input in blocks that start at multiples of P.
     When peak bounds every |x| of int64 x, a block sums up to
@@ -405,13 +386,9 @@ def _slot_table(
         )
     folded = sum(_fold(values, period, q) for values in blocks) % q
     at_roots = forward[:, : x.shape[1]] @ folded.T % q
-    evals = np.empty((3, period if rows is None else len(rows)), dtype=np.int64)
+    evals = np.empty((3, period), dtype=np.int64)
     for out, at_root, d, dft in zip(evals, at_roots, slot.periods, slot.dfts):
-        at_root = at_root.reshape(-1, d).sum(axis=0) % q
-        if rows is None:
-            out.reshape(-1, d)[...] = dft(at_root)
-        else:
-            out[...] = dft(at_root, rows)
+        out.reshape(-1, d)[...] = dft @ (at_root.reshape(-1, d).sum(axis=0) % q) % q
     return evals.T @ inverse.T % q
 
 
@@ -448,14 +425,12 @@ class _CrtSchedule:
     """How a plan's slot tables are combined, with every Garner constant.
 
     groups holds, per group of merged slots, its first slot's index and one
-    (slot index, merged table size, Garner step) per slot that joins it, in
-    plan order.  final combines the group tables mod p at all n rows, and
-    sampled combines the K slot tables mod p at given rows.
+    (slot index, Garner step) per slot that joins it, in plan order.  final
+    combines the group tables mod p.
     """
 
-    groups: Tuple[Tuple[int, Tuple[Tuple[int, int, _Garner], ...]], ...]
+    groups: Tuple[Tuple[int, Tuple[Tuple[int, _Garner], ...]], ...]
     final: _Garner
-    sampled: _Garner
 
 
 def _crt_schedule(slots: Sequence[PTPrimeSlot], n: int, p: int) -> _CrtSchedule:
@@ -474,14 +449,13 @@ def _crt_schedule(slots: Sequence[PTPrimeSlot], n: int, p: int) -> _CrtSchedule:
             first, joins, size, m = groups[-1]
             size = math.lcm(size, period)
             if m * q <= limit and size <= n // 4:
-                joins.append((index, size, _Garner((m, q), m * q)))
+                joins.append((index, _Garner((m, q), m * q)))
                 groups[-1] = [first, joins, size, m * q]
                 continue
         groups.append([index, [], period, q])
     return _CrtSchedule(
         groups=tuple((first, tuple(joins)) for first, joins, _, _ in groups),
         final=_Garner([m for *_, m in groups], p),
-        sampled=_Garner([slot.q.q for slot in slots], p),
     )
 
 
@@ -538,14 +512,17 @@ def _merge_slots(tables: Sequence[np.ndarray], schedule: _CrtSchedule) -> List[n
     product of its primes.
 
     Each joining slot's table is combined with its group's over the lcm of
-    their lengths.  The group stays the first modulus, so its digit is its
-    residue as it is and only the new prime's digit is solved, mod q.  Each
-    group holds the same x as its slots would, so the outputs are too.
+    their lengths: the lcm of their periods for class tables, and the row
+    count for tables gathered at given rows.  The group stays the first
+    modulus, so its digit is its residue as it is and only the new prime's
+    digit is solved, mod q.  Each group holds the same x as its slots would,
+    so the outputs are too.
     """
     merged = []
     for first, joins in schedule.groups:
         table = tables[first]
-        for index, size, garner in joins:
+        for index, garner in joins:
+            size = math.lcm(len(table), len(tables[index]))
             table = _crt_mod_p((table, tables[index]), garner, size)
         merged.append(table)
     return merged
@@ -589,14 +566,14 @@ def _transform(
 ) -> np.ndarray:
     """The pipeline on a checked (n, c) input at the given rows (all n if None),
     where peak, if given, bounds every |x| of an int64 x."""
-    schedule = plan._crt
     if x.dtype != np.int64:
         peak = None
-    if rows is None:
-        tables = [_slot_table(x, slot, peak=peak) for slot in plan.slots]
-        return _crt_mod_p(_merge_slots(tables, schedule), schedule.final, plan.n)
-    tables = [_slot_table(x, slot, rows, peak) for slot in plan.slots]
-    return _crt_mod_p(tables, schedule.sampled, len(rows))
+    tables = [_slot_table(x, slot, peak) for slot in plan.slots]
+    if rows is not None:
+        tables = [table[rows % len(table)] for table in tables]
+    schedule = plan._crt
+    count = plan.n if rows is None else len(rows)
+    return _crt_mod_p(_merge_slots(tables, schedule), schedule.final, count)
 
 
 def transform_elements(
@@ -606,14 +583,13 @@ def transform_elements(
 
     xs is n component triples mod p, or an (n, 1) column of naturals v,
     each standing for (v, 0, 0); the inverse direction needs triples.
-    indices (default: all n, in order) name the output rows, one each.  All
-    n rows are combined from slot tables merged at their shared periods,
-    each group's terms repeated to one row block past its period; given
-    rows are combined from K row-aligned slot tables, whose DFTs run only
-    where those rows fall.  An int64 input's peak |x| (one scan of its min
-    and max) sizes the slot stage's first fold: as few blocks as int64
-    sums exactly, unreduced, and one per slot when ceil(n / P) * peak < 2^63
-    for index period P; any other input is reduced mod q block by block.
+    indices (default: all n, in order) name the output rows, one each.  Each
+    slot's class table is built in full and, given indices, read at them; the
+    tables are then merged at their shared periods and combined mod p at
+    every output row.  An int64 input's peak |x| (one scan of its min and
+    max) sizes the slot stage's first fold: as few blocks as int64 sums
+    exactly, unreduced, and one per slot when ceil(n / P) * peak < 2^63 for
+    index period P; any other input is reduced mod q block by block.
     """
     try:
         x = _as_array(xs)

@@ -149,7 +149,7 @@ def test_05_folding_identity(plan13, plan7):
             q = slot.q.q
             w, d = slot.omegas[i], slot.periods[i]
             xv = np.asarray(x, dtype=np.int64)
-            stage = slot.dfts[i](ptransform._fold(xv, d, q), np.arange(d)).tolist()
+            stage = (slot.dfts[i] @ ptransform._fold(xv, d, q) % q).tolist()
             folded = conftest.fold_coefficients(x, slot, i)
             boxed = [r.value for r in naive_dft(folded, slot.q.residue(w))]
             wp = np.array([pow(w, e, q) for e in range(d)], dtype=np.int64)
@@ -203,14 +203,15 @@ def test_06_recovery_roundtrip():
 
 
 def test_07_crt_stage_p103(plan103):
-    # the boxed crt_reconstruct, and the program's Garner _crt_mod_p, on the
-    # constants the plan keeps for its K slots, against it
+    # the boxed crt_reconstruct, and the program's Garner _crt_mod_p, on
+    # Garner's constants for the plan's K slot primes, against it
     ok = plan103.prime_product > 9 * 103**6
     basis = CrtBasis.of([s.q.q for s in plan103.slots])
     rng = random.Random(107)
     values = [rng.randrange(basis.Q) for _ in range(10_000)]
     tables = [np.array([v % m for v in values], dtype=np.int64) for m in basis.moduli]
-    garner = ptransform._crt_mod_p(tables, plan103._crt.sampled, len(values)).tolist()
+    garner = ptransform._Garner(basis.moduli, 103)
+    garner = ptransform._crt_mod_p(tables, garner, len(values)).tolist()
     for v, got in zip(values, garner):
         exact = crt_reconstruct([v % m for m in basis.moduli], basis)
         ok &= exact == v and got == exact % 103

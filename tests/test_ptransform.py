@@ -322,25 +322,13 @@ def _element_of_order(q, d):
     return pow(g, (q - 1) // d, q)
 
 
-@pytest.mark.parametrize("q, d, order", [
-    (31, 1, "all-first"),
-    (157, 156, "all-first"),
-    (157, 156, "sampled-first"),  # sampled rows gathered before the matrix exists
-])
-def test_slot_dft_matches_naive_dft(q, d, order):
+@pytest.mark.parametrize("q, d", [(31, 1), (157, 156)])
+def test_slot_dft_matches_naive_dft(q, d):
     w = _element_of_order(q, d)
     x = np.array([random.Random(d).randrange(q) for _ in range(d)], dtype=np.int64)
     modulus = PrimeModulus(q)
     boxed = naive_dft([modulus.residue(v) for v in x.tolist()], modulus.residue(w))
-    want = [v.value for v in boxed]
-    dft = ptransform._RootDFT(w, d, q)
-    # all d rows, rows beyond d, fewer than d (evaluated where they fall) and
-    # more (gathered)
-    cases = [list(range(d)), [5 * d + 1, 0, 3 * d - 1], list(range(2 * d + 7))[::-1]]
-    if order == "sampled-first":
-        cases = cases[1:] + cases[:1]
-    for rows in cases:
-        assert dft(x, np.array(rows)).tolist() == [want[j % d] for j in rows]
+    assert (ptransform._dft_matrix(w, d, q) @ x % q).tolist() == [v.value for v in boxed]
 
 
 def test_slot_dft_spanning_many_blocks():
@@ -350,7 +338,7 @@ def test_slot_dft_spanning_many_blocks():
     w = _element_of_order(q, d)
     rng = random.Random(3001)
     x = [rng.randrange(q) for _ in range(d)]
-    got = ptransform._RootDFT(w, d, q)(np.array(x, dtype=np.int64), np.arange(d)).tolist()
+    got = (ptransform._dft_matrix(w, d, q) @ np.array(x, dtype=np.int64) % q).tolist()
     powers = [pow(w, k, q) for k in range(d)]
     for j in [0, d - 1] + rng.sample(range(d), 100):
         assert got[j] == sum(v * powers[j * k % d] for k, v in enumerate(x)) % q
@@ -359,41 +347,63 @@ def test_slot_dft_spanning_many_blocks():
 def test_slot_dft_refuses_int64_overflow():
     q = 2**31 - 1  # 4 * (q - 1)^2 >= 2^63
     with pytest.raises(UsageError):
-        ptransform._RootDFT(1, 4, q)
+        ptransform._dft_matrix(1, 4, q)
     with pytest.raises(UsageError):
-        ptransform._RootDFT(1, 3, q)
-    assert ptransform._RootDFT(1, 2, q).powers.tolist() == [1, 1]  # 2 * (q - 1)^2 < 2^63
+        ptransform._dft_matrix(1, 3, q)
+    assert ptransform._dft_matrix(1, 2, q).tolist() == [[1, 1], [1, 1]]  # 2 * (q - 1)^2 < 2^63
 
 
 def _held_tables(plan):
     """Every input-independent array a plan's slots hold, by identity; all read-only."""
     held = []
     for slot in plan.slots:
-        held += list(slot.vandermonde)
-        for dft in slot.dfts:
-            held += [dft.powers] + ([dft.matrix] if "matrix" in vars(dft) else [])
+        held += list(slot.vandermonde) + list(slot.dfts)
     assert not any(a.flags.writeable for a in held)
     return [id(a) for a in held]
+
+
+def _second_call_builds_nothing(monkeypatch, plan, x, first, second):
+    """Both outputs of transform_elements at indices first and then second,
+    after checking that the second call builds no table and keeps every table
+    the first one held."""
+    before = transform_elements(x, plan, first)
+    held = _held_tables(plan)
+    schedule = plan._crt
+    built = []
+    for name in ("_vandermonde", "_dft_matrix", "_crt_schedule", "_Garner"):
+        monkeypatch.setattr(ptransform, name, lambda *a: built.append(a))
+    after = transform_elements(x, plan, second)
+    assert built == [] and _held_tables(plan) == held and plan._crt is schedule
+    return before, after
 
 
 @pytest.mark.parametrize("indices", [None, [0, 5, 2000]])
 def test_second_transform_rebuilds_no_table(monkeypatch, indices):
     plan = preprocess(p=13, bound_mode=INPUT_AWARE, coeff_bound=12)
     x = np.random.default_rng(13).integers(0, 13, size=(plan.n, 3))
-    first = transform_elements(x, plan, indices)
-    held = _held_tables(plan)
-    schedule = plan._crt
-    built = []
-    for name in ("_vandermonde", "_RootDFT", "_crt_schedule", "_Garner"):
-        monkeypatch.setattr(ptransform, name, lambda *a: built.append(a))
-    again = transform_elements(x, plan, indices)
-    assert built == [] and _held_tables(plan) == held and plan._crt is schedule
+    first, again = _second_call_builds_nothing(monkeypatch, plan, x, indices, indices)
     assert np.array_equal(first, again)
 
 
+@pytest.mark.parametrize("order", ["sampled-first", "all-n-first"])
+def test_sampled_and_all_n_calls_share_their_tables(monkeypatch, order):
+    # three rows, fewer than most root periods here: a sampled call builds
+    # every table an all-n call reads, and an all-n call every table a
+    # sampled one reads
+    plan = preprocess(p=13, bound_mode=INPUT_AWARE, coeff_bound=12)
+    rows = [0, 5, 2000]
+    assert len(rows) < max(d for slot in plan.slots for d in slot.periods)
+    x = np.random.default_rng(13).integers(0, 13, size=(plan.n, 3))
+    if order == "sampled-first":
+        sampled, full = _second_call_builds_nothing(monkeypatch, plan, x, rows, None)
+    else:
+        full, sampled = _second_call_builds_nothing(monkeypatch, plan, x, None, rows)
+    assert np.array_equal(sampled, full[rows])
+
+
 def test_first_transform_builds_the_schedule_once(monkeypatch):
-    # one schedule per plan, with one Garner per merge step plus the final and
-    # sampled ones, all on the first call, none in preprocess
+    # one schedule per plan, with one Garner per merge step plus the final
+    # one, all on the first call, none in preprocess
     plan = preprocess(p=13, bound_mode=STRICT)
     schedules, garners = [], []
     schedule_fn, garner_cls = ptransform._crt_schedule, ptransform._Garner
@@ -407,28 +417,7 @@ def test_first_transform_builds_the_schedule_once(monkeypatch):
         transform_elements(column, plan, indices)
     moduli = [slot.q.q for slot in plan.slots]
     assert schedules == [1]
-    assert garners == [((31, 43), 31 * 43), ([31 * 43] + moduli[2:], 13), (moduli, 13)]
-
-
-def test_sampled_call_below_every_period_builds_no_matrix():
-    plan = preprocess(p=19)  # periods from 3 to 156
-    rows = [7, 5000]
-    assert len(rows) < min(d for slot in plan.slots for d in slot.periods)
-    got = transform_elements(np.ones((plan.n, 1), dtype=np.int64), plan, rows)
-    assert all("matrix" not in vars(dft) for slot in plan.slots for dft in slot.dfts)
-    want = transform_elements(np.ones((plan.n, 1), dtype=np.int64), plan)[rows]
-    assert np.array_equal(got, want)
-
-
-def test_matrix_held_only_for_roots_a_call_needs_whole():
-    plan = preprocess(p=13, bound_mode=INPUT_AWARE, coeff_bound=12)
-    rows = list(range(0, plan.n, plan.n // 20))  # 21 rows
-    transform_elements(np.ones((plan.n, 1), dtype=np.int64), plan, rows)
-    for slot in plan.slots:
-        for dft, d in zip(slot.dfts, slot.periods):
-            assert ("matrix" in vars(dft)) == (len(rows) >= d)
-            if len(rows) >= d:
-                assert dft.matrix.shape == (d, d)
+    assert garners == [((31, 43), 31 * 43), ([31 * 43] + moduli[2:], 13)]
 
 
 @pytest.fixture(scope="module")
@@ -710,9 +699,9 @@ def test_transform_elements_at_indices(monkeypatch, plan13):
 
 
 @pytest.mark.parametrize("p, sample", [
-    (19, 2),  # fewer rows than every root period: each slot DFT runs at the rows alone
+    (19, 2),  # fewer rows than every root period, so the merges run on 2 rows
     (19, 16),  # more rows than some periods, fewer than others
-    (7, None),  # all n rows: each slot DFT runs in full and is gathered
+    (7, None),  # all n rows, reversed: every class table is read at every class
     (13, None),
 ])
 def test_sampled_pipeline_matches_full_rows(p, sample):
@@ -890,12 +879,11 @@ def test_crt_schedule_is_not_part_of_the_plan():
     assert inv._crt is not schedule and inv._crt is inverse_plan(plan)._crt
 
     def shape(schedule):
-        groups = [(first, [(i, size) for i, size, _ in joins]) for first, joins in schedule.groups]
-        return groups, schedule.final.moduli, schedule.sampled.moduli
+        groups = [(first, [i for i, _ in joins]) for first, joins in schedule.groups]
+        return groups, schedule.final.moduli
 
     assert shape(schedule) == (
-        [(0, [(1, 210)]), (2, []), (3, []), (4, [])], (31 * 43, 109, 127, 157),
-        (31, 43, 109, 127, 157),
+        [(0, [1]), (2, []), (3, []), (4, [])], (31 * 43, 109, 127, 157),
     )
     assert shape(inv._crt) == shape(ptransform._crt_schedule(inv.slots, inv.n, 13))
 
@@ -981,7 +969,7 @@ def test_oracle_domain_lies_inside_the_float64_bound():
 
 
 PIPELINE_STAGES = {
-    "_slot_table", "_fold", "_RootDFT", "_crt_mod_p", "_merge_slots", "_reduce",
+    "_slot_table", "_fold", "_dft_matrix", "_crt_mod_p", "_merge_slots", "_reduce",
     "_vandermonde", "transform_elements",
 }
 
