@@ -185,12 +185,21 @@ def _int_list(text: str, what: str, minimum: int) -> list:
     return values
 
 
+# The backends bench can time: the exact ones, which need no plan.
+_BENCH_BACKENDS = (bigmul.SCHOOLBOOK, bigmul.KARATSUBA, bigmul.ORACLE_NTT)
+
+
 def cmd_bench(args) -> tuple:
     # parsed into args, so the report's config records the lists
     args.sizes = _int_list(args.sizes, "size", 1)
     if args.repetitions < 1:
         raise UsageError("repetitions must be >= 1")
     args.backends = [b for b in args.backends.split(",") if b]
+    if not args.backends:
+        raise UsageError("backend list must be non-empty")
+    unknown = sorted(set(args.backends) - set(_BENCH_BACKENDS))
+    if unknown:
+        raise UsageError(f"bench times {', '.join(_BENCH_BACKENDS)}, not {', '.join(unknown)}")
     rng = random.Random(args.seed)
     rows = []
     for bits in args.sizes:

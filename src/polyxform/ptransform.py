@@ -265,8 +265,8 @@ def preprocess(
 ) -> PTPlan:
     """Build a transform plan.
 
-    Either n_target (the requested transform size) or an explicit base
-    prime p must be given.  Strict mode sizes the prime set against the
+    Exactly one of n_target (the requested transform size) and an explicit
+    base prime p must be given.  Strict mode sizes the prime set against the
     9*p^6 worst case; input-aware mode sizes it against the exact
     interval-arithmetic bound for the declared coefficient bound, which
     is what makes small configurations runnable at all.
@@ -276,6 +276,8 @@ def preprocess(
     MAX_SCAN_FACTOR * p.  (With primes below p alone the strict bound is
     unreachable at desk scale; see the plan statistics for what was used.)
     """
+    if p is not None and n_target is not None:
+        raise UsageError(f"give n_target or p, not both (n_target = {n_target}, p = {p})")
     if p is None:
         if n_target is None or n_target < 2:
             raise UsageError("need n_target >= 2 or an explicit p")
@@ -740,6 +742,15 @@ def plan_to_json(plan: PTPlan) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _json_int(value, name: str, below: Optional[int] = None) -> int:
+    """A plan file's integer field, refused unless it is a JSON integer (not a
+    boolean or a float), and in [0, below) when below is given."""
+    if type(value) is not int or (below is not None and not 0 <= value < below):
+        within = "" if below is None else f" in [0, {below})"
+        raise UsageError(f"plan field {name} must be an integer{within}, not {value!r}")
+    return value
+
+
 def plan_from_json(text: str) -> PTPlan:
     """Rebuild a plan from its inputs, deriving each slot as preprocess does.
 
@@ -748,19 +759,21 @@ def plan_from_json(text: str) -> PTPlan:
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise UsageError(f"a plan file holds a JSON object, not {type(doc).__name__}")
-    if doc.get("format_version") != PLAN_FORMAT_VERSION:
-        raise UsageError(
-            f"unsupported plan format version {doc.get('format_version')!r}"
-        )
-    p_mod = PrimeModulus(doc["p"])
-    y = p_mod.residue(doc["y"])
+    version = doc.get("format_version")
+    if type(version) is not int or version != PLAN_FORMAT_VERSION:
+        raise UsageError(f"unsupported plan format version {version!r}")
+    p_mod = PrimeModulus(_json_int(doc["p"], "p"))
+    y = p_mod.residue(_json_int(doc["y"], "y", p_mod.q))
     if is_cube(y):
         raise UsageError(f"y = {y.value} is a cube mod {p_mod.q}")
     ctx = ExtensionContext(p_mod, y)
-    omega = ctx.element(*doc["omega"])
+    coeffs = doc["omega"]
+    if not isinstance(coeffs, list) or len(coeffs) != 3:
+        raise UsageError(f"plan field omega must hold three coefficients, not {coeffs!r}")
+    omega = ctx.element(*(_json_int(c, "omega", p_mod.q) for c in coeffs))
     if multiplicative_order(omega, ctx.group_order) != ctx.group_order:
         raise UsageError(f"omega does not have order p^3 - 1 = {ctx.group_order}")
-    primes = doc["primes"]
+    primes = [_json_int(q, "primes") for q in doc["primes"]]
     if len(set(primes)) != len(primes):
         raise UsageError(f"duplicated helper prime in {primes}")
     slots = []
@@ -769,7 +782,8 @@ def plan_from_json(text: str) -> PTPlan:
         if slot is None:
             raise UsageError(f"helper prime {q} is unusable for this plan")
         slots.append(slot)
-    plan = PTPlan(p_mod, y, omega, tuple(slots), doc["bound_mode"], doc["coeff_bound"])
+    coeff_bound = _json_int(doc["coeff_bound"], "coeff_bound")
+    plan = PTPlan(p_mod, y, omega, tuple(slots), doc["bound_mode"], coeff_bound)
     if plan.prime_product <= plan.target_bound:
         raise UsageError(
             f"prod(q) = {plan.prime_product} <= required {plan.target_bound}"

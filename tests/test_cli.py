@@ -159,11 +159,34 @@ def test_verify_rejects_corrupted_plan(capsys, tmp_path):
 
 def test_verify_rejects_tampered_plan(capsys, plan7_file, tmp_path):
     doc = json.loads(Path(plan7_file).read_text())
-    doc["primes"][-1] = doc["primes"][0]  # the product falls short and repeats
     bad = tmp_path / "tampered.json"
-    bad.write_text(json.dumps(doc))
-    code, _ = run(capsys, "verify", "--plan", str(bad))
-    assert code == EXIT_USAGE
+
+    def tampered(**fields):
+        bad.write_text(json.dumps({**doc, **fields}))
+        return str(bad)
+
+    repeated = doc["primes"][:-1] + doc["primes"][:1]  # the product falls short and repeats
+    assert run(capsys, "verify", "--plan", tampered(primes=repeated))[0] == EXIT_USAGE
+    # fields preprocess could not have written: integers that are not JSON
+    # integers, residues outside [0, p), an omega without three coefficients
+    edits = [
+        {"coeff_bound": 12.5}, {"coeff_bound": 1.0}, {"coeff_bound": True},
+        {"p": 7.0}, {"format_version": 2.0}, {"primes": [float(q) for q in doc["primes"]]},
+        {"y": doc["y"] + 7}, {"omega": [doc["omega"][0] + 7] + doc["omega"][1:]},
+        {"omega": doc["omega"][:2]}, {"omega": doc["omega"] + [0]}, {"omega": [True, 0, 1]},
+    ]
+    for fields in edits:
+        code = main(["verify", "--plan", tampered(**fields), "--sample", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, ""), fields
+        assert captured.err.startswith("usage error:"), fields
+    path = tampered(coeff_bound=12.5)
+    code = main(
+        ["mul", "--a", "0x3", "--b", "0x5", "--backend", "polynomial-transform", "--plan", path]
+    )
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert "Traceback" not in captured.err and "coeff_bound" in captured.err
 
 
 def test_mul_schoolbook_golden(capsys):
@@ -296,11 +319,17 @@ def test_bench_limb_ops_deterministic(capsys):
     assert rows(a) == rows(b)  # identical modulo the wall-time column
 
 
-def test_bench_empty_sizes(capsys):
+def test_bench_empty_sizes(capsys, monkeypatch):
     code, _ = run(capsys, "bench", "--sizes", "")
     assert code == EXIT_USAGE
     code, _ = run(capsys, "bench", "--sizes", "64", "--repetitions", "0")
     assert code == EXIT_USAGE
+    # an empty or unknown backend list is refused before any backend is timed
+    timed = []
+    monkeypatch.setattr(bigmul, "transform_mul", lambda *a: timed.append(a))
+    for backends in ("", ",", "karatsuba,foo", "polynomial-transform"):
+        code, out = run(capsys, "bench", "--sizes", "64", "--backends", backends)
+        assert (code, out, timed) == (EXIT_USAGE, "", [])
 
 
 @pytest.mark.parametrize(

@@ -46,6 +46,9 @@ def test_preprocess_rejects_bad_args():
         preprocess()  # neither n_target nor p
     with pytest.raises(UsageError):
         preprocess(p=13, bound_mode=INPUT_AWARE, coeff_bound=-1)
+    with pytest.raises(UsageError, match="not both"):
+        preprocess(p=7, n_target=100000)  # n_target would pick a larger p
+    assert main(["plan", "--p", "7", "--n-target", "100000"]) == EXIT_USAGE
 
 
 def test_preprocess_from_target_size():
