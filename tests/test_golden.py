@@ -66,6 +66,18 @@ def test_sampled_digest_beyond_int64():
     )
 
 
+def test_sampled_strict_digest_beyond_int64():
+    # the same 2^70 object-dtype input and rows on the strict p = 13 plan,
+    # which the slot stage reduces mod q before it folds
+    plan = ptransform.preprocess(p=13, coeff_bound=2**70)
+    rng = random.Random(70)
+    column = np.array([rng.getrandbits(70) for _ in range(plan.n)], dtype=object)[:, None]
+    rows = [plan.n - 1, 0, 5, 5, 1000, 17]
+    assert array_digest(ptransform.transform_elements(column, plan, rows)) == (
+        "878cf7bb824f7d931687fb65737b5e145031efe67f23f138aa322dd6cfcb6fea"
+    )
+
+
 def test_input_aware_round_trip_digest(plan13):
     # forward on naturals, then the inverse plan on the (n, 3) forward output
     column = natural_input(plan13, 13)[:, None]
