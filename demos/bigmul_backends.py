@@ -38,8 +38,7 @@ print()
 # --- the experimental backend ------------------------------------------
 print("transform-pipeline backend at p = 13 (building plan ...)")
 t0 = time.perf_counter()
-plan = ptransform.preprocess(p=13, bound_mode=ptransform.INPUT_AWARE,
-                             coeff_bound=12)
+plan = ptransform.preprocess(p=13)
 report = bigmul.transform_mul(a, b, MulBackend(bigmul.POLY_TRANSFORM, plan=plan))
 print(f"  done in {time.perf_counter() - t0:.1f}s -> verdict "
       f"'{report.verdict}'")

@@ -14,14 +14,12 @@ import time
 from polyxform import ptransform
 
 t0 = time.perf_counter()
-plan = ptransform.preprocess(p=13, bound_mode=ptransform.INPUT_AWARE,
-                             coeff_bound=12)
+plan = ptransform.preprocess(p=13)
 print(f"plan built in {time.perf_counter() - t0:.1f}s:")
 print(f"  p = {plan.p.q}, y = {plan.y.value}, n = p^3 - 1 = {plan.n}")
 print(f"  omega = {plan.omega.coeffs} (order {plan.n} in F_p[t]/(t^3 - y))")
 print(f"  helper primes: {[s.q.q for s in plan.slots]}")
-print(f"  prime product {plan.prime_product} > certified worst case "
-      f"{plan.certified_bound}")
+print(f"  prime product {plan.prime_product} > 9 p^6 = {plan.target_bound}")
 for slot in plan.slots:
     print(f"    q = {slot.q.q:>3}: roots {list(slot.roots)}"
           f" periods {list(slot.periods)}")

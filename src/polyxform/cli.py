@@ -43,8 +43,6 @@ EXIT_USAGE = 2
 EXIT_PLAN = 3
 EXIT_MISMATCH = 4
 
-_BOUND_MODES = {"strict": ptransform.STRICT, "input-aware": ptransform.INPUT_AWARE}
-
 # Parsed arguments that steer where a report goes, not what it computes.
 _NOT_CONFIG = frozenset(
     {"command", "func", "format", "out", "plan_out", "update_ledger", "ledger"}
@@ -85,7 +83,6 @@ def cmd_plan(args) -> tuple:
     plan = ptransform.preprocess(
         n_target=args.n_target,
         p=args.p,
-        bound_mode=_BOUND_MODES[args.bound_mode],
         seed=args.seed,
         coeff_bound=args.coeff_bound,
     )
@@ -99,9 +96,8 @@ def cmd_plan(args) -> tuple:
         "alpha": len(plan.slots),
         "primes": [s.q.q for s in plan.slots],
         "prime_product": plan.prime_product,
-        "nine_p6": 9 * plan.p.q**6,
-        "exceeds_nine_p6": plan.prime_product > 9 * plan.p.q**6,
-        "certified_bound": plan.certified_bound,
+        "nine_p6": plan.target_bound,
+        "exceeds_nine_p6": plan.prime_product > plan.target_bound,
         "plan": json.loads(plan_text),
     }
     return results, EXIT_OK, None
@@ -155,7 +151,7 @@ def cmd_mul(args) -> tuple:
         return results, EXIT_OK if report.verdict == "match" else EXIT_MISMATCH, None
     evidence = (
         f"mul --a {args.a} --b {args.b} --backend {args.backend} --plan "
-        f"p={plan.p.q} ({plan.bound_mode}): backend returned a "
+        f"p={plan.p.q}: backend returned a "
         f"{len(results['product']) - 2}-digit hex value vs oracle "
         f"{results['oracle']} ({report.verdict}); "
         f"{report.extra['outputs_with_nonreal_components']} of {plan.n} "
@@ -314,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("plan", help="build and serialize a transform plan")
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--n-target", type=int, default=None)
-    sp.add_argument("--bound-mode", choices=tuple(_BOUND_MODES), default="strict")
     sp.add_argument("--coeff-bound", type=int, default=None)
     sp.add_argument("--plan-out", default="", help="where to write the plan JSON")
     sp.add_argument("--seed", type=_seed, default=0)

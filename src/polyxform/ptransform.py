@@ -48,8 +48,10 @@ from .transform import (
     multiplicative_order,
 )
 
-PLAN_FORMAT_VERSION = 2
+PLAN_FORMAT_VERSION = 3
 
+# The values preprocess still takes for its bound_mode keyword; both size
+# the helper primes against 9 p^6.
 STRICT = "strict-9p6"
 INPUT_AWARE = "input-aware"
 
@@ -103,20 +105,18 @@ class PTPrimeSlot:
 
 @dataclass(frozen=True)
 class PTPlan:
-    """A plan's inputs and slots; n and both bounds are derived on read."""
+    """A plan's inputs and slots; n and the bound prod(q) must exceed are
+    derived on read."""
 
     p: PrimeModulus
     y: Residue
     omega: ExtensionElement
     slots: Tuple[PTPrimeSlot, ...]
-    bound_mode: str
-    coeff_bound: int  # max input coefficient value the plan is sized for
+    coeff_bound: int  # largest input coefficient natural_column accepts
 
     def __post_init__(self):
-        if self.bound_mode not in (STRICT, INPUT_AWARE):
-            raise UsageError(f"unknown bound mode {self.bound_mode!r}")
-        if self.coeff_bound < 0:
-            raise UsageError("coeff_bound must be >= 0")
+        if type(self.coeff_bound) is not int or self.coeff_bound < 1:
+            raise UsageError(f"coeff_bound must be an integer >= 1, not {self.coeff_bound!r}")
 
     @property
     def n(self) -> int:
@@ -124,14 +124,9 @@ class PTPlan:
         return self.p.q**3 - 1
 
     @property
-    def certified_bound(self) -> int:
-        """Worst-case intermediate over this plan's slots, per _interval_bound."""
-        return _interval_bound(self.n, self.coeff_bound, self.slots)
-
-    @property
     def target_bound(self) -> int:
-        """What prod(q) must exceed for this plan to be usable."""
-        return 9 * self.p.q**6 if self.bound_mode == STRICT else self.certified_bound
+        """What prod(q) must exceed for this plan to be usable: 9 p^6."""
+        return 9 * self.p.q**6
 
     @property
     def context(self) -> ExtensionContext:
@@ -238,24 +233,6 @@ def _try_slot(
     return PTPrimeSlot(q, roots, omegas, periods)
 
 
-def _interval_bound(n: int, coeff_bound: int, slots: Sequence[PTPrimeSlot]) -> int:
-    """Worst-case intermediate magnitude by interval arithmetic.
-
-    Over the integers, a fold sums ceil(n/period) inputs, a DFT row adds
-    `period` folded values times q - 1, and recovery adds three DFT
-    values times q - 1; for coeff_bound >= 0 that last term bounds the
-    other two.  Returns its largest value across slots and periods.
-    """
-    return max(
-        (
-            3 * period * -(-n // period) * coeff_bound * (slot.q.q - 1) ** 2
-            for slot in slots
-            for period in slot.periods
-        ),
-        default=0,
-    )
-
-
 def preprocess(
     n_target: int = None,
     bound_mode: str = STRICT,
@@ -263,19 +240,21 @@ def preprocess(
     p: int = None,
     coeff_bound: int = None,
 ) -> PTPlan:
-    """Build a transform plan.
+    """Build a transform plan whose helper primes have prod(q) > 9 p^6.
 
     Exactly one of n_target (the requested transform size) and an explicit
-    base prime p must be given.  Strict mode sizes the prime set against the
-    9*p^6 worst case; input-aware mode sizes it against the exact
-    interval-arithmetic bound for the declared coefficient bound, which
-    is what makes small configurations runnable at all.
+    base prime p must be given.  coeff_bound (default p - 1) is the largest
+    input coefficient natural_column accepts.  bound_mode selects nothing:
+    it must be STRICT or INPUT_AWARE, and it goes once perfbench stops
+    passing it.
 
     The prime scan starts just below p and descends, then continues with
     primes above p when the supply below is insufficient, stopping at
-    MAX_SCAN_FACTOR * p.  (With primes below p alone the strict bound is
+    MAX_SCAN_FACTOR * p.  (With primes below p alone the bound is
     unreachable at desk scale; see the plan statistics for what was used.)
     """
+    if bound_mode not in (STRICT, INPUT_AWARE):
+        raise UsageError(f"unknown bound mode {bound_mode!r}")
     if p is not None and n_target is not None:
         raise UsageError(f"give n_target or p, not both (n_target = {n_target}, p = {p})")
     if p is None:
@@ -288,12 +267,10 @@ def preprocess(
         p_mod = PrimeModulus(p)
         if p_mod.q % 3 != 1:
             raise UsageError(f"p = {p} must be 1 mod 3 for a non-cube to exist")
-    if coeff_bound is None:
-        coeff_bound = p_mod.q - 1 if bound_mode == STRICT else 1
     y = find_noncube(p_mod, rng_seed=None if seed == 0 else seed)
     ctx = ExtensionContext(p_mod, y)
     omega = find_extension_root_of_order(ctx.group_order, ctx)
-    plan = PTPlan(p_mod, y, omega, (), bound_mode, coeff_bound)
+    plan = PTPlan(p_mod, y, omega, (), p_mod.q - 1 if coeff_bound is None else coeff_bound)
 
     def scan():
         yield from descending_primes(p_mod.q)
@@ -311,7 +288,7 @@ def preprocess(
             return plan
     raise PrimeSupplyExhausted(
         f"prod(q) = {plan.prime_product} <= required {plan.target_bound} scanning "
-        f"up to {MAX_SCAN_FACTOR}*p; try input-aware mode or a larger scan"
+        f"up to {MAX_SCAN_FACTOR}*p; try a larger scan"
     )
 
 
@@ -530,10 +507,16 @@ def _merge_slots(tables: Sequence[np.ndarray], schedule: _CrtSchedule) -> List[n
     return merged
 
 
-def _as_array(rows: Sequence) -> np.ndarray:
+def _as_array(rows: Sequence, shapes: Optional[Sequence[Tuple[int, ...]]] = None) -> np.ndarray:
     """The rows as int64, or as Python ints (dtype object) if one exceeds int64;
-    anything but integers is refused, not truncated."""
-    array = np.asarray(rows)
+    a shape not in shapes (when given), or anything but integers, is refused,
+    not broadcast or truncated."""
+    try:
+        array = np.asarray(rows)
+    except ValueError:  # ragged
+        array = np.array(None)
+    if shapes is not None and array.shape not in shapes:
+        raise UsageError(f"input shape {array.shape} != {' or '.join(map(str, shapes))}")
     if array.dtype.kind == "i" or (
         array.dtype.kind == "u" and (array.itemsize < 8 or array.max(initial=0) < 2**63)
     ):
@@ -593,22 +576,16 @@ def transform_elements(
     exactly, unreduced, and one per slot when ceil(n / P) * peak < 2^63 for
     index period P; any other input is reduced mod q block by block.
     """
-    try:
-        x = _as_array(xs)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"input must be {plan.n} integer triples: {exc}") from exc
-    if x.shape not in ((plan.n, 1), (plan.n, 3)):
-        raise UsageError(f"input shape {x.shape} != ({plan.n}, 3) or ({plan.n}, 1)")
+    x = _as_array(xs, [(plan.n, 3), (plan.n, 1)])
     rows = None if indices is None else _integers(indices, 0, plan.n, "indices")
     peak = max(-int(x.min()), int(x.max())) if x.dtype == np.int64 else None
     return _transform(x, plan, rows, peak)
 
 
 def natural_column(x: Sequence[int], plan: PTPlan) -> np.ndarray:
-    """x as an (n, 1) column, after checking its length and range for the plan."""
-    if len(x) != plan.n:
-        raise UsageError(f"input length {len(x)} != plan length {plan.n}")
-    column = _as_array(x)[:, None]
+    """x, n integers, as an (n, 1) column, after checking its shape and range
+    for the plan."""
+    column = _as_array(x, [(plan.n,)])[:, None]
     if column.min() < 0 or column.max() > plan.coeff_bound:
         raise UsageError(f"input entries must lie in [0, {plan.coeff_bound}] for this plan")
     return column
@@ -636,9 +613,9 @@ def inverse_plan(plan: PTPlan) -> PTPlan:
     """Plan for the inverse direction: same primes, omega replaced by 1/omega.
 
     The slots are rebuilt from scratch because reduction at a root does
-    not commute with inversion mod p; their periods, and so the plan's
-    bounds, can differ from the forward plan's.  Built once per plan: every
-    call returns the same object, whose slots keep their tables.
+    not commute with inversion mod p; their periods can differ from the
+    forward plan's.  Built once per plan: every call returns the same
+    object, whose slots keep their tables.
     """
     return plan._inverse
 
@@ -682,9 +659,7 @@ def oracle_output(x: Sequence[int], plan: PTPlan, indices: Sequence[int]) -> np.
     p, n = plan.p.q, plan.n
     if n * n >= 2**63:
         raise UsageError(f"n = {n} is too large for the direct oracle's int64 exponents")
-    x = _as_array(x)
-    if x.shape not in ((n,), (n, 1)):
-        raise UsageError(f"input shape {x.shape} != ({n},) or ({n}, 1)")
+    x = _as_array(x, [(n,), (n, 1)])
     rows = _integers(indices, 0, n, "indices")
     ctx = plan.context
     baby, giant = plan._oracle_powers
@@ -735,7 +710,6 @@ def plan_to_json(plan: PTPlan) -> str:
         "p": plan.p.q,
         "y": plan.y.value,
         "omega": list(plan.omega.coeffs),
-        "bound_mode": plan.bound_mode,
         "coeff_bound": plan.coeff_bound,
         "primes": [s.q.q for s in plan.slots],
     }
@@ -782,8 +756,7 @@ def plan_from_json(text: str) -> PTPlan:
         if slot is None:
             raise UsageError(f"helper prime {q} is unusable for this plan")
         slots.append(slot)
-    coeff_bound = _json_int(doc["coeff_bound"], "coeff_bound")
-    plan = PTPlan(p_mod, y, omega, tuple(slots), doc["bound_mode"], coeff_bound)
+    plan = PTPlan(p_mod, y, omega, tuple(slots), doc["coeff_bound"])
     if plan.prime_product <= plan.target_bound:
         raise UsageError(
             f"prod(q) = {plan.prime_product} <= required {plan.target_bound}"

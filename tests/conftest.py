@@ -50,13 +50,11 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(scope="session")
 def plan13():
-    """Small runnable plan: p = 13, sized for coefficients up to 12."""
-    return ptransform.preprocess(
-        p=13, bound_mode=ptransform.INPUT_AWARE, coeff_bound=12
-    )
+    """Small strict plan: p = 13, for coefficients up to 12."""
+    return ptransform.preprocess(p=13)
 
 
 @pytest.fixture(scope="session")
 def plan7():
     """Tiny strict plan: p = 7 (scan extends above p)."""
-    return ptransform.preprocess(p=7, bound_mode=ptransform.STRICT)
+    return ptransform.preprocess(p=7)

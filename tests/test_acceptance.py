@@ -51,7 +51,7 @@ def _verdict(num, desc, ok):
 
 @pytest.fixture(scope="module")
 def plan103():
-    return ptransform.preprocess(p=103, bound_mode=ptransform.STRICT)
+    return ptransform.preprocess(p=103)
 
 
 def test_01_golden_vectors():

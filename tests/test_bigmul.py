@@ -433,7 +433,7 @@ def test_transform_mul_calls_the_public_layers(monkeypatch, plan13):
 def test_second_pt_product_makes_no_boxed_multiply(monkeypatch):
     # the inverse plan (a boxed ext_pow of omega) is built by the first
     # product and kept with the plan; inverse_plan is still the name called
-    plan = ptransform.preprocess(p=13, bound_mode=ptransform.INPUT_AWARE, coeff_bound=1)
+    plan = ptransform.preprocess(p=13, coeff_bound=1)
     calls = []
     real_mul, real_inverse = extension.ext_mul, ptransform.inverse_plan
     monkeypatch.setattr(extension, "ext_mul", lambda *a: calls.append("ext_mul") or real_mul(*a))

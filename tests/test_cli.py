@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -74,13 +75,14 @@ def test_plan_rejects_bad_p(capsys):
 
 
 def test_plan_rejects_negative_coeff_bound(capsys, tmp_path):
+    # 0 too: verify would draw an all-zero input and confirm it
     plan_path = tmp_path / "plan.json"
-    code, out = run(
-        capsys, "plan", "--p", "13", "--bound-mode", "input-aware",
-        "--coeff-bound", "-1", "--plan-out", str(plan_path),
-    )
-    assert code == EXIT_USAGE
-    assert out == "" and not plan_path.exists()
+    for coeff_bound in ("-1", "0"):
+        code, out = run(
+            capsys, "plan", "--p", "13", "--coeff-bound", coeff_bound, "--plan-out", str(plan_path)
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and not plan_path.exists()
 
 
 def test_plan_determinism_modulo_timing(capsys):
@@ -171,7 +173,7 @@ def test_verify_rejects_tampered_plan(capsys, plan7_file, tmp_path):
     # integers, residues outside [0, p), an omega without three coefficients
     edits = [
         {"coeff_bound": 12.5}, {"coeff_bound": 1.0}, {"coeff_bound": True},
-        {"p": 7.0}, {"format_version": 2.0}, {"primes": [float(q) for q in doc["primes"]]},
+        {"p": 7.0}, {"format_version": 3.0}, {"primes": [float(q) for q in doc["primes"]]},
         {"y": doc["y"] + 7}, {"omega": [doc["omega"][0] + 7] + doc["omega"][1:]},
         {"omega": doc["omega"][:2]}, {"omega": doc["omega"] + [0]}, {"omega": [True, 0, 1]},
     ]
@@ -244,10 +246,7 @@ def test_mul_usage_errors(capsys):
 @pytest.fixture(scope="module")
 def plan13_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("plans13") / "plan13.json"
-    code = main([
-        "plan", "--p", "13", "--bound-mode", "input-aware",
-        "--coeff-bound", "12", "--plan-out", str(path), "--out", "/dev/null",
-    ])
+    code = main(["plan", "--p", "13", "--plan-out", str(path), "--out", "/dev/null"])
     assert code == EXIT_OK
     return str(path)
 
@@ -287,6 +286,26 @@ def test_mul_updates_the_multiplication_claim_only_on_request(capsys, plan13_fil
         "--update-ledger", "--ledger", str(ledger),
     )
     assert code == EXIT_USAGE
+
+
+def test_ledger_experiments_parse():
+    # each `polyxform ...` experiment must be a command the CLI accepts, so a
+    # removed flag cannot linger there; a trailing "(...)" note is cut and a
+    # "{a,b,c}" choice reads as its first item
+    parser = cli.build_parser()
+    commands = [
+        (entry.claim_id, entry.experiment)
+        for entry in claims.load_ledger(LEDGER_SRC)
+        if entry.experiment.startswith("polyxform ")
+    ]
+    assert len(commands) == 8
+    for claim_id, experiment in commands:
+        text = re.sub(r"\s*\([^()]*\)$", "", experiment)
+        text = re.sub(r"\{([^,}]*)[^}]*\}", r"\1", text)
+        try:
+            parser.parse_args(text.split()[1:])
+        except SystemExit:
+            pytest.fail(f"{claim_id}: {experiment!r} does not parse")
 
 
 def test_mul_pt_backend_plan_error_when_inverse_unusable(capsys, plan7_file):
@@ -390,7 +409,7 @@ def test_config_is_the_parsed_arguments(capsys, plan7_file, tmp_path):
         (("sieve", "--limit", "100"), {"limit": 100}),
         (
             ("plan", "--p", "7", "--plan-out", str(tmp_path / "p.json")),
-            {"n_target": None, "p": 7, "bound_mode": "strict", "coeff_bound": None, "seed": 0},
+            {"n_target": None, "p": 7, "coeff_bound": None, "seed": 0},
         ),
         (
             ("verify", "--plan", plan7_file, "--sample", "2", "--update-ledger", "--ledger", str(ledger)),

@@ -37,14 +37,14 @@ def natural_input(plan, seed):
     (43, "b3129366a634fcbf069405275a5cda610323e90d98ffce51f79c8ed84ac5a673"),
 ])
 def test_all_n_strict_transform_digest(p, want):
-    plan = ptransform.preprocess(p=p, bound_mode=ptransform.STRICT)
+    plan = ptransform.preprocess(p=p)
     column = natural_input(plan, p)[:, None]
     assert array_digest(ptransform.transform_elements(column, plan)) == want
 
 
 def test_sampled_strict_transform_digest():
     # repeated and out-of-order rows at p = 103, n = 1,092,726
-    plan = ptransform.preprocess(p=103, bound_mode=ptransform.STRICT)
+    plan = ptransform.preprocess(p=103)
     rng = random.Random(103)
     rows = [plan.n - 1, 0, 5, 5] + [rng.randrange(plan.n) for _ in range(12)]
     column = natural_input(plan, 103)[:, None]
@@ -53,22 +53,9 @@ def test_sampled_strict_transform_digest():
     )
 
 
-def test_sampled_digest_beyond_int64():
-    # object-dtype input up to 2^70 on the 14-slot p = 13 plan, which the
-    # slot stage reduces mod q before it folds
-    plan = ptransform.preprocess(p=13, bound_mode=ptransform.INPUT_AWARE, coeff_bound=2**70)
-    assert len(plan.slots) == 14
-    rng = random.Random(70)
-    column = np.array([rng.getrandbits(70) for _ in range(plan.n)], dtype=object)[:, None]
-    rows = [plan.n - 1, 0, 5, 5, 1000, 17]
-    assert array_digest(ptransform.transform_elements(column, plan, rows)) == (
-        "771197a61254325a7db1660cac659fc6b72d95baa7e3dfa25609aae527e901c2"
-    )
-
-
 def test_sampled_strict_digest_beyond_int64():
-    # the same 2^70 object-dtype input and rows on the strict p = 13 plan,
-    # which the slot stage reduces mod q before it folds
+    # object-dtype input up to 2^70 on the strict p = 13 plan, which the
+    # slot stage reduces mod q before it folds
     plan = ptransform.preprocess(p=13, coeff_bound=2**70)
     rng = random.Random(70)
     column = np.array([rng.getrandbits(70) for _ in range(plan.n)], dtype=object)[:, None]
@@ -90,7 +77,7 @@ def test_input_aware_round_trip_digest(plan13):
 
 
 def test_spot_check_report_digest():
-    plan = ptransform.preprocess(p=19, bound_mode=ptransform.STRICT)
+    plan = ptransform.preprocess(p=19)
     report = ptransform.spot_check(natural_input(plan, 19).tolist(), plan, sample=16, seed=2)
     text = json.dumps(report.to_dict(), sort_keys=True)
     assert sha256(text.encode()) == (

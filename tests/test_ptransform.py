@@ -23,7 +23,6 @@ from polyxform.oracles import CrtBasis, build_recovery, crt_reconstruct, naive_d
 from polyxform.ptransform import (
     INPUT_AWARE,
     STRICT,
-    _interval_bound,
     inverse_plan,
     matmul_mod,
     oracle_output,
@@ -44,15 +43,17 @@ def test_preprocess_rejects_bad_args():
         preprocess(p=11)  # 11 = 2 mod 3
     with pytest.raises(UsageError):
         preprocess()  # neither n_target nor p
-    with pytest.raises(UsageError):
-        preprocess(p=13, bound_mode=INPUT_AWARE, coeff_bound=-1)
+    # a plan file refuses all of these, so a plan may not hold them either
+    for coeff_bound in (-1, 0, 2.5, 12.0, True):
+        with pytest.raises(UsageError, match="coeff_bound must be an integer >= 1"):
+            preprocess(p=13, coeff_bound=coeff_bound)
     with pytest.raises(UsageError, match="not both"):
         preprocess(p=7, n_target=100000)  # n_target would pick a larger p
     assert main(["plan", "--p", "7", "--n-target", "100000"]) == EXIT_USAGE
 
 
 def test_preprocess_from_target_size():
-    plan = preprocess(n_target=300, bound_mode=INPUT_AWARE)
+    plan = preprocess(n_target=300)
     # smallest prime p = 1 mod 3 with p^3 >= 300 is 13
     assert plan.p.q == 13
     assert plan.n == 13**3 - 1
@@ -61,9 +62,18 @@ def test_preprocess_from_target_size():
 def test_plan7_strict_shape(plan7):
     assert plan7.p.q == 7
     assert plan7.n == 342
-    assert plan7.bound_mode == STRICT
     assert plan7.prime_product > plan7.target_bound == 9 * 7**6
     assert plan7.coeff_bound == 6
+
+
+@pytest.mark.parametrize("p", [7, 13, 19, 43])
+def test_bound_mode_keyword_selects_nothing(p):
+    # perfbench still passes bound_mode; either value sizes the primes
+    # against 9 p^6, so the mul-pt plan keeps its primes
+    plans = [preprocess(p=p, bound_mode=mode, coeff_bound=1) for mode in (STRICT, INPUT_AWARE)]
+    assert plans[0] == plans[1] and plans[0].prime_product > 9 * p**6
+    if p == 13:
+        assert [s.q.q for s in plans[0].slots] == [31, 43, 109, 127, 157]
 
 
 def test_plan_slot_invariants(plan13):
@@ -104,7 +114,7 @@ def test_plan_building_inverts_no_matrix(monkeypatch, plan13):
     build_recovery([PrimeModulus(7).residue(r) for r in (1, 2, 4)])
     assert calls == [1]  # the counter sees the binding build_recovery calls
     calls.clear()
-    preprocess(p=13, bound_mode=INPUT_AWARE, coeff_bound=12)
+    preprocess(p=13)
     plan_from_json(plan_to_json(plan13))
     inverse_plan(plan13)
     assert calls == []
@@ -131,38 +141,10 @@ def test_plan_omega_has_full_order(plan13):
     assert multiplicative_order(plan13.omega, ctx.group_order) == plan13.n
 
 
-def test_plan_prime_product_exceeds_certified(plan13):
-    assert plan13.prime_product > plan13.certified_bound
-    assert plan13.certified_bound == _interval_bound(plan13.n, 12, plan13.slots)
-
-
 def test_prime_supply_exhausted_when_scan_capped(monkeypatch):
     monkeypatch.setattr(ptransform, "MAX_SCAN_FACTOR", 1)
     with pytest.raises(PrimeSupplyExhausted):
-        preprocess(p=7, bound_mode=STRICT)
-
-
-def test_certify_zero_and_monotone(plan13):
-    def bound(coeff_bound):
-        return replace(plan13, coeff_bound=coeff_bound).certified_bound
-
-    assert bound(0) == 0
-    assert 0 < bound(1) < bound(12)
-    with pytest.raises(UsageError):
-        replace(plan13, coeff_bound=-1)
-
-
-@pytest.mark.parametrize("coeff_bound", [0, 1, 12, 10**30])
-def test_interval_bound_is_the_largest_stage(plan7, plan13, coeff_bound):
-    # the fold, DFT-row and recovery bounds stage by stage; recovery is largest
-    for plan in (plan7, plan13):
-        stages = [0]
-        for slot in plan.slots:
-            for period in slot.periods:
-                fold = -(-plan.n // period) * coeff_bound
-                row = period * fold * (slot.q.q - 1)
-                stages += [fold, row, 3 * row * (slot.q.q - 1)]
-        assert _interval_bound(plan.n, coeff_bound, plan.slots) == max(stages)
+        preprocess(p=7)
 
 
 def test_folding_identity(plan13):
@@ -278,7 +260,7 @@ def boxed_pipeline(xs, plan):
 
 @pytest.mark.parametrize("p", [7, 13])
 def test_pipeline_matches_boxed_composition(p):
-    plan = preprocess(p=p, bound_mode=STRICT)
+    plan = preprocess(p=p)
     rng = random.Random(p)
     x = [rng.randint(0, plan.coeff_bound) for _ in range(plan.n)]
     fwd = transform(x, plan)
@@ -293,7 +275,7 @@ def test_pipeline_matches_boxed_composition_across_crt_blocks(monkeypatch):
     # a nonzero phase of each table (97 divides no index period), and
     # the slot stage reduces and folds the input in several row blocks
     monkeypatch.setattr(ptransform, "_ROW_BLOCK", 97)
-    plan = preprocess(p=13, bound_mode=STRICT)
+    plan = preprocess(p=13)
     inv = inverse_plan(plan)
     assert all(slot.index_period % 97 for slot in plan.slots + inv.slots)
     rng = random.Random(97)
@@ -382,7 +364,7 @@ def _second_call_builds_nothing(monkeypatch, plan, x, first, second):
 
 @pytest.mark.parametrize("indices", [None, [0, 5, 2000]])
 def test_second_transform_rebuilds_no_table(monkeypatch, indices):
-    plan = preprocess(p=13, bound_mode=INPUT_AWARE, coeff_bound=12)
+    plan = preprocess(p=13)
     x = np.random.default_rng(13).integers(0, 13, size=(plan.n, 3))
     first, again = _second_call_builds_nothing(monkeypatch, plan, x, indices, indices)
     assert np.array_equal(first, again)
@@ -393,7 +375,7 @@ def test_sampled_and_all_n_calls_share_their_tables(monkeypatch, order):
     # three rows, fewer than most root periods here: a sampled call builds
     # every table an all-n call reads, and an all-n call every table a
     # sampled one reads
-    plan = preprocess(p=13, bound_mode=INPUT_AWARE, coeff_bound=12)
+    plan = preprocess(p=13)
     rows = [0, 5, 2000]
     assert len(rows) < max(d for slot in plan.slots for d in slot.periods)
     x = np.random.default_rng(13).integers(0, 13, size=(plan.n, 3))
@@ -407,7 +389,7 @@ def test_sampled_and_all_n_calls_share_their_tables(monkeypatch, order):
 def test_first_transform_builds_the_schedule_once(monkeypatch):
     # one schedule per plan, with one Garner per merge step plus the final
     # one, all on the first call, none in preprocess
-    plan = preprocess(p=13, bound_mode=STRICT)
+    plan = preprocess(p=13)
     schedules, garners = [], []
     schedule_fn, garner_cls = ptransform._crt_schedule, ptransform._Garner
     monkeypatch.setattr(
@@ -425,22 +407,29 @@ def test_first_transform_builds_the_schedule_once(monkeypatch):
 
 @pytest.fixture(scope="module")
 def plan13_big():
-    """Input-aware p = 13 plan for coefficients up to 2^70: 14 primes."""
-    plan = preprocess(p=13, bound_mode=INPUT_AWARE, coeff_bound=2**70)
-    assert len(plan.slots) == 14
-    return plan
+    """The strict p = 13 plan for coefficients up to 2^70."""
+    return preprocess(p=13, coeff_bound=2**70)
+
+
+@pytest.fixture(scope="module")
+def plan13_grown(plan13_big):
+    """plan13_big with its scan run on to 14 helper primes, for a Q past 100
+    bits: a test-only plan, which preprocess never builds."""
+    more = (ptransform._try_slot(PrimeModulus(q), plan13_big.y, plan13_big.omega)
+            for q in range(158, 64 * 13) if is_prime(q))
+    slots = plan13_big.slots + tuple(s for s in more if s is not None)[:9]
+    assert [s.q.q for s in slots[5:]] == [223, 229, 277, 283, 307, 397, 433, 439, 457]
+    return replace(plan13_big, slots=slots)
 
 
 def test_pipeline_reduces_inputs_above_int64(plan13_big):
-    # the boxed reference takes seconds on all 14 slots; the first 6 suffice
-    plan = replace(plan13_big, slots=plan13_big.slots[:6])
     rng = random.Random(70)
-    x = [rng.choice((0, 1, 2**63, 2**70 - 1, rng.getrandbits(70))) for _ in range(plan.n)]
-    assert transform(x, plan) == boxed_pipeline([(v, 0, 0) for v in x], plan)
+    x = [rng.choice((0, 1, 2**63, 2**70 - 1, rng.getrandbits(70))) for _ in range(plan13_big.n)]
+    assert transform(x, plan13_big) == boxed_pipeline([(v, 0, 0) for v in x], plan13_big)
 
 
 def test_transform_makes_no_boxed_calls(monkeypatch):
-    plan = preprocess(p=13, bound_mode=STRICT)
+    plan = preprocess(p=13)
     x = [random.Random(3).randint(0, 12) for _ in range(plan.n)]
     calls = []
 
@@ -479,8 +468,8 @@ def test_garner_matches_crt_reconstruct(moduli, p, seed):
     assert got == [crt_reconstruct(row, basis) % p for row in rows]
 
 
-def test_garner_on_plan_primes_beyond_64_bits(plan13_big):
-    moduli = [slot.q.q for slot in plan13_big.slots]
+def test_garner_on_plan_primes_beyond_64_bits(plan13_grown):
+    moduli = [slot.q.q for slot in plan13_grown.slots]
     assert math.prod(moduli) > 2**64
     rng = random.Random(14)
     rows = [[rng.randrange(m) for m in moduli] for _ in range(200)]
@@ -589,7 +578,7 @@ def flat_garner(xs, plan):
     "p, inverse", [(13, True), (19, True), (43, False), (43, True), (103, False)]
 )
 def test_merged_crt_matches_flat_garner(p, inverse):
-    plan = preprocess(p=p, bound_mode=STRICT)
+    plan = preprocess(p=p)
     rng = random.Random(p)
     xs = np.array([[rng.randint(0, plan.coeff_bound)] for _ in range(plan.n)])
     if inverse:
@@ -597,13 +586,13 @@ def test_merged_crt_matches_flat_garner(p, inverse):
     assert np.array_equal(transform_elements(xs, plan), flat_garner(xs, plan))
 
 
-def test_merged_crt_matches_flat_garner_beyond_100_bits(plan13_big):
-    assert math.log2(plan13_big.prime_product) > 100
+def test_merged_crt_matches_flat_garner_beyond_100_bits(plan13_grown):
+    assert math.log2(plan13_grown.prime_product) > 100
     rng = random.Random(141)
-    x = [rng.choice((0, 1, 2**63, 2**70 - 1, rng.getrandbits(70))) for _ in range(plan13_big.n)]
-    column = ptransform.natural_column(x, plan13_big)
-    want = flat_garner(column, plan13_big)
-    assert np.array_equal(transform_elements(column, plan13_big), want)
+    x = [rng.choice((0, 1, 2**63, 2**70 - 1, rng.getrandbits(70))) for _ in range(plan13_grown.n)]
+    column = ptransform.natural_column(x, plan13_grown)
+    want = flat_garner(column, plan13_grown)
+    assert np.array_equal(transform_elements(column, plan13_grown), want)
 
 
 @pytest.mark.parametrize("case", [
@@ -672,7 +661,7 @@ def test_first_fold_sums_what_the_peak_allows(monkeypatch, plan7, row_block, pea
 
 def test_merge_slots_groups_at_p43():
     # slots merge in plan order while the table stays within n // 4 rows
-    plan = preprocess(p=43, bound_mode=STRICT)
+    plan = preprocess(p=43)
     column = np.ones((plan.n, 1), dtype=np.int64)
     tables = ptransform._merge_slots(
         [ptransform._slot_table(column, slot) for slot in plan.slots], plan._crt
@@ -708,7 +697,7 @@ def test_transform_elements_at_indices(monkeypatch, plan13):
     (13, None),
 ])
 def test_sampled_pipeline_matches_full_rows(p, sample):
-    plan = preprocess(p=p, bound_mode=STRICT)
+    plan = preprocess(p=p)
     periods = [d for slot in plan.slots for d in slot.periods]
     rng = random.Random(p)
     column = np.array([rng.randint(0, plan.coeff_bound) for _ in range(plan.n)])[:, None]
@@ -784,7 +773,7 @@ def test_oracle_reduces_inputs_above_int64(plan13_big):
 
 def test_oracle_refuses_n_beyond_int64():
     # (index*k) mod n and the weighted sum stay exact only while n^2 < 2^63
-    plan = preprocess(p=1453, bound_mode=INPUT_AWARE)
+    plan = preprocess(p=1453)
     assert plan.n**2 >= 2**63
     with pytest.raises(UsageError):
         oracle_output([1], plan, [0])
@@ -815,7 +804,7 @@ def gather_oracle(x, plan, indices):
 def test_oracle_matches_gather_reference_across_blocks(monkeypatch):
     # 5 indices a block: the 21 indices below span five blocks, the last partial
     monkeypatch.setattr(ptransform, "_ORACLE_BLOCK", 5)
-    plan = preprocess(p=19, bound_mode=STRICT)
+    plan = preprocess(p=19)
     n = plan.n
     factors = [f for f in range(2, n) if n % f == 0 and is_prime(f)]
     assert factors == [2, 3, 127]
@@ -831,7 +820,7 @@ def test_oracle_matches_gather_reference_across_blocks(monkeypatch):
 
 
 def test_spot_check_builds_no_n_row_table(monkeypatch):
-    plan = preprocess(p=19, bound_mode=STRICT)
+    plan = preprocess(p=19)
     counts = []
     powers_fn = ptransform.ext_powers
     monkeypatch.setattr(
@@ -847,7 +836,7 @@ def test_spot_check_builds_no_n_row_table(monkeypatch):
 
 
 def test_oracle_tables_are_not_part_of_the_plan():
-    plan = preprocess(p=13, bound_mode=INPUT_AWARE, coeff_bound=12)
+    plan = preprocess(p=13)
     twin = plan_from_json(plan_to_json(plan))
     text = plan_to_json(plan)
     baby, giant = plan._oracle_powers
@@ -856,7 +845,7 @@ def test_oracle_tables_are_not_part_of_the_plan():
     assert plan_to_json(plan) == text
     assert plan == twin and twin == plan and hash(plan) == hash(twin)
     assert [f.name for f in dataclasses.fields(plan)] == [
-        "p", "y", "omega", "slots", "bound_mode", "coeff_bound"
+        "p", "y", "omega", "slots", "coeff_bound"
     ]
     for table in (baby, giant):
         with pytest.raises(ValueError):
@@ -865,7 +854,7 @@ def test_oracle_tables_are_not_part_of_the_plan():
 
 
 def test_crt_schedule_is_not_part_of_the_plan():
-    plan = preprocess(p=13, bound_mode=INPUT_AWARE, coeff_bound=12)
+    plan = preprocess(p=13)
     twin = plan_from_json(plan_to_json(plan))
     text = plan_to_json(plan)
     inv = inverse_plan(plan)
@@ -876,7 +865,7 @@ def test_crt_schedule_is_not_part_of_the_plan():
     assert plan_to_json(plan) == text
     assert plan == twin and twin == plan and hash(plan) == hash(twin)
     assert [f.name for f in dataclasses.fields(plan)] == [
-        "p", "y", "omega", "slots", "bound_mode", "coeff_bound"
+        "p", "y", "omega", "slots", "coeff_bound"
     ]
     # the inverse plan's slots have their own periods, so their own schedule
     assert inv._crt is not schedule and inv._crt is inverse_plan(plan)._crt
@@ -893,7 +882,7 @@ def test_crt_schedule_is_not_part_of_the_plan():
 
 def test_oracle_matches_gather_reference_at_p43():
     # B = 282, against B = 83 at p = 19: the float64 inner products are longer
-    plan = preprocess(p=43, bound_mode=STRICT)
+    plan = preprocess(p=43)
     n = plan.n
     assert len(plan._oracle_powers[0]) - 1 == 282
     factors = [f for f in range(2, n) if n % f == 0 and is_prime(f)]
@@ -922,7 +911,7 @@ class _Watched(np.ndarray):
 
 def test_oracle_refuses_a_wrong_shape_before_reading_values(monkeypatch, plan7):
     as_array = ptransform._as_array
-    monkeypatch.setattr(ptransform, "_as_array", lambda rows: as_array(rows).view(_Watched))
+    monkeypatch.setattr(ptransform, "_as_array", lambda *args: as_array(*args).view(_Watched))
     monkeypatch.setattr(_Watched, "ufuncs", [])
     n = plan7.n
     for wrong in (np.ones((n, 3), dtype=np.int64), [50] * (n + 1), [[1, 2]] * n):
@@ -1028,6 +1017,20 @@ def test_natural_column_reads_uint64_below_2_63_as_int64(plan13_big):
     assert column.dtype == object and column[:, 0].tolist() == x
 
 
+@pytest.mark.parametrize("shape", ["(n, 1)", "(n, 2)", "(n, 3)", "n triples"])
+def test_natural_input_must_be_n_scalars(plan7, shape):
+    # n rows of 1 to 3 columns are not n naturals; broadcast through the slot
+    # stage, they would leave its tables partly unwritten
+    width = 3 if shape == "n triples" else int(shape[4])
+    x = np.random.default_rng(7).integers(0, plan7.coeff_bound + 1, size=(plan7.n, width))
+    if shape == "n triples":
+        x = [tuple(row) for row in x.tolist()]
+    verdict = lambda x, plan: spot_check(x, plan, sample=4, seed=0)  # noqa: E731
+    for call in (transform, ptransform.transform_naturals, verdict):
+        with pytest.raises(UsageError, match=re.escape(f"input shape ({plan7.n}, {width})")):
+            call(x, plan7)
+
+
 def test_indices_are_validated_alike_by_pipeline_and_oracle(plan13):
     n = plan13.n
     x = [random.Random(9).randint(0, 12) for _ in range(n)]
@@ -1106,7 +1109,7 @@ def test_inverse_plan_omega(plan13):
 
 
 def test_inverse_plan_is_built_once_per_plan(monkeypatch):
-    plan = preprocess(p=13, bound_mode=INPUT_AWARE, coeff_bound=12)
+    plan = preprocess(p=13)
     inv = inverse_plan(plan)
     monkeypatch.setattr(ptransform, "_try_slot", lambda *a: pytest.fail("slot rebuilt"))
     assert inverse_plan(plan) is inv
@@ -1118,7 +1121,7 @@ def test_inverse_plan_is_built_once_per_plan(monkeypatch):
 
 
 def test_held_tables_leave_plan_equality_and_json_alone():
-    plan, twin = (preprocess(p=13, bound_mode=INPUT_AWARE, coeff_bound=12) for _ in range(2))
+    plan, twin = (preprocess(p=13) for _ in range(2))
     text = plan_to_json(plan)
     inv = inverse_plan(plan)
     transform_elements(np.ones((plan.n, 1), dtype=np.int64), plan)
@@ -1127,13 +1130,6 @@ def test_held_tables_leave_plan_equality_and_json_alone():
     assert inv == replace(plan, omega=inv.omega, slots=inv.slots)
     assert plan_to_json(plan) == text == plan_to_json(twin)
     assert plan_from_json(text) == plan
-
-
-def test_inverse_plan_bounds_are_its_own(plan13):
-    # the rebuilt slots have their own periods, so their own bounds
-    inv = inverse_plan(plan13)
-    assert inv.certified_bound == _interval_bound(inv.n, inv.coeff_bound, inv.slots)
-    assert inv.target_bound == _interval_bound(inv.n, inv.coeff_bound, inv.slots)
 
 
 def test_inverse_plan_roundtrips_delta(plan13):
@@ -1161,10 +1157,8 @@ def test_plan_json_roundtrip(plan7, plan13):
     for plan in (plan7, plan13):
         text = plan_to_json(plan)
         doc = json.loads(text)
-        assert doc["format_version"] == ptransform.PLAN_FORMAT_VERSION == 2
-        assert set(doc) == {
-            "format_version", "p", "y", "omega", "bound_mode", "coeff_bound", "primes"
-        }
+        assert doc["format_version"] == ptransform.PLAN_FORMAT_VERSION == 3
+        assert set(doc) == {"format_version", "p", "y", "omega", "coeff_bound", "primes"}
         loaded = plan_from_json(text)
         assert loaded == plan  # slots, n and both bounds re-derived identically
         assert plan_to_json(loaded) == text
@@ -1202,6 +1196,8 @@ def test_plan_json_rejects_corrupted_period(plan13):
 # Each case: an edit of a valid p = 7 plan file, and why the loader refuses it.
 LOADER_CASES = {
     "v1-file": (lambda d: {"format_version": 1}, "format version 1"),
+    # a version 2 file also named its bound mode, which no longer exists
+    "v2-file": (lambda d: {"format_version": 2, "bound_mode": "input-aware"}, "format version 2"),
     # the last prime is the one whose product first met the bound
     "dropped-prime": (lambda d: {"primes": d["primes"][:-1]}, "<= required"),
     "duplicated-prime": (lambda d: {"primes": d["primes"] + d["primes"][:1]}, "duplicated"),
@@ -1209,8 +1205,8 @@ LOADER_CASES = {
     "unusable-prime": (lambda d: {"primes": [5] + d["primes"]}, "prime 5 is unusable"),
     "identity-omega": (lambda d: {"omega": [1, 0, 0]}, "order p^3 - 1"),
     "cube-y": (lambda d: {"y": 1}, "is a cube"),
-    "unknown-bound-mode": (lambda d: {"bound_mode": "loose"}, "unknown bound mode"),
-    "negative-coeff-bound": (lambda d: {"coeff_bound": -1}, "coeff_bound must be >= 0"),
+    "negative-coeff-bound": (lambda d: {"coeff_bound": -1}, "coeff_bound must be an integer >= 1"),
+    "zero-coeff-bound": (lambda d: {"coeff_bound": 0}, "coeff_bound must be an integer >= 1"),
 }
 
 
