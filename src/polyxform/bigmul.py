@@ -35,57 +35,46 @@ NTT_LIMB_BITS = 8
 
 @dataclass(frozen=True)
 class BigNat:
-    """Arbitrary-precision natural: little-endian 64-bit limbs, a tuple of Python ints.
+    """Arbitrary-precision natural, held as one Python int; anything else, a
+    bool or a numpy integer included, is refused."""
 
-    Canonical form: no trailing zero limb; zero is the empty limb tuple.
-    """
-
-    limbs: Tuple[int, ...]
+    value: int
 
     def __post_init__(self):
-        if type(self.limbs) is not tuple or not set(map(type, self.limbs)) <= {int}:
-            raise UsageError("limbs must be a tuple of Python ints")
-        if self.limbs and (min(self.limbs) < 0 or max(self.limbs) >= 1 << LIMB_BITS):
-            raise UsageError("limb out of range for base")
-        if self.limbs and self.limbs[-1] == 0:
-            raise UsageError("trailing zero limb; not canonical")
-
-    @classmethod
-    def _trusted(cls, limbs: Tuple[int, ...]) -> "BigNat":
-        """A BigNat of limbs that are canonical and in range by construction,
-        without __post_init__'s three scans of them."""
-        nat = object.__new__(cls)
-        object.__setattr__(nat, "limbs", limbs)
-        return nat
+        if type(self.value) is not int or self.value < 0:
+            raise UsageError("a BigNat is a Python int >= 0")
 
     @classmethod
     def from_int(cls, value: int) -> "BigNat":
-        if value < 0:
-            raise UsageError("BigNat is unsigned")
-        data = value.to_bytes(-(-value.bit_length() // LIMB_BITS) * 8, "little")
-        return cls._trusted(tuple(np.frombuffer(data, "<u8").tolist()))
+        return cls(value)
 
     @classmethod
     def from_hex(cls, text: str) -> "BigNat":
-        return cls.from_int(int(text, 16))
+        return cls(int(text, 16))
 
     def to_int(self) -> int:
-        return int.from_bytes(np.array(self.limbs, dtype="<u8").tobytes(), "little")
+        return self.value
 
     def to_hex(self) -> str:
-        return hex(self.to_int())
+        return hex(self.value)
 
     @property
     def bit_length(self) -> int:
-        n = len(self.limbs)
-        return (n - 1) * LIMB_BITS + self.limbs[-1].bit_length() if n else 0
+        return self.value.bit_length()
+
+    @property
+    def limbs(self) -> Tuple[int, ...]:
+        """Little-endian 64-bit limbs, Python ints, with no trailing zero limb."""
+        return tuple(_limbs(self.value, _limb_count(self.value)))
 
 
-def _canonical(limbs: List[int]) -> BigNat:
-    """The BigNat of limbs already masked to LIMB_BITS, trailing zeros dropped."""
-    while limbs and limbs[-1] == 0:
-        limbs.pop()
-    return BigNat._trusted(tuple(limbs))
+def _limb_count(value: int) -> int:
+    return -(-value.bit_length() // LIMB_BITS)
+
+
+def _limbs(value: int, count: int) -> List[int]:
+    """value as exactly `count` little-endian 64-bit limbs."""
+    return np.frombuffer(value.to_bytes(count * 8, "little"), "<u8").tolist()
 
 
 def _school_limbs(a: Sequence[int], b: Sequence[int]) -> List[int]:
@@ -108,63 +97,41 @@ def _school_limbs(a: Sequence[int], b: Sequence[int]) -> List[int]:
     return out
 
 
+def _school(a: int, la: int, b: int, lb: int) -> int:
+    """a * b by long multiplication over exactly la and lb limbs."""
+    out = _school_limbs(_limbs(a, la), _limbs(b, lb))
+    return int.from_bytes(np.array(out, dtype="<u8").tobytes(), "little")
+
+
 def schoolbook_mul(a: BigNat, b: BigNat) -> BigNat:
     """Exact product by long multiplication."""
-    return _canonical(_school_limbs(a.limbs, b.limbs))
+    return BigNat(_school(a.value, _limb_count(a.value), b.value, _limb_count(b.value)))
 
 
-def _limb_add(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    bits, mask = LIMB_BITS, (1 << LIMB_BITS) - 1
-    out = []
-    carry = 0
-    for i in range(max(len(a), len(b))):
-        cur = (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) + carry
-        out.append(cur & mask)
-        carry = cur >> bits
-    if carry:
-        out.append(carry)
-    return out
-
-
-def _limb_sub(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    # requires a >= b
-    mask = (1 << LIMB_BITS) - 1
-    out = []
-    borrow = 0
-    for i in range(len(a)):
-        cur = a[i] - (b[i] if i < len(b) else 0) - borrow
-        borrow = 1 if cur < 0 else 0
-        out.append(cur & mask)
-    assert borrow == 0, "subtraction underflow"
-    return out
-
-
-def _kara_limbs(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], int]:
-    """Product limbs and the limb products spent in the schoolbook base cases."""
-    if min(len(a), len(b)) <= KARATSUBA_THRESHOLD:
-        return _school_limbs(a, b), len(a) * len(b)
-    m = max(len(a), len(b)) // 2
-    a0, a1 = list(a[:m]), list(a[m:])
-    b0, b1 = list(b[:m]), list(b[m:])
-    z0, ops0 = _kara_limbs(a0, b0) if a0 and b0 else ([0], 0)
-    z2, ops2 = _kara_limbs(a1, b1) if a1 and b1 else ([0], 0)
-    sa = _limb_add(a0, a1)
-    sb = _limb_add(b0, b1)
-    z1, ops1 = _kara_limbs(sa, sb)
-    z1 = _limb_sub(z1, z0)
-    z1 = _limb_sub(z1, z2)
-    out = _limb_add(z0, [0] * m + z1)
-    out = _limb_add(out, [0] * (2 * m) + z2)
-    return out, ops0 + ops1 + ops2
+def _kara(a: int, la: int, b: int, lb: int) -> Tuple[int, int]:
+    """a * b, for a and b held in la and lb limbs (the top ones may be zero),
+    and the limb products spent in the schoolbook base cases."""
+    if min(la, lb) <= KARATSUBA_THRESHOLD:
+        return _school(a, la, b, lb), la * lb
+    m = max(la, lb) // 2
+    shift = m * LIMB_BITS
+    low = (1 << shift) - 1
+    a0, a1, b0, b1 = a & low, a >> shift, b & low, b >> shift
+    la0, lb0 = min(la, m), min(lb, m)
+    la1, lb1 = la - la0, lb - lb0
+    z0, ops0 = _kara(a0, la0, b0, lb0)
+    z2, ops2 = _kara(a1, la1, b1, lb1)
+    # a sum takes one limb more than its longer half when it carries out of it
+    sa, sb = a0 + a1, b0 + b1
+    z1, ops1 = _kara(sa, max(la0, la1, _limb_count(sa)), sb, max(lb0, lb1, _limb_count(sb)))
+    return z0 + ((z1 - z0 - z2) << shift) + (z2 << 2 * shift), ops0 + ops1 + ops2
 
 
 def karatsuba_mul(a: BigNat, b: BigNat) -> Tuple[BigNat, int]:
-    """Exact product by three-way split recursion, schoolbook at the base, and
-    the limb products spent in those base cases."""
-    if not a.limbs or not b.limbs:
-        return BigNat(()), 0
-    limbs, ops = _kara_limbs(a.limbs, b.limbs)
-    return _canonical(limbs), ops
+    """Exact product by recursion on two halves, three half-size products
+    each, schoolbook at the base, and the limb products spent in those base cases."""
+    product, ops = _kara(a.value, _limb_count(a.value), b.value, _limb_count(b.value))
+    return BigNat(product), ops
 
 
 def pack(
@@ -187,7 +154,8 @@ def pack(
             raise OverflowRisk(
                 f"worst convolution coefficient {worst} >= modulus {modulus}"
             )
-    stream = np.unpackbits(np.array(a.limbs, dtype="<u8").view(np.uint8), bitorder="little")
+    data = a.value.to_bytes(-(-a.bit_length // 8), "little")
+    stream = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
     filled = -(-a.bit_length // limb_bits)  # coefficients past these are zero
     nbytes = 1 << max(0, (limb_bits - 1).bit_length() - 3)  # 1, 2, 4 or 8 bytes a coefficient
     cut = np.zeros(filled * limb_bits, dtype=np.uint8)
@@ -368,7 +336,7 @@ def transform_mul(a: BigNat, b: BigNat, backend: MulBackend) -> MulReport:
     """Multiply through the requested backend, cross-checked vs CPython's `*`."""
     if backend.tag == SCHOOLBOOK:
         product = schoolbook_mul(a, b)
-        extra = {"limb_ops": len(a.limbs) * len(b.limbs)}
+        extra = {"limb_ops": _limb_count(a.value) * _limb_count(b.value)}
     elif backend.tag == KARATSUBA:
         product, ops = karatsuba_mul(a, b)
         extra = {"limb_ops": ops}

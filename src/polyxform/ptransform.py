@@ -49,6 +49,7 @@ from .transform import (
 )
 
 PLAN_FORMAT_VERSION = 3
+PLAN_FIELDS = frozenset({"format_version", "p", "y", "omega", "coeff_bound", "primes"})
 
 # The values preprocess still takes for its bound_mode keyword; both size
 # the helper primes against 9 p^6.
@@ -736,6 +737,9 @@ def plan_from_json(text: str) -> PTPlan:
     version = doc.get("format_version")
     if type(version) is not int or version != PLAN_FORMAT_VERSION:
         raise UsageError(f"unsupported plan format version {version!r}")
+    unknown = sorted(set(doc) - PLAN_FIELDS)
+    if unknown:
+        raise UsageError(f"unknown plan fields {unknown}")
     p_mod = PrimeModulus(_json_int(doc["p"], "p"))
     y = p_mod.residue(_json_int(doc["y"], "y", p_mod.q))
     if is_cube(y):

@@ -17,7 +17,7 @@ def fold_coefficients(x, slot, root_index):
 
 
 def limbs_from_int(value, limb_bits):
-    """The loop reference for BigNat.from_int: one limb a step, little-endian."""
+    """The loop reference for BigNat.limbs: one limb a step, little-endian."""
     limbs = []
     mask = (1 << limb_bits) - 1
     while value:
@@ -27,7 +27,7 @@ def limbs_from_int(value, limb_bits):
 
 
 def int_from_limbs(limbs, limb_bits):
-    """The loop reference for BigNat.to_int."""
+    """The loop reference for reading limbs back as one integer."""
     value = 0
     for l in reversed(limbs):
         value = (value << limb_bits) | l

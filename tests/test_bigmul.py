@@ -39,18 +39,17 @@ def test_ntt_modulus_constants():
 
 
 def test_bignat_canonical_form():
+    # the limbs derived from the value: no trailing zero limb, none for zero
     assert BigNat.from_int(0).limbs == ()
     assert BigNat.from_int(1).limbs == (1,)
-    with pytest.raises(UsageError):
-        BigNat((1, 0))  # trailing zero limb
-    with pytest.raises(UsageError):
-        BigNat((1 << 64,))  # limb out of range
+    assert BigNat.from_int(1 << 64).limbs == (0, 1)
     with pytest.raises(UsageError):
         BigNat.from_int(-3)
 
 
-def test_unchecked_constructions_would_pass_the_checks(monkeypatch):
-    # from_int and products skip __post_init__'s scans; their limbs must pass them
+def test_products_and_their_limbs_are_canonical(monkeypatch):
+    # a product is the BigNat of its value, and its derived limbs are Python
+    # ints below 2^64 with no trailing zero limb
     monkeypatch.setattr(bigmul, "KARATSUBA_THRESHOLD", 2)
     rng = random.Random(64)
     values = [0, 1, (1 << 64) - 1, 1 << 64, (1 << 640) - 1]
@@ -58,9 +57,12 @@ def test_unchecked_constructions_would_pass_the_checks(monkeypatch):
     for a in map(BigNat.from_int, values):
         b = BigNat.from_int(rng.getrandbits(300))
         for nat in (a, schoolbook_mul(a, b), karatsuba_mul(a, b)[0]):
-            checked = BigNat(nat.limbs)
-            assert checked == nat and hash(checked) == hash(nat)
-            assert all(type(v) is int for v in nat.limbs)
+            assert type(nat.value) is int
+            rebuilt = BigNat(nat.value)
+            assert rebuilt == nat and hash(rebuilt) == hash(nat)
+            assert all(type(v) is int and 0 <= v < 1 << 64 for v in nat.limbs)
+            assert nat.limbs[-1:] != (0,)
+            assert conftest.int_from_limbs(nat.limbs, 64) == nat.value
 
 
 def test_bignat_hex_roundtrip():
@@ -69,13 +71,13 @@ def test_bignat_hex_roundtrip():
     assert n.to_hex() == "0x3039"
 
 
-def test_bignat_refuses_limbs_that_are_not_a_tuple_of_ints():
-    # a float limb used to be accepted and truncated by to_int, and a list
-    # made an unhashable BigNat unequal to the tuple one
-    for limbs in ((1.5,), [3], (np.uint64(3),), (True,), ("1",), 3):
+def test_bignat_refuses_values_that_are_not_natural_ints():
+    # a float would truncate, and a numpy integer or a bool would hash and
+    # compare apart from the int of the same value
+    for value in (1.5, True, np.uint64(3), "1", (3,), -1):
         with pytest.raises(UsageError):
-            BigNat(limbs)
-    assert BigNat((3,)).to_int() == 3
+            BigNat(value)
+    assert BigNat(3).to_int() == 3
 
 
 @given(st.integers(min_value=0, max_value=2**512))
@@ -86,9 +88,9 @@ def test_bignat_int_roundtrip(value):
 
 @given(st.integers(min_value=0, max_value=2**512))
 @settings(max_examples=200, deadline=None)
-def test_bignat_bit_length_reads_limbs(value):
+def test_bignat_bit_length(value):
     assert BigNat.from_int(value).bit_length == value.bit_length()
-    assert BigNat(()).bit_length == 0
+    assert BigNat(0).bit_length == 0
 
 
 CONVERSION_WIDTHS = (1, 3, 7, 8, 13, 32, 63, 64)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from polyxform import bigmul, claims, cli
-from polyxform.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from polyxform.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PLAN, EXIT_USAGE, main
 from polyxform.errors import UsageError
 
 LEDGER_SRC = Path(__file__).resolve().parents[1] / "claims_ledger.json"
@@ -309,13 +309,15 @@ def test_ledger_experiments_parse():
 
 
 def test_mul_pt_backend_plan_error_when_inverse_unusable(capsys, plan7_file):
-    # the p = 7 plan's omega^-1 reduces to zero at a slot root, so no
-    # inverse plan exists over the same primes; that is a plan failure
-    code, _ = run(
-        capsys, "mul", "--a", "0x3039", "--b", "0x1a85",
+    # the p = 7 plan's omega^-1 reduces to zero at the root 4 of slot prime
+    # 31, so no inverse plan exists over the same primes; a plan failure
+    code = main([
+        "mul", "--a", "0x3039", "--b", "0x1a85",
         "--backend", "polynomial-transform", "--plan", plan7_file,
-    )
-    assert code == 3
+    ])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_PLAN, "")
+    assert "slot prime 31 unusable for the inverse direction" in captured.err
 
 
 def test_bench_csv(capsys):

@@ -101,3 +101,36 @@ def test_polynomial_transform_products_digest(plan13):
     assert sha256("\n".join(lines).encode()) == (
         "4404303af1b1eb3445b1d6dde1a8a8f3eed002213645c573d01bef18cf867225"
     )
+
+
+def exact_operand_pairs():
+    """Zero, one-limb, unbalanced, all-ones and random operands up to 20,000
+    bits, each pair in both orders."""
+    rng = random.Random(20_000)
+    ones = [(1 << bits) - 1 for bits in (64, 1000, 1025, 5000, 20_000)]
+    pairs = [(0, 0), (0, ones[3]), (1, ones[4]), (ones[0], rng.getrandbits(20_000))]
+    pairs += [(ones[4], 7), (rng.getrandbits(20_000), rng.getrandbits(640))]
+    pairs += [(a, a) for a in ones] + [(ones[1], ones[2]), (ones[3], ones[4])]
+    for bits in (100, 1500, 4000, 10_000, 19_923):
+        pairs.append((rng.getrandbits(bits), rng.getrandbits(bits + 77)))
+    return pairs + [(b, a) for a, b in pairs]
+
+
+def test_exact_backend_products_digest(monkeypatch):
+    # product and limb_ops of schoolbook, of karatsuba with its base case at
+    # 2, 4 and 16 limbs, and of oracle-ntt, on every pair
+    backends = [(bigmul.SCHOOLBOOK, None), (bigmul.ORACLE_NTT, None)]
+    backends += [(bigmul.KARATSUBA, threshold) for threshold in (2, 4, 16)]
+    lines = []
+    for tag, threshold in backends:
+        if threshold is not None:
+            monkeypatch.setattr(bigmul, "KARATSUBA_THRESHOLD", threshold)
+        for a, b in exact_operand_pairs():
+            report = bigmul.transform_mul(
+                bigmul.BigNat.from_int(a), bigmul.BigNat.from_int(b), bigmul.MulBackend(tag)
+            )
+            assert report.verdict == "match"
+            lines.append(json.dumps([tag, threshold, report.product.to_hex(), report.extra]))
+    assert sha256("\n".join(lines).encode()) == (
+        "9ad786a3ebcb04297c1f6b531a946b2bf46c6db6a9dba3118fed56304bca300e"
+    )

@@ -1207,6 +1207,11 @@ LOADER_CASES = {
     "cube-y": (lambda d: {"y": 1}, "is a cube"),
     "negative-coeff-bound": (lambda d: {"coeff_bound": -1}, "coeff_bound must be an integer >= 1"),
     "zero-coeff-bound": (lambda d: {"coeff_bound": 0}, "coeff_bound must be an integer >= 1"),
+    # fields the loader never reads, a misspelt one among them
+    "unknown-fields": (
+        lambda d: {"bound_mode": "loose", "certified_bound": 1, "primez": [2]},
+        "unknown plan fields ['bound_mode', 'certified_bound', 'primez']",
+    ),
 }
 
 
