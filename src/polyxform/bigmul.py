@@ -5,10 +5,18 @@ Karatsuba and the NTT-convolution backend must agree with it exactly and
 report their limb-operation count per call; the transform-pipeline
 backend is an experiment whose agreement (or not) is recorded in a
 MulReport rather than asserted.
+
+Schoolbook and Karatsuba's base cases share one digit kernel: a batch of
+operand pairs, cut into 16-bit digits, whose columns of digit products
+numpy sums in int64 (exact while the shorter operand has at most
+MAX_SHORTER_LIMBS limbs) and one carry turns into integers.  Python ints
+only shift, mask, add and convert bytes, so these backends never use the
+oracle's `*`.  Their counts are still 64-bit limb products.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -28,6 +36,14 @@ LIMB_BITS = 64
 
 # Operand length in limbs at and below which Karatsuba multiplies by schoolbook.
 KARATSUBA_THRESHOLD = 16
+
+# The longest shorter operand, in limbs, whose 16-bit digit products sum
+# exactly in int64: 4·limbs·(2^16 − 1)^2 < 2^63.
+MAX_SHORTER_LIMBS = (2**63 - 1) // (4 * (2**16 - 1) ** 2)
+
+# Operand limbs the digit kernel takes in at once; its int64 arrays then
+# stay below about 2 MB each, however many base cases Karatsuba collects.
+BATCH_LIMBS = 2**15
 
 # Coefficient width the oracle-ntt backend packs operands into.
 NTT_LIMB_BITS = 8
@@ -77,61 +93,141 @@ def _limbs(value: int, count: int) -> List[int]:
     return np.frombuffer(value.to_bytes(count * 8, "little"), "<u8").tolist()
 
 
-def _school_limbs(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    bits, mask = LIMB_BITS, (1 << LIMB_BITS) - 1
-    out = [0] * (len(a) + len(b))
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        carry = 0
-        for j, bj in enumerate(b):
-            cur = out[i + j] + ai * bj + carry
-            out[i + j] = cur & mask
-            carry = cur >> bits
-        k = i + len(b)
-        while carry:
-            cur = out[k] + carry
-            out[k] = cur & mask
-            carry = cur >> bits
-            k += 1
-    return out
+def _digit_rows(values: Sequence[int], limbs: int) -> np.ndarray:
+    """values, each below 2^(64·limbs), as a (len(values), 4·limbs) int64
+    array of 16-bit digits, least significant first."""
+    data = b"".join(v.to_bytes(8 * limbs, "little") for v in values)
+    return np.frombuffer(data, "<u2").reshape(len(values), 4 * limbs).astype("<i8")
 
 
-def _school(a: int, la: int, b: int, lb: int) -> int:
-    """a * b by long multiplication over exactly la and lb limbs."""
-    out = _school_limbs(_limbs(a, la), _limbs(b, lb))
-    return int.from_bytes(np.array(out, dtype="<u8").tobytes(), "little")
+def _carry(columns: np.ndarray) -> List[int]:
+    """sum(columns[r, k] · 2^(16k)) for every row r of a (B, K) int64 array
+    of entries in [0, 2^63), each sum below 2^(16K).
+
+    Bits 16g up to 16g + 16 of every entry form one bit string, so each such
+    group packs into one integer.  Their sum holds the B naturals side by
+    side, natural r in bits 16Kr up to 16K(r + 1), and one to_bytes cuts
+    them apart.
+    """
+    count, width = columns.shape[0], 2 * columns.shape[1]  # width in bytes
+    pieces = columns.view("<u2").reshape(count, -1, 4)
+    total = sum(
+        int.from_bytes(pieces[:, :, g].tobytes(), "little") << (16 * g) for g in range(4)
+    )
+    data = memoryview(total.to_bytes(width * count, "little"))
+    return [int.from_bytes(data[r * width:(r + 1) * width], "little") for r in range(count)]
+
+
+def _size_class(limbs: int) -> int:
+    """limbs rounded up to a multiple of the power of two at or below limbs / 2,
+    so at most 1.5 times limbs."""
+    step = 1 << max(0, limbs.bit_length() - 2)
+    return -(-limbs // step) * step
+
+
+def _long_multiply(xs: Sequence[int], la: int, ys: Sequence[int], lb: int) -> List[int]:
+    """xs[r] · ys[r] for every r, each x below 2^(64·la) and each y below
+    2^(64·lb): one einsum sums every column of 16-bit digit products, and
+    one carry turns the columns into integers."""
+    x, y = _digit_rows(xs, la), _digit_rows(ys, lb)
+    if x.shape[1] > y.shape[1]:
+        x, y = y, x
+    dx, dy = x.shape[1], y.shape[1]
+    # y between dx - 1 zero digits and dx more: its window k of dx digits
+    # against x reversed sums column k of the long multiplication
+    padded = np.zeros((len(xs), dy + 2 * dx - 1), dtype="<i8")
+    padded[:, dx - 1:dx - 1 + dy] = y
+    windows = np.ndarray((len(xs), dx + dy, dx), "<i8", padded, 0, (padded.strides[0], 8, 8))
+    return _carry(np.einsum("rkj,rj->rk", windows, x[:, ::-1]))
+
+
+def _digit_products(pairs: Sequence[Tuple[int, int, int, int]]) -> List[int]:
+    """a · b for every (a, la, b, lb) pair, a and b held in la and lb limbs,
+    by long multiplication of 16-bit digits, all pairs in one batch.
+
+    A digit product is below 2^32, so an int64 column sum of the shorter
+    operand's 4·min(la, lb) digit products is exact while
+    4·min(la, lb)·(2^16 − 1)^2 < 2^63; a pair past that is refused before
+    anything is allocated.  A pair with a zero operand has product 0 and is
+    never padded.  The others are grouped by the size classes of la and lb
+    and padded to the longest in their group, at most 1.5 times either
+    side; a group goes through _long_multiply BATCH_LIMBS at a time.
+    """
+    if any(min(la, lb) > MAX_SHORTER_LIMBS for _, la, _, lb in pairs):
+        raise OverflowRisk(f"an int64 column sum of more than {4 * MAX_SHORTER_LIMBS} "
+                           f"16-bit digit products could reach 2^63")
+    products = [0] * len(pairs)
+    groups = defaultdict(list)
+    for i, (a, la, b, lb) in enumerate(pairs):
+        if a and b:
+            groups[_size_class(la), _size_class(lb)].append(i)
+    for rows in groups.values():
+        la, lb = max(pairs[i][1] for i in rows), max(pairs[i][3] for i in rows)
+        step = max(1, BATCH_LIMBS // (la + lb))
+        for start in range(0, len(rows), step):
+            batch = rows[start:start + step]
+            got = _long_multiply([pairs[i][0] for i in batch], la, [pairs[i][2] for i in batch], lb)
+            for i, product in zip(batch, got):
+                products[i] = product
+    return products
 
 
 def schoolbook_mul(a: BigNat, b: BigNat) -> BigNat:
-    """Exact product by long multiplication."""
-    return BigNat(_school(a.value, _limb_count(a.value), b.value, _limb_count(b.value)))
+    """Exact product by long multiplication: the digit kernel of
+    _digit_products on one pair.  Its int64 column sums are exact, and a
+    shorter operand past MAX_SHORTER_LIMBS limbs is refused with
+    OverflowRisk; transform_mul counts len(a) · len(b) 64-bit limb products."""
+    (product,) = _digit_products([(a.value, _limb_count(a.value), b.value, _limb_count(b.value))])
+    return BigNat(product)
 
 
-def _kara(a: int, la: int, b: int, lb: int) -> Tuple[int, int]:
-    """a * b, for a and b held in la and lb limbs (the top ones may be zero),
-    and the limb products spent in the schoolbook base cases."""
+def _kara_leaves(a: int, la: int, b: int, lb: int, pairs: list, program: list) -> None:
+    """Walk the recursion of a * b, for a and b held in la and lb limbs (the
+    top ones may be zero): append each base case (a, la, b, lb) to pairs, and
+    to program None for a base case and the shift 64m of a split after the
+    entries of its three half-size products z0, z2 and z1."""
     if min(la, lb) <= KARATSUBA_THRESHOLD:
-        return _school(a, la, b, lb), la * lb
+        pairs.append((a, la, b, lb))
+        program.append(None)
+        return
     m = max(la, lb) // 2
     shift = m * LIMB_BITS
     low = (1 << shift) - 1
     a0, a1, b0, b1 = a & low, a >> shift, b & low, b >> shift
     la0, lb0 = min(la, m), min(lb, m)
     la1, lb1 = la - la0, lb - lb0
-    z0, ops0 = _kara(a0, la0, b0, lb0)
-    z2, ops2 = _kara(a1, la1, b1, lb1)
+    _kara_leaves(a0, la0, b0, lb0, pairs, program)
+    _kara_leaves(a1, la1, b1, lb1, pairs, program)
     # a sum takes one limb more than its longer half when it carries out of it
     sa, sb = a0 + a1, b0 + b1
-    z1, ops1 = _kara(sa, max(la0, la1, _limb_count(sa)), sb, max(lb0, lb1, _limb_count(sb)))
-    return z0 + ((z1 - z0 - z2) << shift) + (z2 << 2 * shift), ops0 + ops1 + ops2
+    _kara_leaves(sa, max(la0, la1, _limb_count(sa)), sb, max(lb0, lb1, _limb_count(sb)),
+                 pairs, program)
+    program.append(shift)
 
 
 def karatsuba_mul(a: BigNat, b: BigNat) -> Tuple[BigNat, int]:
     """Exact product by recursion on two halves, three half-size products
-    each, schoolbook at the base, and the limb products spent in those base cases."""
-    product, ops = _kara(a.value, _limb_count(a.value), b.value, _limb_count(b.value))
-    return BigNat(product), ops
+    each, and the limb products spent in its base cases, in three passes.
+
+    1. Walk the recursion, split at m = max(la, lb) // 2 limbs, down to the
+       base cases of min(la, lb) <= KARATSUBA_THRESHOLD limbs.
+    2. Multiply every base case in one batch by the digit kernel of
+       _digit_products, exact under its int64 column bound.
+    3. Recombine bottom-up as z0 + ((z1 − z0 − z2) << 64m) + (z2 << 128m).
+
+    The count is the sum of la · lb over the base cases: 64-bit limb
+    products, although the kernel multiplies 16-bit digits.
+    """
+    pairs, program = [], []
+    _kara_leaves(a.value, _limb_count(a.value), b.value, _limb_count(b.value), pairs, program)
+    products, stack = iter(_digit_products(pairs)), []
+    for shift in program:
+        if shift is None:
+            stack.append(next(products))
+        else:
+            z1, z2, z0 = stack.pop(), stack.pop(), stack.pop()
+            stack.append(z0 + ((z1 - z0 - z2) << shift) + (z2 << 2 * shift))
+    return BigNat(stack.pop()), sum(la * lb for _, la, _, lb in pairs)
 
 
 def pack(
@@ -289,7 +385,7 @@ class MulReport:
     """Outcome of one multiplication, with the oracle cross-check.
 
     extra["limb_ops"] is the exact backends' operation count for this call:
-    limb products for schoolbook, limb products in the schoolbook base
+    64-bit limb products for schoolbook, 64-bit limb products in the base
     cases for karatsuba, butterflies over the three transforms for
     oracle-ntt.
     """

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,63 @@ def test_karatsuba_unbalanced_operands(monkeypatch):
     b = 7
     got, _ = karatsuba_mul(BigNat.from_int(a), BigNat.from_int(b))
     assert got.to_int() == a * b
+
+
+ALL_ONES_LIMBS = (1, 16, 17, 157, 1024)
+
+
+def test_schoolbook_all_ones_operands():
+    # 2^(64k) - 1 has every 16-bit digit 2^16 - 1, so every column sum and
+    # every carry is the largest its lengths allow
+    for ka in ALL_ONES_LIMBS:
+        for kb in ALL_ONES_LIMBS:
+            a, b = (1 << 64 * ka) - 1, (1 << 64 * kb) - 1
+            assert schoolbook_mul(BigNat(a), BigNat(b)).value == a * b, (ka, kb)
+
+
+@pytest.mark.parametrize("threshold", [2, 4, bigmul.KARATSUBA_THRESHOLD])
+def test_karatsuba_all_ones_operands(monkeypatch, threshold):
+    monkeypatch.setattr(bigmul, "KARATSUBA_THRESHOLD", threshold)
+    for ka in ALL_ONES_LIMBS:
+        for kb in ALL_ONES_LIMBS:
+            a, b = (1 << 64 * ka) - 1, (1 << 64 * kb) - 1
+            assert karatsuba_mul(BigNat(a), BigNat(b))[0].value == a * b, (ka, kb)
+
+
+def test_digit_columns_past_int64_are_refused():
+    # decided from the limb counts alone, before any digit array exists
+    limit, digit = bigmul.MAX_SHORTER_LIMBS, 2**16 - 1
+    assert 4 * limit * digit**2 < 2**63 <= 4 * (limit + 1) * digit**2
+    with pytest.raises(OverflowRisk):
+        bigmul._digit_products([(1, limit + 1, 1, limit + 1)])
+    # the shorter operand sets the column length, wherever the pair sits
+    with pytest.raises(OverflowRisk):
+        bigmul._digit_products([(3, 1, 5, 1), (1, 2 * limit, 1, limit + 1)])
+
+
+def test_carry_matches_loop_reference():
+    rng = np.random.default_rng(16)
+    columns = rng.integers(0, 2**63, size=(5, 9), dtype=np.int64)
+    columns[:, -4:] = 0  # each sum below 2^(16 K)
+    columns[0] = 0
+    want = [sum(int(c) << (16 * k) for k, c in enumerate(row)) for row in columns]
+    assert bigmul._carry(columns) == want
+
+
+def test_unbalanced_pair_is_multiplied_without_padding_to_the_longest():
+    # the recursion leaves many base cases of a zero and a long operand;
+    # padding every pair to the longest would take hundreds of megabytes
+    rng = random.Random(17)
+    a = rng.getrandbits(17 * 64) | 1 << (17 * 64 - 1)
+    b = rng.getrandbits(2**14 * 64) | 1 << (2**14 * 64 - 1)
+    tracemalloc.start()
+    try:
+        product, _ = karatsuba_mul(BigNat(a), BigNat(b))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert product.value == a * b
+    assert peak < 8 * 2**20
 
 
 def test_pack_golden():

@@ -134,3 +134,40 @@ def test_exact_backend_products_digest(monkeypatch):
     assert sha256("\n".join(lines).encode()) == (
         "9ad786a3ebcb04297c1f6b531a946b2bf46c6db6a9dba3118fed56304bca300e"
     )
+
+
+def top_bit_natural(rng, bits):
+    return rng.getrandbits(bits) | (1 << (bits - 1))
+
+
+def test_karatsuba_and_schoolbook_goldens():
+    # recorded before the batched digit kernel replaced the limb loop: at the
+    # default threshold, limb_ops and the SHA-256 of each product's hex
+    rng = random.Random(2023)
+    karatsuba = [
+        ("10,000 bits", 10_000, 10_000, 8187,
+         "a75f71332759ce20662fe1a565fc4cee344d036df59512cf3126dc1705bcb2da"),
+        ("10,000 bits", 10_000, 10_000, 8176,
+         "ed7f7d597e789caa98e730e0c7855cabf48ca8c60624bc699c052fea369cb186"),
+        ("100,000 bits, 2,187 base cases", 100_000, 100_000, 342889,
+         "13893118e5ffd31f5df12b4151ca1ad8381984c3b11ee2719871dd46020225ba"),
+        ("17 x 2^14 limbs", 17 * 64, 16_384 * 64, 276461,
+         "b81d0adea1418b98fe063131cd296aa6ca1f28cb016653f67f76be13ce1e16be"),
+    ]
+    for name, bits_a, bits_b, ops, digest in karatsuba:
+        a, b = top_bit_natural(rng, bits_a), top_bit_natural(rng, bits_b)
+        product, got_ops = bigmul.karatsuba_mul(bigmul.BigNat(a), bigmul.BigNat(b))
+        assert (got_ops, sha256(product.to_hex().encode())) == (ops, digest), name
+    schoolbook = [
+        (1024, 256, "0636f638d6591f586f559a6d571ccdb110e16586722444cf8f48f8f7863ca148"),
+        (65_536, 1_048_576, "418bed6f8ff02930885f35cf1e93b2077a223d1c806c228995118fcb508583bd"),
+    ]
+    for bits, ops, digest in schoolbook:
+        a, b = top_bit_natural(rng, bits), top_bit_natural(rng, bits)
+        report = bigmul.transform_mul(
+            bigmul.BigNat(a), bigmul.BigNat(b), bigmul.MulBackend(bigmul.SCHOOLBOOK)
+        )
+        assert report.verdict == "match"
+        assert (report.extra["limb_ops"], sha256(report.product.to_hex().encode())) == (
+            ops, digest
+        ), bits
