@@ -78,19 +78,9 @@ class BigNat:
     def bit_length(self) -> int:
         return self.value.bit_length()
 
-    @property
-    def limbs(self) -> Tuple[int, ...]:
-        """Little-endian 64-bit limbs, Python ints, with no trailing zero limb."""
-        return tuple(_limbs(self.value, _limb_count(self.value)))
-
 
 def _limb_count(value: int) -> int:
     return -(-value.bit_length() // LIMB_BITS)
-
-
-def _limbs(value: int, count: int) -> List[int]:
-    """value as exactly `count` little-endian 64-bit limbs."""
-    return np.frombuffer(value.to_bytes(count * 8, "little"), "<u8").tolist()
 
 
 def _digit_rows(values: Sequence[int], limbs: int) -> np.ndarray:
@@ -181,53 +171,75 @@ def schoolbook_mul(a: BigNat, b: BigNat) -> BigNat:
     return BigNat(product)
 
 
-def _kara_leaves(a: int, la: int, b: int, lb: int, pairs: list, program: list) -> None:
-    """Walk the recursion of a * b, for a and b held in la and lb limbs (the
-    top ones may be zero): append each base case (a, la, b, lb) to pairs, and
-    to program None for a base case and the shift 64m of a split after the
-    entries of its three half-size products z0, z2 and z1."""
-    if min(la, lb) <= KARATSUBA_THRESHOLD:
-        pairs.append((a, la, b, lb))
-        program.append(None)
-        return
+def _split(a: int, la: int, b: int, lb: int) -> Tuple[int, tuple]:
+    """One Karatsuba step on a and b held in la and lb limbs (the top ones may
+    be zero): the shift 64m of the split at m = max(la, lb) // 2 limbs, and
+    the (a, la, b, lb) of its half-size products z0, z2 and z1."""
     m = max(la, lb) // 2
     shift = m * LIMB_BITS
     low = (1 << shift) - 1
     a0, a1, b0, b1 = a & low, a >> shift, b & low, b >> shift
     la0, lb0 = min(la, m), min(lb, m)
     la1, lb1 = la - la0, lb - lb0
-    _kara_leaves(a0, la0, b0, lb0, pairs, program)
-    _kara_leaves(a1, la1, b1, lb1, pairs, program)
     # a sum takes one limb more than its longer half when it carries out of it
     sa, sb = a0 + a1, b0 + b1
-    _kara_leaves(sa, max(la0, la1, _limb_count(sa)), sb, max(lb0, lb1, _limb_count(sb)),
-                 pairs, program)
+    return shift, ((a0, la0, b0, lb0), (a1, la1, b1, lb1),
+                   (sa, max(la0, la1, _limb_count(sa)), sb, max(lb0, lb1, _limb_count(sb))))
+
+
+def _recombine(z0: int, z2: int, z1: int, shift: int) -> int:
+    """z0 + ((z1 − z0 − z2) << 64m) + (z2 << 128m), for a split's shift 64m."""
+    return z0 + ((z1 - z0 - z2) << shift) + (z2 << 2 * shift)
+
+
+def _kara_leaves(a: int, la: int, b: int, lb: int, pairs: list, program: list) -> None:
+    """Walk the recursion of a * b: append each base case (a, la, b, lb) to
+    pairs, and to program None for a base case and the shift of a split
+    after the entries of its three half-size products."""
+    if min(la, lb) <= KARATSUBA_THRESHOLD:
+        pairs.append((a, la, b, lb))
+        program.append(None)
+        return
+    shift, halves = _split(a, la, b, lb)
+    for half in halves:
+        _kara_leaves(*half, pairs, program)
     program.append(shift)
 
 
-def karatsuba_mul(a: BigNat, b: BigNat) -> Tuple[BigNat, int]:
-    """Exact product by recursion on two halves, three half-size products
-    each, and the limb products spent in its base cases, in three passes.
-
-    1. Walk the recursion, split at m = max(la, lb) // 2 limbs, down to the
-       base cases of min(la, lb) <= KARATSUBA_THRESHOLD limbs.
-    2. Multiply every base case in one batch by the digit kernel of
-       _digit_products, exact under its int64 column bound.
-    3. Recombine bottom-up as z0 + ((z1 − z0 − z2) << 64m) + (z2 << 128m).
-
-    The count is the sum of la · lb over the base cases: 64-bit limb
-    products, although the kernel multiplies 16-bit digits.
-    """
+def _kara(a: int, la: int, b: int, lb: int) -> Tuple[int, int]:
+    """a * b and the limb products of its base cases.  A subtree of at most
+    BATCH_LIMBS // 32 operand limbs runs in three passes: walk it, multiply
+    its base cases in one _digit_products call, and recombine bottom-up.  A
+    larger one is split here, so only one such subtree's base cases are
+    held at once."""
+    if la + lb > BATCH_LIMBS // 32 and min(la, lb) > KARATSUBA_THRESHOLD:
+        shift, halves = _split(a, la, b, lb)
+        (z0, ops0), (z2, ops2), (z1, ops1) = (_kara(*half) for half in halves)
+        return _recombine(z0, z2, z1, shift), ops0 + ops2 + ops1
     pairs, program = [], []
-    _kara_leaves(a.value, _limb_count(a.value), b.value, _limb_count(b.value), pairs, program)
+    _kara_leaves(a, la, b, lb, pairs, program)
     products, stack = iter(_digit_products(pairs)), []
     for shift in program:
         if shift is None:
             stack.append(next(products))
         else:
-            z1, z2, z0 = stack.pop(), stack.pop(), stack.pop()
-            stack.append(z0 + ((z1 - z0 - z2) << shift) + (z2 << 2 * shift))
-    return BigNat(stack.pop()), sum(la * lb for _, la, _, lb in pairs)
+            stack[-3:] = [_recombine(*stack[-3:], shift)]
+    return stack.pop(), sum(la * lb for _, la, _, lb in pairs)
+
+
+def karatsuba_mul(a: BigNat, b: BigNat) -> Tuple[BigNat, int]:
+    """Exact product by recursion on two halves, three half-size products
+    each, and the limb products spent in its base cases.
+
+    The recursion splits at m = max(la, lb) // 2 limbs down to base cases of
+    min(la, lb) <= KARATSUBA_THRESHOLD limbs, which the digit kernel of
+    _digit_products multiplies in batches per subtree of at most
+    BATCH_LIMBS // 32 operand limbs (see _kara), exact under its int64
+    column bound.  The count is the sum of la · lb over the base cases:
+    64-bit limb products, although the kernel multiplies 16-bit digits.
+    """
+    product, ops = _kara(a.value, _limb_count(a.value), b.value, _limb_count(b.value))
+    return BigNat(product), ops
 
 
 def pack(
@@ -264,19 +276,16 @@ def pack(
 
 
 def carry_propagate(coeffs: Sequence[int], limb_bits: int) -> int:
-    """sum(coeffs[k] * 2^(k*limb_bits)), exactly, for integer coefficients in [0, 2^63).
+    """sum(coeffs[k] * 2^(k*limb_bits)), exactly, for a list of integer
+    coefficients in [0, 2^63), checked by ptransform._as_array.
 
     Bits g*limb_bits up to (g+1)*limb_bits of every coefficient form one
     bit string without overlaps, so each such group packs into one integer.
     """
     if limb_bits < 1:
         raise UsageError("limb_bits must be >= 1")
-    c = np.asarray(coeffs)
-    if c.size and c.dtype.kind not in "iu":
-        raise UsageError("convolution coefficients must be integers in [0, 2^63)")
-    c = np.ascontiguousarray(c, dtype="<i8")  # uint64 at or past 2^63 wraps negative
-    if (c < 0).any():
-        raise UsageError("convolution coefficients must be integers in [0, 2^63)")
+    c = ptransform._as_array(coeffs, [(None,)], 0, 2**63, "convolution coefficients")
+    c = np.ascontiguousarray(c, dtype="<i8")
     groups = -(-int(c.max(initial=0)).bit_length() // limb_bits)
     bits = np.unpackbits(c.view(np.uint8).reshape(-1, 8), axis=1, count=groups * limb_bits,
                          bitorder="little")
@@ -292,14 +301,12 @@ def carry_propagate(coeffs: Sequence[int], limb_bits: int) -> int:
 # --- NTT convolution backend -------------------------------------------
 
 def _naturals(values: Sequence[int]) -> np.ndarray:
-    """values as a 1-D uint64 array, refused unless each is an integer in [0, 2^64);
-    a uint64 array, as pack returns, is taken as it is, without a scan."""
+    """values, a list of integers in [0, 2^63) checked by ptransform._as_array,
+    as the uint64 array the transform takes; a 1-D uint64 array, as pack
+    returns, is taken as it is, without a scan."""
     if isinstance(values, np.ndarray) and values.dtype == np.uint64 and values.ndim == 1:
         return values
-    array = ptransform._as_array(values)
-    if array.ndim != 1 or ((array < 0) | (array >= 2**64)).any():
-        raise UsageError("NTT input must be a list of integers in [0, 2^64)")
-    return array.astype(np.uint64)
+    return ptransform._as_array(values, [(None,)], 0, 2**63, "NTT input").astype(np.uint64)
 
 
 def _ntt_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -323,7 +330,8 @@ def _ntt_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def ntt(values: Sequence[int], invert: bool = False) -> np.ndarray:
-    """Iterative radix-2 transform mod NTT_PRIME (length a power of two), as uint64."""
+    """Iterative radix-2 transform mod NTT_PRIME (length a power of two) of
+    integers in [0, 2^63), as uint64."""
     x = _naturals(values)
     return _ntt(x, _ntt_tables(len(x)), invert)
 

@@ -113,11 +113,12 @@ class PTPlan:
     y: Residue
     omega: ExtensionElement
     slots: Tuple[PTPrimeSlot, ...]
-    coeff_bound: int  # largest input coefficient natural_column accepts
+    coeff_bound: int  # largest input coefficient natural_column accepts, below 2^63
 
     def __post_init__(self):
-        if type(self.coeff_bound) is not int or self.coeff_bound < 1:
-            raise UsageError(f"coeff_bound must be an integer >= 1, not {self.coeff_bound!r}")
+        bound = self.coeff_bound
+        if type(bound) is not int or not 1 <= bound < 2**63:
+            raise UsageError(f"coeff_bound must be an integer >= 1 and below 2^63, not {bound!r}")
 
     @property
     def n(self) -> int:
@@ -245,7 +246,8 @@ def preprocess(
 
     Exactly one of n_target (the requested transform size) and an explicit
     base prime p must be given.  coeff_bound (default p - 1) is the largest
-    input coefficient natural_column accepts.  bound_mode selects nothing:
+    input coefficient natural_column accepts, in [1, 2^63), so every input
+    the plan takes is int64.  bound_mode selects nothing:
     it must be STRICT or INPUT_AWARE, and it goes once perfbench stops
     passing it.
 
@@ -333,8 +335,8 @@ def _vandermonde(roots: Sequence[int], q: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _slot_table(x: np.ndarray, slot: PTPrimeSlot, peak: Optional[int] = None) -> np.ndarray:
-    """Components mod q of the (n, c) inputs x at each index class j < P of the
-    slot's index period P: (P, 3).  Output row j of the slot is row j mod P.
+    """Components mod q of the (n, c) int64 inputs x at each index class j < P
+    of the slot's index period P: (P, 3).  Output row j of the slot is row j mod P.
 
     Folding and reducing at a root are both linear, so they commute: the
     input rows are folded first, to P, and only the folded rows are reduced,
@@ -345,12 +347,11 @@ def _slot_table(x: np.ndarray, slot: PTPrimeSlot, peak: Optional[int] = None) ->
     P-row table is those d values repeated.
 
     The first fold reads the input in blocks that start at multiples of P.
-    When peak bounds every |x| of int64 x, a block sums up to
-    (2^63 - 1) // peak input rows into each folded row, all exact, and is
-    folded as it is: the whole input is one block when
-    ceil(n / P) * peak < 2^63, as for naturals below p.  When that allows
-    fewer than _ROW_BLOCK rows, or peak is None, each block of about
-    _ROW_BLOCK rows is reduced mod q before it is folded.
+    When peak bounds every |x|, a block sums up to (2^63 - 1) // peak input
+    rows into each folded row, all exact, and is folded as it is: the whole
+    input is one block when ceil(n / P) * peak < 2^63, as for naturals
+    below p.  When that allows fewer than _ROW_BLOCK rows, or peak is None,
+    each block of about _ROW_BLOCK rows is reduced mod q before it is folded.
     """
     q, period = slot.q.q, slot.index_period
     forward, inverse = slot.vandermonde
@@ -360,10 +361,7 @@ def _slot_table(x: np.ndarray, slot: PTPrimeSlot, peak: Optional[int] = None) ->
         blocks = (x[start : start + block] for start in range(0, len(x), block))
     else:
         block = period * max(1, _ROW_BLOCK // period)
-        blocks = (
-            np.asarray(x[start : start + block] % q, dtype=np.int64)
-            for start in range(0, len(x), block)
-        )
+        blocks = (x[start : start + block] % q for start in range(0, len(x), block))
     folded = sum(_fold(values, period, q) for values in blocks) % q
     at_roots = forward[:, : x.shape[1]] @ folded.T % q
     evals = np.empty((3, period), dtype=np.int64)
@@ -508,52 +506,38 @@ def _merge_slots(tables: Sequence[np.ndarray], schedule: _CrtSchedule) -> List[n
     return merged
 
 
-def _as_array(rows: Sequence, shapes: Optional[Sequence[Tuple[int, ...]]] = None) -> np.ndarray:
-    """The rows as int64, or as Python ints (dtype object) if one exceeds int64;
-    a shape not in shapes (when given), or anything but integers, is refused,
-    not broadcast or truncated."""
-    try:
-        array = np.asarray(rows)
-    except ValueError:  # ragged
-        array = np.array(None)
-    if shapes is not None and array.shape not in shapes:
-        raise UsageError(f"input shape {array.shape} != {' or '.join(map(str, shapes))}")
-    if array.dtype.kind == "i" or (
-        array.dtype.kind == "u" and (array.itemsize < 8 or array.max(initial=0) < 2**63)
-    ):
-        return array.astype(np.int64, copy=False)
-    # numpy reads integers beyond int64 as uint64, object or even float64 ([2**63, 1])
-    array = np.asarray(rows, dtype=object)
-    if not all(type(v) is int or isinstance(v, np.integer) for v in array.flat):
-        raise UsageError("input entries must be integers")
-    try:
-        return array.astype(np.int64)
-    except OverflowError:
-        return array
+def _as_array(values: Sequence, shapes: Sequence[tuple], low: int = -(2**63),
+              high: int = 2**63, name: str = "input") -> np.ndarray:
+    """values as int64: the one check of every integer array the program takes.
 
-
-def _integers(values: Sequence, low: int, high: float, name: str) -> np.ndarray:
-    """values as a 1-D int64 array, refused unless each is an integer in [low, high)."""
+    Refused, not broadcast, truncated or wrapped: a shape not in shapes
+    (None matches any length), a dtype that is not an integer one (bools,
+    floats, strings and Python ints past int64, which numpy reads as object
+    or float64, among them), and any entry outside [low, high) or int64.
+    The entries are scanned only when their dtype admits one out of range.
+    """
     try:
         array = np.asarray(values)
     except ValueError:  # ragged
         array = np.array(None)
-    if (
-        array.ndim != 1
-        or (array.size and array.dtype.kind not in "iu")
-        or ((array < low) | (array >= high)).any()
+    if not any(
+        len(shape) == array.ndim and all(w in (None, d) for w, d in zip(shape, array.shape))
+        for shape in shapes
     ):
-        raise UsageError(f"{name} must be a list of integers in [{low}, {high})")
-    return array.astype(np.int64)
+        raise UsageError(f"{name} shape {array.shape} != {' or '.join(map(str, shapes))}")
+    low, high = max(low, -(2**63)), min(high, 2**63)
+    if array.size and (
+        array.dtype.kind not in "iu"
+        or not low <= np.iinfo(array.dtype).min <= np.iinfo(array.dtype).max < high
+        and not low <= int(array.min()) <= int(array.max()) < high
+    ):
+        raise UsageError(f"{name} entries must be integers in [{low}, {high})")
+    return array.astype(np.int64, copy=False)
 
 
-def _transform(
-    x: np.ndarray, plan: PTPlan, rows: Optional[np.ndarray], peak: Optional[int]
-) -> np.ndarray:
-    """The pipeline on a checked (n, c) input at the given rows (all n if None),
-    where peak, if given, bounds every |x| of an int64 x."""
-    if x.dtype != np.int64:
-        peak = None
+def _transform(x: np.ndarray, plan: PTPlan, rows: Optional[np.ndarray], peak: int) -> np.ndarray:
+    """The pipeline on a checked (n, c) int64 input at the given rows (all n if
+    None), where peak bounds every |x|."""
     tables = [_slot_table(x, slot, peak) for slot in plan.slots]
     if rows is not None:
         tables = [table[rows % len(table)] for table in tables]
@@ -572,24 +556,20 @@ def transform_elements(
     indices (default: all n, in order) name the output rows, one each.  Each
     slot's class table is built in full and, given indices, read at them; the
     tables are then merged at their shared periods and combined mod p at
-    every output row.  An int64 input's peak |x| (one scan of its min and
-    max) sizes the slot stage's first fold: as few blocks as int64 sums
-    exactly, unreduced, and one per slot when ceil(n / P) * peak < 2^63 for
-    index period P; any other input is reduced mod q block by block.
+    every output row.  Every entry must be int64.  The input's peak |x| (one
+    scan of its min and max) sizes the slot stage's first fold: as few
+    blocks as int64 sums exactly, unreduced, and one per slot when
+    ceil(n / P) * peak < 2^63 for index period P; past that, each block is
+    reduced mod q first.
     """
     x = _as_array(xs, [(plan.n, 3), (plan.n, 1)])
-    rows = None if indices is None else _integers(indices, 0, plan.n, "indices")
-    peak = max(-int(x.min()), int(x.max())) if x.dtype == np.int64 else None
-    return _transform(x, plan, rows, peak)
+    rows = None if indices is None else _as_array(indices, [(None,)], 0, plan.n, "indices")
+    return _transform(x, plan, rows, max(-int(x.min()), int(x.max())))
 
 
 def natural_column(x: Sequence[int], plan: PTPlan) -> np.ndarray:
-    """x, n integers, as an (n, 1) column, after checking its shape and range
-    for the plan."""
-    column = _as_array(x, [(plan.n,)])[:, None]
-    if column.min() < 0 or column.max() > plan.coeff_bound:
-        raise UsageError(f"input entries must lie in [0, {plan.coeff_bound}] for this plan")
-    return column
+    """x, n integers in [0, coeff_bound], as an (n, 1) int64 column."""
+    return _as_array(x, [(plan.n,)], 0, plan.coeff_bound + 1)[:, None]
 
 
 def transform_naturals(x: Sequence[int], plan: PTPlan) -> np.ndarray:
@@ -643,8 +623,8 @@ def oracle_output(x: Sequence[int], plan: PTPlan, indices: Sequence[int]) -> np.
     """The honest DFT over F_{p^3}, sum_k x[k] * omega^(j*k), at each index j:
     (len(indices), 3) int64 rows.
 
-    x is n naturals, as a list or an (n, 1) column; any other shape is
-    refused before its values are read.  Independent of the pipeline: it
+    x is n int64 integers, as a list or an (n, 1) column; any other shape
+    is refused before its values are read.  Independent of the pipeline: it
     reads only p, y, n, omega and x, and shares only ext_mul_array,
     ext_powers and the input checks.  Baby-step/giant-step: with
     k = s*B + t and B = ceil(sqrt(n)), each omega^e is
@@ -661,13 +641,13 @@ def oracle_output(x: Sequence[int], plan: PTPlan, indices: Sequence[int]) -> np.
     if n * n >= 2**63:
         raise UsageError(f"n = {n} is too large for the direct oracle's int64 exponents")
     x = _as_array(x, [(n,), (n, 1)])
-    rows = _integers(indices, 0, n, "indices")
+    rows = _as_array(indices, [(None,)], 0, n, "indices")
     ctx = plan.context
     baby, giant = plan._oracle_powers
     b, a = len(baby) - 1, len(giant)
     padded = np.zeros(a * b)
     x = x.reshape(n)
-    reduced = x.dtype == np.int64 and 0 <= x.min() and x.max() < p
+    reduced = 0 <= x.min() and x.max() < p
     padded[:n] = x if reduced else x % p
     padded = padded.reshape(a, b)
     t, sb = np.arange(b)[:, None], np.arange(a)[:, None] * b
@@ -688,7 +668,7 @@ def spot_check(
     x: Sequence[int], plan: PTPlan, sample: int, seed: int
 ) -> TransformReport:
     """Compare pipeline outputs against the direct oracle at random indices."""
-    _integers([sample], 1, math.inf, "sample")
+    _as_array(sample, [()], 1, name="sample")
     rng = random.Random(seed)
     indices = sorted(rng.sample(range(plan.n), min(sample, plan.n)))
     column = natural_column(x, plan)

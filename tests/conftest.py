@@ -17,7 +17,7 @@ def fold_coefficients(x, slot, root_index):
 
 
 def limbs_from_int(value, limb_bits):
-    """The loop reference for BigNat.limbs: one limb a step, little-endian."""
+    """value as little-endian limbs of limb_bits bits, one limb a step."""
     limbs = []
     mask = (1 << limb_bits) - 1
     while value:

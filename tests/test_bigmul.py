@@ -40,30 +40,27 @@ def test_ntt_modulus_constants():
 
 
 def test_bignat_canonical_form():
-    # the limbs derived from the value: no trailing zero limb, none for zero
-    assert BigNat.from_int(0).limbs == ()
-    assert BigNat.from_int(1).limbs == (1,)
-    assert BigNat.from_int(1 << 64).limbs == (0, 1)
+    # a BigNat is its value, one Python int
+    for value in (0, 1, 1 << 64):
+        assert BigNat.from_int(value) == BigNat(value) and BigNat(value).value == value
     with pytest.raises(UsageError):
         BigNat.from_int(-3)
 
 
 def test_products_and_their_limbs_are_canonical(monkeypatch):
-    # a product is the BigNat of its value, and its derived limbs are Python
-    # ints below 2^64 with no trailing zero limb
+    # a product is the BigNat of its value, a Python int equal to the oracle's
     monkeypatch.setattr(bigmul, "KARATSUBA_THRESHOLD", 2)
     rng = random.Random(64)
     values = [0, 1, (1 << 64) - 1, 1 << 64, (1 << 640) - 1]
     values += [rng.getrandbits(700) for _ in range(20)]
     for a in map(BigNat.from_int, values):
         b = BigNat.from_int(rng.getrandbits(300))
-        for nat in (a, schoolbook_mul(a, b), karatsuba_mul(a, b)[0]):
+        products = (schoolbook_mul(a, b), karatsuba_mul(a, b)[0])
+        for nat in (a, *products):
             assert type(nat.value) is int
             rebuilt = BigNat(nat.value)
             assert rebuilt == nat and hash(rebuilt) == hash(nat)
-            assert all(type(v) is int and 0 <= v < 1 << 64 for v in nat.limbs)
-            assert nat.limbs[-1:] != (0,)
-            assert conftest.int_from_limbs(nat.limbs, 64) == nat.value
+        assert [nat.value for nat in products] == [a.value * b.value] * 2
 
 
 def test_bignat_hex_roundtrip():
@@ -110,8 +107,7 @@ def test_conversions_match_loop_references(width):
     for value in conversion_values(width):
         limbs = conftest.limbs_from_int(value, 64)
         n = BigNat.from_int(value)
-        assert n.limbs == limbs
-        assert all(type(l) is int for l in n.limbs)
+        assert type(n.to_int()) is int
         assert n.to_int() == conftest.int_from_limbs(limbs, 64) == value
 
 
@@ -123,7 +119,8 @@ def test_pack_matches_loop_reference(width):
         for length in (fit, fit + 3):
             got = pack(a, width, length)
             assert got.dtype == np.uint64
-            assert got.tolist() == conftest.pack_limbs(a.limbs, width, length)
+            limbs = conftest.limbs_from_int(a.value, 64)
+            assert got.tolist() == conftest.pack_limbs(limbs, width, length)
         if value:
             with pytest.raises(UsageError):
                 pack(BigNat.from_int(value), width, fit - 1)
@@ -241,6 +238,22 @@ def test_unbalanced_pair_is_multiplied_without_padding_to_the_longest():
     assert peak < 8 * 2**20
 
 
+def test_karatsuba_holds_one_subtree_of_base_cases_at_a_time():
+    # 400,000-bit operands have 3^9 base cases: all of them and their
+    # products held at once take 16 MiB, one subtree of at most
+    # BATCH_LIMBS // 32 operand limbs at a time about 1 MiB
+    rng = random.Random(400)
+    a, b = (rng.getrandbits(400_000) | 1 << 399_999 for _ in "ab")
+    tracemalloc.start()
+    try:
+        product, ops = karatsuba_mul(BigNat(a), BigNat(b))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (product.value, ops) == (a * b, 3092042)
+    assert peak < 4 * 2**20
+
+
 def test_pack_golden():
     n = BigNat.from_int(0xABCD)
     assert pack(n, 8, 4).tolist() == [0xCD, 0xAB, 0, 0]
@@ -318,16 +331,17 @@ def test_ntt_validates_length():
 
 
 def test_ntt_refuses_negative_or_non_integer_input():
-    # ntt([-1, 2]) used to raise OverflowError and ntt([1.5, 2]) to truncate
-    for bad in ([-1, 2], [1.5, 2], [2**64, 1], [True, False], np.array([1.0, 2.0]), [[1, 2]]):
+    # ntt([-1, 2]) used to raise OverflowError and ntt([1.5, 2]) to truncate;
+    # [2^63, 1], which numpy reads as float64, is past int64
+    bad_inputs = ([-1, 2], [1.5, 2], [2**63, 1], [2**64, 1], [True, False],
+                  np.array([1.0, 2.0]), [[1, 2]])
+    for bad in bad_inputs:
         with pytest.raises(UsageError):
             ntt(bad)
         with pytest.raises(UsageError):
             ntt_convolve([1, 2], bad)
         with pytest.raises(UsageError):
             ntt_convolve(bad, [1, 2])
-    # integers past int64, which numpy alone reads as float64, are naturals
-    assert ntt([2**63, 1]).tolist() == ntt([2**63 % NTT_PRIME, 1]).tolist()
     packed = pack(BigNat.from_int(0xABCD), 8, 4)
     assert _naturals(packed) is packed  # pack's output is taken without a scan
     as_list = [0xCD, 0xAB, 0, 0]
@@ -366,7 +380,6 @@ def test_ntt_mul_matches_python_from_zero_to_20000_bits():
             x = rng.getrandbits(bits_a) | (1 << bits_a >> 1)  # exactly bits_a bits
             y = rng.getrandbits(bits_b) | (1 << bits_b >> 1)
             product, _ = _ntt_mul(BigNat.from_int(x), BigNat.from_int(y), NTT_LIMB_BITS)
-            assert product.limbs == conftest.limbs_from_int(x * y, 64)
             assert product.to_int() == x * y
     # one-limb operands whose product fits one coefficient: a length-1 transform
     for x, y in ((3, 5), (0, 0)):

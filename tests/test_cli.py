@@ -75,9 +75,10 @@ def test_plan_rejects_bad_p(capsys):
 
 
 def test_plan_rejects_negative_coeff_bound(capsys, tmp_path):
-    # 0 too: verify would draw an all-zero input and confirm it
+    # 0 too: verify would draw an all-zero input and confirm it; and 2^63,
+    # past the int64 every plan's input is held in
     plan_path = tmp_path / "plan.json"
-    for coeff_bound in ("-1", "0"):
+    for coeff_bound in ("-1", "0", str(2**63)):
         code, out = run(
             capsys, "plan", "--p", "13", "--coeff-bound", coeff_bound, "--plan-out", str(plan_path)
         )
@@ -116,14 +117,16 @@ def test_verify_delta_input(capsys, plan7_file):
     assert json.loads(out)["results"]["aggregate"]["verdict"] == "confirmed"
 
 
-def test_verify_refuses_random_input_beyond_int64(capsys, plan7_file, monkeypatch):
-    plan = cli._load_plan(plan7_file)
-    huge = dataclasses.replace(plan, coeff_bound=2**63)
-    monkeypatch.setattr(cli, "_load_plan", lambda path: huge)
-    code, _ = run(capsys, "verify", "--plan", plan7_file, "--sample", "2")
-    assert code == EXIT_USAGE
-    code, _ = run(capsys, "verify", "--plan", plan7_file, "--sample", "2", "--input", "delta")
-    assert code == EXIT_OK
+def test_verify_refuses_random_input_beyond_int64(capsys, plan7_file, tmp_path):
+    # a plan file whose coeff_bound is past int64 is refused whatever the input
+    doc = json.loads(Path(plan7_file).read_text())
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({**doc, "coeff_bound": 2**63}))
+    for mode in ("random", "delta"):
+        code = main(["verify", "--plan", str(huge), "--sample", "2", "--input", mode])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, ""), mode
+        assert "coeff_bound" in captured.err and "Traceback" not in captured.err
 
 
 def test_verify_updates_ledger_only_on_request(capsys, plan7_file, tmp_path):

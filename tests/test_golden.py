@@ -53,15 +53,15 @@ def test_sampled_strict_transform_digest():
     )
 
 
-def test_sampled_strict_digest_beyond_int64():
-    # object-dtype input up to 2^70 on the strict p = 13 plan, which the
-    # slot stage reduces mod q before it folds
-    plan = ptransform.preprocess(p=13, coeff_bound=2**70)
+def test_sampled_strict_digest_of_62_bit_input():
+    # int64 input up to 2^62 on the strict p = 13 plan: its peak is past 2^49,
+    # so the slot stage reduces each block mod q before it folds
+    plan = ptransform.preprocess(p=13, coeff_bound=2**62)
     rng = random.Random(70)
-    column = np.array([rng.getrandbits(70) for _ in range(plan.n)], dtype=object)[:, None]
+    column = np.array([rng.getrandbits(62) for _ in range(plan.n)], dtype=np.int64)[:, None]
     rows = [plan.n - 1, 0, 5, 5, 1000, 17]
     assert array_digest(ptransform.transform_elements(column, plan, rows)) == (
-        "878cf7bb824f7d931687fb65737b5e145031efe67f23f138aa322dd6cfcb6fea"
+        "5b5039d486e22f85882f084c1a5d61c23305ed092d267aa1728c842510bf10ac"
     )
 
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conftest
-from polyxform import extension, modcore, oracles, ptransform
+from polyxform import bigmul, extension, modcore, oracles, ptransform
 from polyxform.cli import EXIT_USAGE, main
 from polyxform.errors import PrimeSupplyExhausted, UsageError
 from polyxform.extension import ext_mul
@@ -43,8 +43,9 @@ def test_preprocess_rejects_bad_args():
         preprocess(p=11)  # 11 = 2 mod 3
     with pytest.raises(UsageError):
         preprocess()  # neither n_target nor p
-    # a plan file refuses all of these, so a plan may not hold them either
-    for coeff_bound in (-1, 0, 2.5, 12.0, True):
+    # a plan file refuses all of these, so a plan may not hold them either;
+    # 2^63 would admit input past int64
+    for coeff_bound in (-1, 0, 2.5, 12.0, True, 2**63):
         with pytest.raises(UsageError, match="coeff_bound must be an integer >= 1"):
             preprocess(p=13, coeff_bound=coeff_bound)
     with pytest.raises(UsageError, match="not both"):
@@ -407,8 +408,8 @@ def test_first_transform_builds_the_schedule_once(monkeypatch):
 
 @pytest.fixture(scope="module")
 def plan13_big():
-    """The strict p = 13 plan for coefficients up to 2^70."""
-    return preprocess(p=13, coeff_bound=2**70)
+    """The strict p = 13 plan for coefficients up to 2^62."""
+    return preprocess(p=13, coeff_bound=2**62)
 
 
 @pytest.fixture(scope="module")
@@ -422,9 +423,13 @@ def plan13_grown(plan13_big):
     return replace(plan13_big, slots=slots)
 
 
-def test_pipeline_reduces_inputs_above_int64(plan13_big):
-    rng = random.Random(70)
-    x = [rng.choice((0, 1, 2**63, 2**70 - 1, rng.getrandbits(70))) for _ in range(plan13_big.n)]
+def big_naturals(rng, n):
+    """n naturals in [0, 2^62], at the bound and below it."""
+    return [rng.choice((0, 1, 2**62, 2**62 - 1, rng.getrandbits(62))) for _ in range(n)]
+
+
+def test_pipeline_reduces_inputs_up_to_2_62(plan13_big):
+    x = big_naturals(random.Random(70), plan13_big.n)
     assert transform(x, plan13_big) == boxed_pipeline([(v, 0, 0) for v in x], plan13_big)
 
 
@@ -588,8 +593,7 @@ def test_merged_crt_matches_flat_garner(p, inverse):
 
 def test_merged_crt_matches_flat_garner_beyond_100_bits(plan13_grown):
     assert math.log2(plan13_grown.prime_product) > 100
-    rng = random.Random(141)
-    x = [rng.choice((0, 1, 2**63, 2**70 - 1, rng.getrandbits(70))) for _ in range(plan13_grown.n)]
+    x = big_naturals(random.Random(141), plan13_grown.n)
     column = ptransform.natural_column(x, plan13_grown)
     want = flat_garner(column, plan13_grown)
     assert np.array_equal(transform_elements(column, plan13_grown), want)
@@ -764,9 +768,8 @@ def test_spot_check_every_index_matches_boxed_dft(plan7):
     ]
 
 
-def test_oracle_reduces_inputs_above_int64(plan13_big):
-    rng = random.Random(71)
-    x = [rng.choice((0, 1, 2**63, 2**70 - 1, rng.getrandbits(70))) for _ in range(plan13_big.n)]
+def test_oracle_reduces_inputs_up_to_2_62(plan13_big):
+    x = big_naturals(random.Random(71), plan13_big.n)
     for j in (0, 1, 1000, plan13_big.n - 1):
         assert oracle_at(x, plan13_big, j) == boxed_dft(x, plan13_big, j)
 
@@ -911,7 +914,9 @@ class _Watched(np.ndarray):
 
 def test_oracle_refuses_a_wrong_shape_before_reading_values(monkeypatch, plan7):
     as_array = ptransform._as_array
-    monkeypatch.setattr(ptransform, "_as_array", lambda *args: as_array(*args).view(_Watched))
+    monkeypatch.setattr(
+        ptransform, "_as_array", lambda *args, **kwargs: as_array(*args, **kwargs).view(_Watched)
+    )
     monkeypatch.setattr(_Watched, "ufuncs", [])
     n = plan7.n
     for wrong in (np.ones((n, 3), dtype=np.int64), [50] * (n + 1), [[1, 2]] * n):
@@ -996,25 +1001,74 @@ def test_non_integer_input_is_refused(plan13):
     ):
         with pytest.raises(UsageError):
             call()
-    # integers beyond int64 keep their exact values, although numpy alone reads
-    # [2^63, 1] as float64 and [2^63] as uint64
+    # integers beyond int64 are refused, although numpy alone reads [2^63, 1]
+    # as float64, [2^63] as uint64 and [2^70] as object
+    shapes = [(None,), (None, 3)]
     for big in ([2**63, 1], [2**63], np.array([2**63], dtype=np.uint64), [[2**70, 0, 1]]):
-        got = ptransform._as_array(big)
-        assert got.dtype == object and got.tolist() == np.asarray(big, dtype=object).tolist()
+        with pytest.raises(UsageError):
+            ptransform._as_array(big, shapes)
     for small in (np.array([2, 1], dtype=np.uint8), np.array([3], dtype=np.uint64), [5, -1]):
-        got = ptransform._as_array(small)
+        got = ptransform._as_array(small, shapes)
         assert got.dtype == np.int64 and got.tolist() == np.asarray(small).tolist()
 
 
-def test_natural_column_reads_uint64_below_2_63_as_int64(plan13_big):
+def test_natural_column_reads_uint64_below_2_63_as_int64():
+    plan = preprocess(p=13, coeff_bound=2**63 - 1)
     rng = random.Random(63)
-    x = [rng.randrange(2**63) for _ in range(plan13_big.n)]
-    column = ptransform.natural_column(np.array(x, dtype=np.uint64), plan13_big)
+    x = [rng.randrange(2**63) for _ in range(plan.n)]
+    column = ptransform.natural_column(np.array(x, dtype=np.uint64), plan)
     assert column.dtype == np.int64
-    assert np.array_equal(column, ptransform.natural_column(x, plan13_big))
+    assert np.array_equal(column, ptransform.natural_column(x, plan))
     x[5] = 2**63
-    column = ptransform.natural_column(np.array(x, dtype=np.uint64), plan13_big)
-    assert column.dtype == object and column[:, 0].tolist() == x
+    with pytest.raises(UsageError):
+        ptransform.natural_column(np.array(x, dtype=np.uint64), plan)
+
+
+# Entries that are not int64: each makes k of them (ragged: k uneven rows).
+NOT_INT64 = {
+    "2^63 as a Python int": lambda k: [2**63] * k,  # numpy: uint64
+    "np.uint64(2^63)": lambda k: [np.uint64(2**63)] * k,
+    "[2^63, 1]": lambda k: [2**63] + [1] * (k - 1),  # numpy: float64
+    "[2^70]": lambda k: [2**70] + [0] * (k - 1),  # numpy: object
+    "floats": lambda k: [1.0] * k,
+    "bools": lambda k: [True] * k,
+    "strings": lambda k: ["1"] * k,
+    "ragged": lambda k: [[1], [1, 2]] + [[1]] * (k - 2),
+}
+
+
+def zero_column(plan):
+    return np.zeros((plan.n, 1), dtype=np.int64)
+
+
+# Every function that takes an integer array, called with the array make(k)
+# builds and the rest of its arguments valid.
+INTEGER_ARRAY_ENTRIES = {
+    "transform": lambda plan, make: transform(make(plan.n), plan),
+    "transform_naturals": lambda plan, make: ptransform.transform_naturals(make(plan.n), plan),
+    "transform_elements": lambda plan, make: transform_elements(
+        [[v] for v in make(plan.n)], plan
+    ),
+    "transform_elements indices": lambda plan, make: transform_elements(
+        zero_column(plan), plan, make(3)
+    ),
+    "natural_column": lambda plan, make: ptransform.natural_column(make(plan.n), plan),
+    "oracle_output": lambda plan, make: oracle_output(make(plan.n), plan, [0]),
+    "oracle_output indices": lambda plan, make: oracle_output(zero_column(plan), plan, make(3)),
+    "spot_check": lambda plan, make: spot_check(make(plan.n), plan, sample=2, seed=0),
+    "ntt": lambda plan, make: bigmul.ntt(make(4)),
+    "ntt_convolve": lambda plan, make: bigmul.ntt_convolve([0] * 4, make(4)),
+    "carry_propagate": lambda plan, make: bigmul.carry_propagate(make(4), 8),
+}
+
+
+@pytest.mark.parametrize("bad", NOT_INT64)
+@pytest.mark.parametrize("entry", INTEGER_ARRAY_ENTRIES)
+def test_every_integer_array_entry_refuses_what_is_not_int64(plan7, entry, bad):
+    call = INTEGER_ARRAY_ENTRIES[entry]
+    call(plan7, lambda k: [1] * k)  # the same call on int64 entries is taken
+    with pytest.raises(UsageError):
+        call(plan7, NOT_INT64[bad])
 
 
 @pytest.mark.parametrize("shape", ["(n, 1)", "(n, 2)", "(n, 3)", "n triples"])
