@@ -41,9 +41,10 @@ KARATSUBA_THRESHOLD = 16
 # exactly in int64: 4·limbs·(2^16 − 1)^2 < 2^63.
 MAX_SHORTER_LIMBS = (2**63 - 1) // (4 * (2**16 - 1) ** 2)
 
-# Operand limbs the digit kernel takes in at once; its int64 arrays then
-# stay below about 2 MB each, however many base cases Karatsuba collects.
-BATCH_LIMBS = 2**15
+# Operand limbs of the largest Karatsuba subtree whose base cases go to the
+# digit kernel in one batch, so however long the operands, only one such
+# subtree's base cases and digit arrays are held at once.
+SUBTREE_LIMBS = 1024
 
 # Coefficient width the oracle-ntt backend packs operands into.
 NTT_LIMB_BITS = 8
@@ -141,7 +142,7 @@ def _digit_products(pairs: Sequence[Tuple[int, int, int, int]]) -> List[int]:
     anything is allocated.  A pair with a zero operand has product 0 and is
     never padded.  The others are grouped by the size classes of la and lb
     and padded to the longest in their group, at most 1.5 times either
-    side; a group goes through _long_multiply BATCH_LIMBS at a time.
+    side; each group is one _long_multiply call.
     """
     if any(min(la, lb) > MAX_SHORTER_LIMBS for _, la, _, lb in pairs):
         raise OverflowRisk(f"an int64 column sum of more than {4 * MAX_SHORTER_LIMBS} "
@@ -153,12 +154,9 @@ def _digit_products(pairs: Sequence[Tuple[int, int, int, int]]) -> List[int]:
             groups[_size_class(la), _size_class(lb)].append(i)
     for rows in groups.values():
         la, lb = max(pairs[i][1] for i in rows), max(pairs[i][3] for i in rows)
-        step = max(1, BATCH_LIMBS // (la + lb))
-        for start in range(0, len(rows), step):
-            batch = rows[start:start + step]
-            got = _long_multiply([pairs[i][0] for i in batch], la, [pairs[i][2] for i in batch], lb)
-            for i, product in zip(batch, got):
-                products[i] = product
+        got = _long_multiply([pairs[i][0] for i in rows], la, [pairs[i][2] for i in rows], lb)
+        for i, product in zip(rows, got):
+            products[i] = product
     return products
 
 
@@ -208,11 +206,11 @@ def _kara_leaves(a: int, la: int, b: int, lb: int, pairs: list, program: list) -
 
 def _kara(a: int, la: int, b: int, lb: int) -> Tuple[int, int]:
     """a * b and the limb products of its base cases.  A subtree of at most
-    BATCH_LIMBS // 32 operand limbs runs in three passes: walk it, multiply
+    SUBTREE_LIMBS operand limbs runs in three passes: walk it, multiply
     its base cases in one _digit_products call, and recombine bottom-up.  A
     larger one is split here, so only one such subtree's base cases are
     held at once."""
-    if la + lb > BATCH_LIMBS // 32 and min(la, lb) > KARATSUBA_THRESHOLD:
+    if la + lb > SUBTREE_LIMBS and min(la, lb) > KARATSUBA_THRESHOLD:
         shift, halves = _split(a, la, b, lb)
         (z0, ops0), (z2, ops2), (z1, ops1) = (_kara(*half) for half in halves)
         return _recombine(z0, z2, z1, shift), ops0 + ops2 + ops1
@@ -233,8 +231,8 @@ def karatsuba_mul(a: BigNat, b: BigNat) -> Tuple[BigNat, int]:
 
     The recursion splits at m = max(la, lb) // 2 limbs down to base cases of
     min(la, lb) <= KARATSUBA_THRESHOLD limbs, which the digit kernel of
-    _digit_products multiplies in batches per subtree of at most
-    BATCH_LIMBS // 32 operand limbs (see _kara), exact under its int64
+    _digit_products multiplies in one batch per subtree of at most
+    SUBTREE_LIMBS operand limbs (see _kara), exact under its int64
     column bound.  The count is the sum of la · lb over the base cases:
     64-bit limb products, although the kernel multiplies 16-bit digits.
     """

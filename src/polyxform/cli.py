@@ -51,9 +51,7 @@ _NOT_CONFIG = frozenset(
 
 def _render(report: dict, fmt: str) -> str:
     if fmt == "csv":
-        rows = report["results"].get("rows")
-        if not rows:
-            raise UsageError(f"--format csv needs table rows; {report['command']} has none")
+        rows = report["results"]["rows"]
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -113,7 +111,8 @@ def _load_plan(path: str) -> ptransform.PTPlan:
 def cmd_verify(args) -> tuple:
     plan = _load_plan(args.plan)
     if args.input == "delta":
-        x = [1] + [0] * (plan.n - 1)
+        x = np.zeros(plan.n, dtype=np.int64)
+        x[0] = 1
     else:
         x = np.random.default_rng(args.seed).integers(0, plan.coeff_bound + 1, size=plan.n)
     report = ptransform.spot_check(x, plan, sample=args.sample, seed=args.seed)
@@ -293,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default="", help="report path (default stdout)")
 
     def ledger(sp):
@@ -348,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--repetitions", type=int, default=3)
     sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     common(sp)
     sp.set_defaults(func=cmd_bench)
 
@@ -384,9 +383,9 @@ def main(argv=None) -> int:
             "results": results,
             "timing": {"wall_seconds": time.perf_counter() - start},
         }
-        # rendered and the ledger read first, then the report written, so a
-        # refused format, ledger or --out path leaves the ledger as it was
-        text = _render(report, args.format)
+        # the ledger read before the report is written and saved after it,
+        # so a refused ledger or --out path leaves the ledger as it was
+        text = _render(report, getattr(args, "format", "json"))
         ledger = claims.set_verdict(*claim, path=args.ledger) if record else None
         if args.out:
             Path(args.out).write_text(text)

@@ -17,9 +17,9 @@ the Gauss-Jordan `recover_components`, `crt_reconstruct`) live in
 
 Everything that does not depend on the input is built on first use and
 kept with the plan: each slot's Vandermonde pair and its roots' DFT
-matrices; the CRT schedule, which slot tables merge and every Garner
-constant; the direct oracle's baby and giant tables of omega's powers; and
-the plan that inverse_plan returns.  None of it is a field, so plan
+matrices; the CRT schedule, one Garner join (or none) per slot and the
+final Garner mod p; the direct oracle's baby and giant tables of omega's
+powers; and the plan that inverse_plan returns.  None of it is a field, so plan
 equality and the plan file see only the plan's inputs and slots.
 
 Whether the end result agrees with the honest extension-field DFT is
@@ -162,9 +162,9 @@ class PTPlan:
         return _held(baby), _held(giant)
 
     @cached_property
-    def _crt(self) -> "_CrtSchedule":
-        """How the slot tables are combined, with every Garner constant: built
-        on first use and kept."""
+    def _crt(self) -> "Tuple[Tuple[Optional[_Garner], ...], _Garner]":
+        """(joins, final): one Garner join or None per slot, and the Garner over
+        the group moduli mod p (see _crt_schedule); built on first use and kept."""
         return _crt_schedule(self.slots, self.n, self.p.q)
 
 
@@ -398,43 +398,26 @@ class _Garner:
         self.out_weights = tuple(c % m for c in prefix)
 
 
-@dataclass(frozen=True)
-class _CrtSchedule:
-    """How a plan's slot tables are combined, with every Garner constant.
-
-    groups holds, per group of merged slots, its first slot's index and one
-    (slot index, Garner step) per slot that joins it, in plan order.  final
-    combines the group tables mod p.
-    """
-
-    groups: Tuple[Tuple[int, Tuple[Tuple[int, _Garner], ...]], ...]
-    final: _Garner
-
-
-def _crt_schedule(slots: Sequence[PTPrimeSlot], n: int, p: int) -> _CrtSchedule:
-    """The merge schedule for slots.
-
-    A slot joins the current group (modulus M) by a two-modulus Garner step
-    over the lcm of the two periods, exact mod M*q, while M*q stays within
-    the int64 limit of the final Garner over all groups and the merged table
-    stays well short of n.
-    """
+def _crt_schedule(
+    slots: Sequence[PTPrimeSlot], n: int, p: int
+) -> Tuple[Tuple[Optional[_Garner], ...], _Garner]:
+    """The merge schedule for slots: (joins, final).  joins[k] is None when
+    slot k starts a group, else the Garner step, exact mod M*q, by which it
+    joins the group before it (modulus M) over the lcm of their periods.  A
+    slot joins while M*q stays within the int64 limit of final, the Garner
+    over the group moduli mod p, and the merged table within n // 4 rows."""
     limit = math.isqrt((2**63 - 1) // len(slots))
-    groups = []  # [first slot index, joins, table size, modulus]
-    for index, slot in enumerate(slots):
-        q, period = slot.q.q, slot.index_period
-        if groups:
-            first, joins, size, m = groups[-1]
-            size = math.lcm(size, period)
-            if m * q <= limit and size <= n // 4:
-                joins.append((index, _Garner((m, q), m * q)))
-                groups[-1] = [first, joins, size, m * q]
-                continue
-        groups.append([index, [], period, q])
-    return _CrtSchedule(
-        groups=tuple((first, tuple(joins)) for first, joins, _, _ in groups),
-        final=_Garner([m for *_, m in groups], p),
-    )
+    joins, moduli, size = [], [], 0
+    for slot in slots:
+        q, joined = slot.q.q, math.lcm(size, slot.index_period)
+        if moduli and moduli[-1] * q <= limit and joined <= n // 4:
+            joins.append(_Garner((moduli[-1], q), moduli[-1] * q))
+            moduli[-1], size = moduli[-1] * q, joined
+        else:
+            joins.append(None)
+            moduli.append(q)
+            size = slot.index_period
+    return tuple(joins), _Garner(moduli, p)
 
 
 def _crt_mod_p(tables: Sequence[np.ndarray], garner: _Garner, count: int) -> np.ndarray:
@@ -485,11 +468,11 @@ def _crt_mod_p(tables: Sequence[np.ndarray], garner: _Garner, count: int) -> np.
     return out
 
 
-def _merge_slots(tables: Sequence[np.ndarray], schedule: _CrtSchedule) -> List[np.ndarray]:
-    """The slot tables merged into the schedule's groups, each a table mod the
+def _merge_slots(tables: Sequence[np.ndarray], joins: Sequence[Optional[_Garner]]) -> list:
+    """The slot tables merged as joins says, each group a table mod the
     product of its primes.
 
-    Each joining slot's table is combined with its group's over the lcm of
+    A joining slot's table is combined with its group's over the lcm of
     their lengths: the lcm of their periods for class tables, and the row
     count for tables gathered at given rows.  The group stays the first
     modulus, so its digit is its residue as it is and only the new prime's
@@ -497,11 +480,10 @@ def _merge_slots(tables: Sequence[np.ndarray], schedule: _CrtSchedule) -> List[n
     so the outputs are too.
     """
     merged = []
-    for first, joins in schedule.groups:
-        table = tables[first]
-        for index, garner in joins:
-            size = math.lcm(len(table), len(tables[index]))
-            table = _crt_mod_p((table, tables[index]), garner, size)
+    for table, garner in zip(tables, joins):
+        if garner is not None:
+            group = merged.pop()
+            table = _crt_mod_p((group, table), garner, math.lcm(len(group), len(table)))
         merged.append(table)
     return merged
 
@@ -541,9 +523,9 @@ def _transform(x: np.ndarray, plan: PTPlan, rows: Optional[np.ndarray], peak: in
     tables = [_slot_table(x, slot, peak) for slot in plan.slots]
     if rows is not None:
         tables = [table[rows % len(table)] for table in tables]
-    schedule = plan._crt
+    joins, final = plan._crt
     count = plan.n if rows is None else len(rows)
-    return _crt_mod_p(_merge_slots(tables, schedule), schedule.final, count)
+    return _crt_mod_p(_merge_slots(tables, joins), final, count)
 
 
 def transform_elements(

@@ -241,7 +241,7 @@ def test_unbalanced_pair_is_multiplied_without_padding_to_the_longest():
 def test_karatsuba_holds_one_subtree_of_base_cases_at_a_time():
     # 400,000-bit operands have 3^9 base cases: all of them and their
     # products held at once take 16 MiB, one subtree of at most
-    # BATCH_LIMBS // 32 operand limbs at a time about 1 MiB
+    # SUBTREE_LIMBS operand limbs at a time about 1 MiB
     rng = random.Random(400)
     a, b = (rng.getrandbits(400_000) | 1 << 399_999 for _ in "ab")
     tracemalloc.start()

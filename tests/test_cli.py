@@ -43,10 +43,11 @@ def test_sieve_usage_error(capsys):
 
 @pytest.mark.parametrize("argv", [("sieve", "--limit", "100"), ("plan", "--p", "7")])
 def test_csv_without_rows_is_usage_error(capsys, argv):
+    # --format exists on bench alone, so argparse refuses it before anything runs
     code = main([*argv, "--format", "csv"])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
-    assert captured.out == "" and captured.err.startswith("usage error:")
+    assert captured.out == "" and "unrecognized arguments: --format csv" in captured.err
     assert argv[0] in captured.err and "Traceback" not in captured.err
 
 
@@ -311,6 +312,24 @@ def test_ledger_experiments_parse():
             pytest.fail(f"{claim_id}: {experiment!r} does not parse")
 
 
+def test_readme_commands_parse():
+    # each `polyxform ...` line of the README's sh blocks must be a command
+    # the CLI accepts, so an option a change removes cannot linger there
+    parser = cli.build_parser()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    commands = [
+        line for block in blocks for line in block.splitlines()
+        if line.startswith("polyxform ")
+    ]
+    assert len(commands) == 7
+    for command in commands:
+        try:
+            parser.parse_args(command.split()[1:])
+        except SystemExit:
+            pytest.fail(f"{command!r} does not parse")
+
+
 def test_mul_pt_backend_plan_error_when_inverse_unusable(capsys, plan7_file):
     # the p = 7 plan's omega^-1 reduces to zero at the root 4 of slot prime
     # 31, so no inverse plan exists over the same primes; a plan failure
@@ -530,7 +549,8 @@ def test_refused_format_leaves_the_ledger_as_it_was(capsys, tmp_path):
     ])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE and captured.out == ""
-    assert "--format csv needs table rows" in captured.err
+    assert "unrecognized arguments: --format csv" in captured.err
+    assert "Traceback" not in captured.err
     assert ledger.read_bytes() == stale
 
 

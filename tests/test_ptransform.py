@@ -667,10 +667,11 @@ def test_merge_slots_groups_at_p43():
     # slots merge in plan order while the table stays within n // 4 rows
     plan = preprocess(p=43)
     column = np.ones((plan.n, 1), dtype=np.int64)
+    joins, final = plan._crt
     tables = ptransform._merge_slots(
-        [ptransform._slot_table(column, slot) for slot in plan.slots], plan._crt
+        [ptransform._slot_table(column, slot) for slot in plan.slots], joins
     )
-    moduli = plan._crt.final.moduli
+    moduli = final.moduli
     assert [slot.q.q for slot in plan.slots] == [61, 67, 73, 103, 151, 193]
     assert moduli == (61 * 67 * 73, 103 * 151, 193)
     assert [len(t) for t in tables] == [3960, 2550, 192]
@@ -874,11 +875,12 @@ def test_crt_schedule_is_not_part_of_the_plan():
     assert inv._crt is not schedule and inv._crt is inverse_plan(plan)._crt
 
     def shape(schedule):
-        groups = [(first, [i for i, _ in joins]) for first, joins in schedule.groups]
-        return groups, schedule.final.moduli
+        joins, final = schedule
+        assert len(joins) == len(plan.slots)
+        return [join and join.moduli for join in joins], final.moduli
 
     assert shape(schedule) == (
-        [(0, [1]), (2, []), (3, []), (4, [])], (31 * 43, 109, 127, 157),
+        [None, (31, 43), None, None, None], (31 * 43, 109, 127, 157),
     )
     assert shape(inv._crt) == shape(ptransform._crt_schedule(inv.slots, inv.n, 13))
 
