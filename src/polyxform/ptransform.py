@@ -1,19 +1,20 @@
 """The CRT/root-adjunction transform pipeline, end to end.
 
 Preprocessing selects the base prime p, a non-cube y, a full-order root
-of unity in the cubic extension, and a set of helper primes q where y
-does have three cube roots.  The transform folds the input rows per
-prime to the prime's index period (in one pass where int64 sums the rows
-exactly), reduces the folded rows at all three roots in one product and
-folds each on to its root's period, runs small DFTs as products with the
-root's DFT matrix, recovers components by the closed-form Vandermonde
-inverse into one table per prime over its index classes, merges the
-primes' tables by CRT at their shared periods, and combines the merged
-groups mod p, all on int64 arrays.  Sampled output rows take the same
-path: each prime's class table is read at the sampled rows before the
-merge.  The boxed references each stage is tested against (`naive_dft`,
-the Gauss-Jordan `recover_components`, `crt_reconstruct`) live in
-`oracles`, which no program module imports.
+of unity in the cubic extension, and helper primes q where y has three
+cube roots and omega and 1/omega are nonzero at each, for both
+directions.  The transform folds the input rows per prime to the prime's
+index period (in one pass where int64 sums the rows exactly), reduces
+the folded rows at all three roots in one product and folds each on to
+its root's period, runs small DFTs as products with the root's DFT
+matrix, recovers components by the closed-form Vandermonde inverse into
+one table per prime over its index classes, merges the primes' tables by
+CRT at their shared periods, and combines the merged groups mod p, all
+on int64 arrays.  Sampled output rows take the same path: each prime's
+class table is read at the sampled rows before the merge.  The boxed
+references each stage is tested against (`naive_dft`, the Gauss-Jordan
+`recover_components`, `crt_reconstruct`) live in `oracles`, which no
+program module imports.
 
 Everything that does not depend on the input is built on first use and
 kept with the plan: each slot's Vandermonde pair and its roots' DFT
@@ -142,15 +143,8 @@ class PTPlan:
     def _inverse(self) -> "PTPlan":
         """The plan inverse_plan returns, built on first use and kept."""
         omega_inv = ext_pow(self.omega, self.n - 1)
-        slots = []
-        for slot in self.slots:
-            rebuilt = _try_slot(slot.q, self.y, omega_inv)
-            if rebuilt is None:
-                raise PrimeSupplyExhausted(
-                    f"slot prime {slot.q.q} unusable for the inverse direction"
-                )
-            slots.append(rebuilt)
-        return replace(self, omega=omega_inv, slots=tuple(slots))
+        slots = tuple(_try_slot(s.q, self.y, omega_inv, self.omega) for s in self.slots)
+        return replace(self, omega=omega_inv, slots=slots)
 
     @cached_property
     def _oracle_powers(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -220,16 +214,20 @@ class TransformReport:
 
 
 def _try_slot(
-    q: PrimeModulus, y: Residue, omega: ExtensionElement
+    q: PrimeModulus, y: Residue, omega: ExtensionElement, omega_inv: ExtensionElement
 ) -> Optional[PTPrimeSlot]:
-    """Build a slot for prime q, or return None if q is unusable."""
+    """omega's slot for prime q, or None unless y has three cube roots mod q
+    and omega and its inverse omega_inv both reduce to nonzero values at each.
+    The rule is symmetric in the two, so every slot prime of a plan is a slot
+    prime of its inverse plan."""
     if q.q == y.q or q.q % 3 != 1 or not is_cube(q.residue(y.value)):
         return None
     roots = tuple(r for r in range(1, q.q) if (r**3 - y.value) % q.q == 0)
     if len(roots) != 3:  # none when y = 0 mod q; ascending otherwise
         return None
-    omegas = tuple(omega.reduce_at(q.residue(r)).value for r in roots)
-    if 0 in omegas:
+    omegas, inverses = (tuple(w.reduce_at(q.residue(r)).value for r in roots)
+                        for w in (omega, omega_inv))
+    if 0 in omegas + inverses:
         return None
     periods = tuple(multiplicative_order(q.residue(w), q.q - 1) for w in omegas)
     return PTPrimeSlot(q, roots, omegas, periods)
@@ -273,6 +271,7 @@ def preprocess(
     y = find_noncube(p_mod, rng_seed=None if seed == 0 else seed)
     ctx = ExtensionContext(p_mod, y)
     omega = find_extension_root_of_order(ctx.group_order, ctx)
+    omega_inv = ext_pow(omega, ctx.group_order - 1)
     plan = PTPlan(p_mod, y, omega, (), p_mod.q - 1 if coeff_bound is None else coeff_bound)
 
     def scan():
@@ -283,7 +282,7 @@ def preprocess(
             yield cand
 
     for q in scan():
-        slot = _try_slot(q, y, omega)
+        slot = _try_slot(q, y, omega, omega_inv)
         if slot is None:
             continue
         plan = replace(plan, slots=plan.slots + (slot,))
@@ -334,7 +333,7 @@ def _vandermonde(roots: Sequence[int], q: int) -> Tuple[np.ndarray, np.ndarray]:
     return forward, inverse
 
 
-def _slot_table(x: np.ndarray, slot: PTPrimeSlot, peak: Optional[int] = None) -> np.ndarray:
+def _slot_table(x: np.ndarray, slot: PTPrimeSlot, peak: int) -> np.ndarray:
     """Components mod q of the (n, c) int64 inputs x at each index class j < P
     of the slot's index period P: (P, 3).  Output row j of the slot is row j mod P.
 
@@ -347,15 +346,15 @@ def _slot_table(x: np.ndarray, slot: PTPrimeSlot, peak: Optional[int] = None) ->
     P-row table is those d values repeated.
 
     The first fold reads the input in blocks that start at multiples of P.
-    When peak bounds every |x|, a block sums up to (2^63 - 1) // peak input
+    peak bounds every |x|, so a block sums up to (2^63 - 1) // peak input
     rows into each folded row, all exact, and is folded as it is: the whole
     input is one block when ceil(n / P) * peak < 2^63, as for naturals
-    below p.  When that allows fewer than _ROW_BLOCK rows, or peak is None,
-    each block of about _ROW_BLOCK rows is reduced mod q before it is folded.
+    below p.  When that allows fewer than _ROW_BLOCK rows, each block of
+    about _ROW_BLOCK rows is reduced mod q before it is folded.
     """
     q, period = slot.q.q, slot.index_period
     forward, inverse = slot.vandermonde
-    sums = (2**63 - 1) // max(peak, 1) if peak is not None else 0
+    sums = (2**63 - 1) // max(peak, 1)
     if sums >= _ROW_BLOCK:
         block = period * min(sums, -(-len(x) // period))
         blocks = (x[start : start + block] for start in range(0, len(x), block))
@@ -577,7 +576,8 @@ def inverse_plan(plan: PTPlan) -> PTPlan:
 
     The slots are rebuilt from scratch because reduction at a root does
     not commute with inversion mod p; their periods can differ from the
-    forward plan's.  Built once per plan: every call returns the same
+    forward plan's.  Rebuilding cannot fail: _try_slot took each prime for
+    both directions.  Built once per plan: every call returns the same
     object, whose slots keep their tables.
     """
     return plan._inverse
@@ -713,16 +713,14 @@ def plan_from_json(text: str) -> PTPlan:
     omega = ctx.element(*(_json_int(c, "omega", p_mod.q) for c in coeffs))
     if multiplicative_order(omega, ctx.group_order) != ctx.group_order:
         raise UsageError(f"omega does not have order p^3 - 1 = {ctx.group_order}")
+    omega_inv = ext_pow(omega, ctx.group_order - 1)
     primes = [_json_int(q, "primes") for q in doc["primes"]]
     if len(set(primes)) != len(primes):
         raise UsageError(f"duplicated helper prime in {primes}")
-    slots = []
-    for q in primes:
-        slot = _try_slot(PrimeModulus(q), y, omega)
-        if slot is None:
-            raise UsageError(f"helper prime {q} is unusable for this plan")
-        slots.append(slot)
-    plan = PTPlan(p_mod, y, omega, tuple(slots), doc["coeff_bound"])
+    slots = tuple(_try_slot(PrimeModulus(q), y, omega, omega_inv) for q in primes)
+    if None in slots:
+        raise UsageError(f"helper prime {primes[slots.index(None)]} is unusable for this plan")
+    plan = PTPlan(p_mod, y, omega, slots, doc["coeff_bound"])
     if plan.prime_product <= plan.target_bound:
         raise UsageError(
             f"prod(q) = {plan.prime_product} <= required {plan.target_bound}"

@@ -50,9 +50,9 @@ def find_extension_root_of_order(
     """Element of exact order n in the cubic extension (n | p^3 - 1).
 
     Scans for the lexicographically-smallest generator of the full
-    multiplicative group, then powers it down to order n.  Validation is
-    by order factor-checks; the O(n^2) certificate is left to callers at
-    scales where it is affordable.
+    multiplicative group outside F_p, whose orders divide p - 1, then powers
+    it down to order n.  Validation is by order factor-checks; the O(n^2)
+    certificate is left to callers at scales where it is affordable.
     """
     group = ctx.group_order
     if group % n != 0:
@@ -61,15 +61,11 @@ def find_extension_root_of_order(
     one = ctx.one
     p = ctx.p.q
     for a2 in range(p):
-        for a1 in range(p):
+        for a1 in range(a2 == 0, p):  # a1 = a2 = 0 is F_p
             for a0 in range(p):
-                if a0 == 0 and a1 == 0 and a2 == 0:
-                    continue
                 g = ctx.element(a0, a1, a2)
                 if all(ext_pow(g, group // r) != one for r in factors):
-                    omega = ext_pow(g, group // n)
-                    assert multiplicative_order(omega, group) == n
-                    return omega
+                    return ext_pow(g, group // n)
     raise NoSuchRoot("no generator found; is the extension a field?")
 
 

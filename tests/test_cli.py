@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from polyxform import bigmul, claims, cli
+from polyxform import bigmul, claims, cli, ptransform
 from polyxform.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PLAN, EXIT_USAGE, main
 from polyxform.errors import UsageError
 
@@ -330,16 +330,38 @@ def test_readme_commands_parse():
             pytest.fail(f"{command!r} does not parse")
 
 
-def test_mul_pt_backend_plan_error_when_inverse_unusable(capsys, plan7_file):
-    # the p = 7 plan's omega^-1 reduces to zero at the root 4 of slot prime
-    # 31, so no inverse plan exists over the same primes; a plan failure
-    code = main([
-        "mul", "--a", "0x3039", "--b", "0x1a85",
+def test_mul_pt_backend_runs_on_the_p7_plan(capsys, plan7_file):
+    # every helper prime of a plan serves omega^-1 too, so the p = 7 plan
+    # has an inverse plan and the multiply reaches its verdict
+    code, out = run(
+        capsys, "mul", "--a", "0x3039", "--b", "0x1a85",
         "--backend", "polynomial-transform", "--plan", plan7_file,
-    ])
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["verdict"] in ("match", "mismatch")
+
+
+def test_verify_refuses_plan_with_prime_unusable_for_the_inverse(capsys, tmp_path):
+    # the p = 7 plan with the primes a rule checking omega alone would take:
+    # omega^-1 reduces to zero at the root 4 of prime 31
+    old = tmp_path / "plan7_forward_only.json"
+    old.write_text(json.dumps({
+        "format_version": 3, "p": 7, "y": 2, "omega": [1, 1, 0],
+        "coeff_bound": 6, "primes": [31, 43, 109, 127],
+    }))
+    code = main(["verify", "--plan", str(old), "--sample", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert "helper prime 31 is unusable for this plan" in captured.err
+
+
+def test_plan_exits_3_when_the_prime_scan_runs_out(capsys, monkeypatch):
+    # preprocess's prime scan is the one place a plan can fail
+    monkeypatch.setattr(ptransform, "MAX_SCAN_FACTOR", 1)
+    code = main(["plan", "--p", "7", "--out", "/dev/null"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (EXIT_PLAN, "")
-    assert "slot prime 31 unusable for the inverse direction" in captured.err
+    assert captured.err.startswith("plan error: prod(q)")
 
 
 def test_bench_csv(capsys):

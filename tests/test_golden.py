@@ -33,7 +33,9 @@ def natural_input(plan, seed):
 
 
 @pytest.mark.parametrize("p, want", [
-    (7, "49012c06d2cfc77af31f44413ffaf728bc9d2fb7d61d54ada4e3dfc6b84fd224"),
+    # p = 7 (primes [43, 109, 127, 157]) was checked equal to the boxed
+    # composition at all 342 rows when its digest was recorded
+    (7, "391ca42b41d4229575ed793d4dea096c2ae92eb38366d0ec7d855a2082b7b65b"),
     (43, "b3129366a634fcbf069405275a5cda610323e90d98ffce51f79c8ed84ac5a673"),
 ])
 def test_all_n_strict_transform_digest(p, want):

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
@@ -221,7 +222,8 @@ def test_slot_table_on_column_matches_widened_triples(plan13):
     for plan in (plan13, inverse_plan(plan13)):
         for slot in plan.slots:
             assert np.array_equal(
-                ptransform._slot_table(column, slot), ptransform._slot_table(widened, slot)
+                ptransform._slot_table(column, slot, 12),
+                ptransform._slot_table(widened, slot, 12),
             )
 
 
@@ -266,9 +268,8 @@ def test_pipeline_matches_boxed_composition(p):
     x = [rng.randint(0, plan.coeff_bound) for _ in range(plan.n)]
     fwd = transform(x, plan)
     assert fwd == boxed_pipeline([(v, 0, 0) for v in x], plan)
-    if p == 13:  # the p = 7 strict plan has no inverse (see test_cli)
-        inv = inverse_plan(plan)
-        assert triples(transform_elements(fwd, inv)) == boxed_pipeline(fwd, inv)
+    inv = inverse_plan(plan)
+    assert triples(transform_elements(fwd, inv)) == boxed_pipeline(fwd, inv)
 
 
 def test_pipeline_matches_boxed_composition_across_crt_blocks(monkeypatch):
@@ -416,7 +417,9 @@ def plan13_big():
 def plan13_grown(plan13_big):
     """plan13_big with its scan run on to 14 helper primes, for a Q past 100
     bits: a test-only plan, which preprocess never builds."""
-    more = (ptransform._try_slot(PrimeModulus(q), plan13_big.y, plan13_big.omega)
+    omega = plan13_big.omega
+    omega_inv = extension.ext_pow(omega, plan13_big.n - 1)
+    more = (ptransform._try_slot(PrimeModulus(q), plan13_big.y, omega, omega_inv)
             for q in range(158, 64 * 13) if is_prime(q))
     slots = plan13_big.slots + tuple(s for s in more if s is not None)[:9]
     assert [s.q.q for s in slots[5:]] == [223, 229, 277, 283, 307, 397, 433, 439, 457]
@@ -563,10 +566,11 @@ def test_merge_step_at_the_int64_limit_matches_crt_reconstruct(k, q, periods, se
 
 def flat_garner(xs, plan):
     """The CRT before slots were merged: every slot table gathered to n rows
-    (in row blocks) and Garner's digits taken over all K primes."""
+    (in row blocks) and Garner's digits taken over all K primes.  The peak
+    2^63 - 1 makes the slot stage reduce each block of xs mod q first."""
     x, p = np.asarray(xs), plan.p.q
     moduli = [slot.q.q for slot in plan.slots]
-    tables = [ptransform._slot_table(x, slot) for slot in plan.slots]
+    tables = [ptransform._slot_table(x, slot, 2**63 - 1) for slot in plan.slots]
     out = np.empty((plan.n, 3), dtype=np.int64)
     for start in range(0, plan.n, 1 << 16):
         j = np.arange(start, min(start + (1 << 16), plan.n))
@@ -669,7 +673,7 @@ def test_merge_slots_groups_at_p43():
     column = np.ones((plan.n, 1), dtype=np.int64)
     joins, final = plan._crt
     tables = ptransform._merge_slots(
-        [ptransform._slot_table(column, slot) for slot in plan.slots], joins
+        [ptransform._slot_table(column, slot, 1) for slot in plan.slots], joins
     )
     moduli = final.moduli
     assert [slot.q.q for slot in plan.slots] == [61, 67, 73, 103, 151, 193]
@@ -744,7 +748,7 @@ def test_slot_stage_is_linear_mod_q(plan13):
     y = [(rng.randrange(6), 0, 0) for _ in range(plan13.n)]
     xy = [(a[0] + b[0], 0, 0) for a, b in zip(x, y)]
     slot = plan13.slots[0]
-    tx, ty, txy = (ptransform._slot_table(np.array(v), slot) for v in (x, y, xy))
+    tx, ty, txy = (ptransform._slot_table(np.array(v), slot, 12) for v in (x, y, xy))
     assert ((tx + ty) % slot.q.q == txy).all()
 
 
@@ -1164,6 +1168,81 @@ def test_inverse_plan_omega(plan13):
             assert inv.omega.reduce_at(slot.q.residue(r)).value == w
 
 
+# every p = 1 mod 3 from 7 to 619, the 54 plans whose helper primes serve both
+# directions
+PRIMES_TO_619 = [p for p in range(7, 620, 6) if is_prime(p)]
+
+# the nine plans whose primes differ from those a rule checking omega alone
+# would take: at each such p, omega^-1 reduces to zero at a root of one of
+# those primes
+PRIMES_FOR_BOTH_DIRECTIONS = {
+    7: [43, 109, 127, 157],
+    73: [43, 127, 157, 223, 229, 277],
+    151: [127, 109, 31, 157, 223, 229, 277],
+    163: [157, 127, 109, 43, 223, 229, 277],
+    181: [157, 127, 109, 31, 223, 229, 277],
+    199: [157, 127, 109, 223, 229, 277, 283],
+    229: [193, 151, 103, 73, 271, 307, 367],
+    433: [367, 307, 271, 193, 103, 73, 67, 61],
+    541: [499, 457, 439, 433, 307, 283, 277],
+}
+
+
+@pytest.fixture(scope="module")
+def plans_to_619():
+    return {p: preprocess(p=p) for p in PRIMES_TO_619}
+
+
+def test_plans_to_619_keep_y_omega_and_the_other_primes(plans_to_619):
+    # digests of [p, y, omega] for all 54 plans and of [p, y, omega, primes]
+    # for the other 45, as a rule checking omega alone chose them
+    def digest(rows):
+        return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+    rows = [
+        [p, plan.y.value, list(plan.omega.coeffs), [s.q.q for s in plan.slots]]
+        for p, plan in plans_to_619.items()
+    ]
+    assert len(rows) == 54
+    assert digest([row[:3] for row in rows]) == (
+        "a257cc1d2c666cc09b198be82e40a5dd42c2769e7dbe7f42eb16799194ed080e"
+    )
+    assert digest([row for row in rows if row[0] not in PRIMES_FOR_BOTH_DIRECTIONS]) == (
+        "491491cf6ab9b6621a836b7c744277290e66b52d1bab79cceca095bb908f8e4d"
+    )
+    changed = {row[0]: row[3] for row in rows if row[0] in PRIMES_FOR_BOTH_DIRECTIONS}
+    assert changed == PRIMES_FOR_BOTH_DIRECTIONS
+
+
+def test_every_plan_to_619_has_an_inverse(plans_to_619):
+    for p, plan in plans_to_619.items():
+        inv = inverse_plan(plan)
+        assert [s.q.q for s in inv.slots] == [s.q.q for s in plan.slots], p
+        for slot in inv.slots:
+            at_roots = [inv.omega.reduce_at(slot.q.residue(r)).value for r in slot.roots]
+            assert list(slot.omegas) == at_roots and 0 not in at_roots, (p, slot.q.q)
+
+
+def test_only_the_prime_scan_raises_prime_supply_exhausted():
+    # a plan fails only while preprocess scans for primes, never on inversion
+    tree = ast.parse(inspect.getsource(ptransform))
+    raisers = [
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Raise) and "PrimeSupplyExhausted" in ast.unparse(node)
+    ]
+    assert raisers == ["preprocess"]
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_inverse_plan_file_loads(p):
+    # the inverse plan's primes serve its own inverse, the forward plan
+    plan = preprocess(p=p)
+    loaded = plan_from_json(plan_to_json(inverse_plan(plan)))
+    assert loaded == inverse_plan(plan)
+    assert inverse_plan(loaded) == plan
+
+
 def test_inverse_plan_is_built_once_per_plan(monkeypatch):
     plan = preprocess(p=13)
     inv = inverse_plan(plan)
@@ -1173,7 +1252,9 @@ def test_inverse_plan_is_built_once_per_plan(monkeypatch):
     assert inverse_plan(plan_from_json(plan_to_json(plan))) is not inv  # a plan of its own
     omega_inv = extension.ext_pow(plan.omega, plan.n - 1)
     assert inv.omega == omega_inv
-    assert inv.slots == tuple(ptransform._try_slot(s.q, plan.y, omega_inv) for s in plan.slots)
+    assert inv.slots == tuple(
+        ptransform._try_slot(s.q, plan.y, omega_inv, plan.omega) for s in plan.slots
+    )
 
 
 def test_held_tables_leave_plan_equality_and_json_alone():
