@@ -247,7 +247,7 @@ def cmd_experiments(args) -> tuple:
             f"{1 / q.q:.6f}"
         )
     else:  # cost-model
-        bounds = _int_list("1000,10000" if args.bounds is None else args.bounds, "bound", 2)
+        bounds = _int_list("1000,10000" if args.bounds is None else args.bounds, "bound", 3)
         rows = []
         for bound in bounds:
             est = cost_model(bound)

@@ -2,14 +2,15 @@
 
 The sieve of Atkin is the production path; `trial_division_primes` is the
 independent oracle it is checked against.  The doubling estimate and the
-descending scan are the two helpers plan construction needs.
+next prime at or above it pick a plan's base prime p; the helper-prime
+scan lives with the plan builder in `ptransform`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -118,22 +119,6 @@ def next_prime_at_or_above(x: int) -> PrimeModulus:
     while not is_prime(x):
         x += 1
     return PrimeModulus(x)
-
-
-def descending_primes(start: int) -> Iterator[PrimeModulus]:
-    """Primes strictly below `start`, largest first."""
-    for n in range(start - 1, 1, -1):
-        if is_prime(n):
-            yield PrimeModulus(n)
-
-
-def ascending_primes(start: int) -> Iterator[PrimeModulus]:
-    """Primes strictly above `start`, smallest first (unbounded)."""
-    n = start + 1
-    while True:
-        if is_prime(n):
-            yield PrimeModulus(n)
-        n += 1
 
 
 def cost_model(bound: int) -> CostEstimate:

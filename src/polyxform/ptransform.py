@@ -30,10 +30,11 @@ reports a verdict.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
@@ -41,13 +42,10 @@ import numpy as np
 
 from .errors import PrimeSupplyExhausted, UsageError
 from .extension import ExtensionContext, ExtensionElement, ext_mul_array, ext_pow, ext_powers
-from .modcore import PrimeModulus, Residue
-from .primes import ascending_primes, descending_primes, doubling_estimate, next_prime_at_or_above
+from .modcore import PrimeModulus, Residue, is_prime
+from .primes import doubling_estimate, next_prime_at_or_above
 from .residues import find_noncube, is_cube
-from .transform import (
-    find_extension_root_of_order,
-    multiplicative_order,
-)
+from .transform import find_extension_root_of_order, multiplicative_order
 
 PLAN_FORMAT_VERSION = 3
 PLAN_FIELDS = frozenset({"format_version", "p", "y", "omega", "coeff_bound", "primes"})
@@ -141,10 +139,9 @@ class PTPlan:
 
     @cached_property
     def _inverse(self) -> "PTPlan":
-        """The plan inverse_plan returns, built on first use and kept."""
-        omega_inv = ext_pow(self.omega, self.n - 1)
-        slots = tuple(_try_slot(s.q, self.y, omega_inv, self.omega) for s in self.slots)
-        return replace(self, omega=omega_inv, slots=slots)
+        """The plan inverse_plan returns, built by _plan on first use and kept."""
+        primes = [s.q.q for s in self.slots]
+        return _plan(self.p, self.y, ext_pow(self.omega, self.n - 1), primes, self.coeff_bound)
 
     @cached_property
     def _oracle_powers(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -233,6 +230,27 @@ def _try_slot(
     return PTPrimeSlot(q, roots, omegas, periods)
 
 
+def _plan(p: PrimeModulus, y: Residue, omega: ExtensionElement, primes: Sequence[int],
+          coeff_bound: int) -> PTPlan:
+    """The plan over the helper primes in slot order, for the loader and inverse_plan.
+    UsageError, in this order, for a repeated prime, a prime above MAX_SCAN_FACTOR * p
+    (preprocess never scans past it, and _try_slot's cube-root search takes time
+    linear in q), a prime _try_slot refuses, and prod(q) <= 9 p^6."""
+    if len(set(primes)) != len(primes):
+        raise UsageError(f"duplicated helper prime in {list(primes)}")
+    cap = MAX_SCAN_FACTOR * p.q
+    if max(primes, default=0) > cap:
+        raise UsageError(f"helper prime {max(primes)} is above {MAX_SCAN_FACTOR}*p = {cap}")
+    omega_inv = ext_pow(omega, omega.context.group_order - 1)
+    slots = tuple(_try_slot(PrimeModulus(q), y, omega, omega_inv) for q in primes)
+    if None in slots:
+        raise UsageError(f"helper prime {primes[slots.index(None)]} is unusable for this plan")
+    plan = PTPlan(p, y, omega, slots, coeff_bound)
+    if plan.prime_product <= plan.target_bound:
+        raise UsageError(f"prod(q) = {plan.prime_product} <= required {plan.target_bound}")
+    return plan
+
+
 def preprocess(
     n_target: int = None,
     bound_mode: str = STRICT,
@@ -249,9 +267,9 @@ def preprocess(
     it must be STRICT or INPUT_AWARE, and it goes once perfbench stops
     passing it.
 
-    The prime scan starts just below p and descends, then continues with
-    primes above p when the supply below is insufficient, stopping at
-    MAX_SCAN_FACTOR * p.  (With primes below p alone the bound is
+    The prime scan is one lazy pass, down from p and then up to
+    MAX_SCAN_FACTOR * p, and the plan is built once the primes _try_slot
+    accepts have a product over 9 p^6.  (With primes below p alone the bound is
     unreachable at desk scale; see the plan statistics for what was used.)
     """
     if bound_mode not in (STRICT, INPUT_AWARE):
@@ -272,26 +290,19 @@ def preprocess(
     ctx = ExtensionContext(p_mod, y)
     omega = find_extension_root_of_order(ctx.group_order, ctx)
     omega_inv = ext_pow(omega, ctx.group_order - 1)
-    plan = PTPlan(p_mod, y, omega, (), p_mod.q - 1 if coeff_bound is None else coeff_bound)
-
-    def scan():
-        yield from descending_primes(p_mod.q)
-        for cand in ascending_primes(p_mod.q):
-            if cand.q > MAX_SCAN_FACTOR * p_mod.q:
-                return
-            yield cand
-
-    for q in scan():
-        slot = _try_slot(q, y, omega, omega_inv)
-        if slot is None:
-            continue
-        plan = replace(plan, slots=plan.slots + (slot,))
-        if plan.prime_product > plan.target_bound:
-            return plan
-    raise PrimeSupplyExhausted(
-        f"prod(q) = {plan.prime_product} <= required {plan.target_bound} scanning "
-        f"up to {MAX_SCAN_FACTOR}*p; try a larger scan"
-    )
+    target, top = 9 * p_mod.q**6, MAX_SCAN_FACTOR * p_mod.q
+    slots, product = [], 1
+    scan = itertools.chain(range(p_mod.q - 1, 1, -1), range(p_mod.q + 1, top + 1))
+    for q in filter(is_prime, scan):
+        slot = _try_slot(PrimeModulus(q), y, omega, omega_inv)
+        if slot is not None:
+            slots.append(slot)
+            product *= q
+            if product > target:
+                bound = p_mod.q - 1 if coeff_bound is None else coeff_bound
+                return PTPlan(p_mod, y, omega, tuple(slots), bound)
+    raise PrimeSupplyExhausted(f"prod(q) = {product} <= required {target} scanning "
+                               f"up to {MAX_SCAN_FACTOR}*p; try a larger scan")
 
 
 # Rows per block when the slot stage reduces the input mod q before folding
@@ -574,11 +585,11 @@ def transform(x: Sequence[int], plan: PTPlan) -> List[Tuple[int, int, int]]:
 def inverse_plan(plan: PTPlan) -> PTPlan:
     """Plan for the inverse direction: same primes, omega replaced by 1/omega.
 
-    The slots are rebuilt from scratch because reduction at a root does
-    not commute with inversion mod p; their periods can differ from the
-    forward plan's.  Rebuilding cannot fail: _try_slot took each prime for
-    both directions.  Built once per plan: every call returns the same
-    object, whose slots keep their tables.
+    The slots are rebuilt from scratch, by _plan, because reduction at a
+    root does not commute with inversion mod p; their periods can differ
+    from the forward plan's.  Rebuilding cannot fail: _try_slot took each
+    prime for both directions.  Built once per plan: every call returns the
+    same object, whose slots keep their tables.
     """
     return plan._inverse
 
@@ -689,7 +700,7 @@ def _json_int(value, name: str, below: Optional[int] = None) -> int:
 
 
 def plan_from_json(text: str) -> PTPlan:
-    """Rebuild a plan from its inputs, deriving each slot as preprocess does.
+    """Rebuild a plan from its inputs; _plan turns its primes into slots.
 
     Raises UsageError for a plan preprocess could not have produced.
     """
@@ -713,16 +724,5 @@ def plan_from_json(text: str) -> PTPlan:
     omega = ctx.element(*(_json_int(c, "omega", p_mod.q) for c in coeffs))
     if multiplicative_order(omega, ctx.group_order) != ctx.group_order:
         raise UsageError(f"omega does not have order p^3 - 1 = {ctx.group_order}")
-    omega_inv = ext_pow(omega, ctx.group_order - 1)
     primes = [_json_int(q, "primes") for q in doc["primes"]]
-    if len(set(primes)) != len(primes):
-        raise UsageError(f"duplicated helper prime in {primes}")
-    slots = tuple(_try_slot(PrimeModulus(q), y, omega, omega_inv) for q in primes)
-    if None in slots:
-        raise UsageError(f"helper prime {primes[slots.index(None)]} is unusable for this plan")
-    plan = PTPlan(p_mod, y, omega, slots, doc["coeff_bound"])
-    if plan.prime_product <= plan.target_bound:
-        raise UsageError(
-            f"prod(q) = {plan.prime_product} <= required {plan.target_bound}"
-        )
-    return plan
+    return _plan(p_mod, y, omega, primes, doc["coeff_bound"])

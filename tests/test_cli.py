@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -355,6 +356,22 @@ def test_verify_refuses_plan_with_prime_unusable_for_the_inverse(capsys, tmp_pat
     assert "helper prime 31 is unusable for this plan" in captured.err
 
 
+def test_verify_refuses_a_helper_prime_past_the_scan_before_searching_its_roots(capsys, tmp_path):
+    # 64 * 13 = 832: _try_slot's root search would take seconds at 10,000,141
+    doc = json.loads(ptransform.plan_to_json(ptransform.preprocess(p=13)))
+    path = tmp_path / "plan13.json"
+    path.write_text(json.dumps(dict(doc, primes=doc["primes"] + [10_000_141])))
+    start = time.perf_counter()
+    code = main(["verify", "--plan", str(path), "--sample", "2"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert "helper prime 10000141 is above 64*p = 832" in captured.err
+    assert elapsed < 0.5
+    path.write_text(json.dumps(dict(doc, primes=doc["primes"] + [811])))
+    assert main(["verify", "--plan", str(path), "--sample", "2"]) == EXIT_OK
+
+
 def test_plan_exits_3_when_the_prime_scan_runs_out(capsys, monkeypatch):
     # preprocess's prime scan is the one place a plan can fail
     monkeypatch.setattr(ptransform, "MAX_SCAN_FACTOR", 1)
@@ -407,6 +424,7 @@ def test_bench_empty_sizes(capsys, monkeypatch):
         ("experiments", "--which", "cost-model", "--bounds", "1"),
         ("experiments", "--which", "cost-model", "--bounds", "x,5"),
         ("experiments", "--which", "cost-model", "--bounds", ","),
+        ("experiments", "--which", "cost-model", "--bounds", "2,100"),
     ],
 )
 def test_integer_lists_reject_bad_items(capsys, argv):

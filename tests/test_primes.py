@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from polyxform.primes import (
     cost_model,
-    descending_primes,
     doubling_estimate,
     next_prime_at_or_above,
     sieve_atkin,
@@ -54,18 +53,6 @@ def test_next_prime():
     assert next_prime_at_or_above(16).q == 17
     assert next_prime_at_or_above(17).q == 17
     assert next_prime_at_or_above(90).q == 97
-
-
-def test_descending_primes():
-    assert [p.q for p in descending_primes(12)] == [11, 7, 5, 3, 2]
-    assert [p.q for p in descending_primes(3)] == [2]
-    it = descending_primes(100)
-    assert [next(it).q for _ in range(3)] == [97, 89, 83]
-
-
-def test_descending_never_yields_start():
-    for start in (7, 13, 97):
-        assert start not in [p.q for p in descending_primes(start)]
 
 
 def test_cost_model_golden():

@@ -415,15 +415,13 @@ def plan13_big():
 
 @pytest.fixture(scope="module")
 def plan13_grown(plan13_big):
-    """plan13_big with its scan run on to 14 helper primes, for a Q past 100
-    bits: a test-only plan, which preprocess never builds."""
-    omega = plan13_big.omega
-    omega_inv = extension.ext_pow(omega, plan13_big.n - 1)
-    more = (ptransform._try_slot(PrimeModulus(q), plan13_big.y, omega, omega_inv)
-            for q in range(158, 64 * 13) if is_prime(q))
-    slots = plan13_big.slots + tuple(s for s in more if s is not None)[:9]
-    assert [s.q.q for s in slots[5:]] == [223, 229, 277, 283, 307, 397, 433, 439, 457]
-    return replace(plan13_big, slots=slots)
+    """plan13_big over 14 helper primes, the next nine its scan would take
+    past 157, for a Q past 100 bits: a test-only plan, which preprocess never
+    builds."""
+    primes = [s.q.q for s in plan13_big.slots] + [223, 229, 277, 283, 307, 397, 433, 439, 457]
+    assert primes[:5] == [31, 43, 109, 127, 157]
+    big = plan13_big
+    return ptransform._plan(big.p, big.y, big.omega, primes, big.coeff_bound)
 
 
 def big_naturals(rng, n):
@@ -1232,6 +1230,37 @@ def test_only_the_prime_scan_raises_prime_supply_exhausted():
         if isinstance(node, ast.Raise) and "PrimeSupplyExhausted" in ast.unparse(node)
     ]
     assert raisers == ["preprocess"]
+
+
+def test_only_the_plan_builders_make_slots_and_plans():
+    # preprocess's scan and _plan are the two places a plan is built, so every
+    # prime-list refusal lives in _plan
+    tree = ast.parse(inspect.getsource(ptransform))
+
+    def callers(name):
+        return sorted({
+            fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == name
+        })
+
+    assert callers("PTPlan") == callers("_try_slot") == ["_plan", "preprocess"]
+
+
+def test_plans_to_619_and_their_inverses_load_as_they_were_written(plans_to_619):
+    for plan in plans_to_619.values():
+        for x in (plan, inverse_plan(plan)):
+            assert plan_from_json(plan_to_json(x)) == x
+
+
+@pytest.mark.parametrize("p, primes", [
+    (1009, [997, 919, 811, 739, 733, 727, 691]),
+    (4003, [3943, 3889, 3823, 3631, 3607, 3541, 3463]),
+    (10009, [9973, 9949, 9931, 9901, 9859, 9817, 9619]),
+])
+def test_large_plan_primes_are_pinned(p, primes):
+    # recorded before the scan became one chain of ranges
+    assert [s.q.q for s in preprocess(p=p).slots] == primes
 
 
 @pytest.mark.parametrize("p", [7, 13])
