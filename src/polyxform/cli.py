@@ -63,8 +63,6 @@ def _render(report: dict, fmt: str) -> str:
 # Each cmd_* returns (results, exit code, claim); claim is None or the
 # (claim_id, verdict, evidence) that --update-ledger records.
 def cmd_sieve(args) -> tuple:
-    if args.limit < 2:
-        raise UsageError("limit must be >= 2")
     table = sieve_atkin(args.limit)
     oracle = trial_division_primes(args.limit)
     results = {
@@ -104,11 +102,13 @@ def cmd_plan(args) -> tuple:
 def _load_plan(path: str) -> ptransform.PTPlan:
     try:
         return ptransform.plan_from_json(Path(path).read_text())
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: JSONDecodeError, or bytes not UTF-8
         raise UsageError(f"cannot read plan file {path}: {exc}") from exc
 
 
 def cmd_verify(args) -> tuple:
+    if args.update_ledger and args.input == "delta":
+        raise UsageError("--update-ledger records random input only; delta is a control")
     plan = _load_plan(args.plan)
     if args.input == "delta":
         x = np.zeros(plan.n, dtype=np.int64)
@@ -125,13 +125,9 @@ def cmd_verify(args) -> tuple:
 
 
 def cmd_mul(args) -> tuple:
-    try:
-        a = bigmul.BigNat.from_hex(args.a)
-        b = bigmul.BigNat.from_hex(args.b)
-    except ValueError as exc:
-        raise UsageError(f"operands must be hexadecimal: {exc}") from exc
     if args.update_ledger and args.backend != bigmul.POLY_TRANSFORM:
         raise UsageError("--update-ledger records the polynomial-transform backend only")
+    a, b = bigmul.BigNat.from_hex(args.a), bigmul.BigNat.from_hex(args.b)
     plan = _load_plan(args.plan) if args.plan else None
     backend = bigmul.MulBackend(tag=args.backend, plan=plan)
     report = bigmul.transform_mul(a, b, backend)
@@ -159,40 +155,7 @@ def cmd_mul(args) -> tuple:
     return results, EXIT_OK, ("s5-multiplication", verdict, evidence)
 
 
-def _seed(text: str) -> int:
-    """argparse type of every --seed: an integer >= 0, as numpy's generators take."""
-    value = int(text)  # argparse reports a ValueError as an invalid value
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, not {text!r}")
-    return value
-
-
-def _int_list(text: str, what: str, minimum: int) -> list:
-    """Parse a non-empty comma-separated integer list, each item >= minimum."""
-    try:
-        values = [int(s) for s in text.split(",") if s]
-    except ValueError as exc:
-        raise UsageError(f"{what} list must hold integers: {exc}") from exc
-    if not values or min(values) < minimum:
-        raise UsageError(f"{what} list must be non-empty with every item >= {minimum}")
-    return values
-
-
-# The backends bench can time: the exact ones, which need no plan.
-_BENCH_BACKENDS = (bigmul.SCHOOLBOOK, bigmul.KARATSUBA, bigmul.ORACLE_NTT)
-
-
 def cmd_bench(args) -> tuple:
-    # parsed into args, so the report's config records the lists
-    args.sizes = _int_list(args.sizes, "size", 1)
-    if args.repetitions < 1:
-        raise UsageError("repetitions must be >= 1")
-    args.backends = [b for b in args.backends.split(",") if b]
-    if not args.backends:
-        raise UsageError("backend list must be non-empty")
-    unknown = sorted(set(args.backends) - set(_BENCH_BACKENDS))
-    if unknown:
-        raise UsageError(f"bench times {', '.join(_BENCH_BACKENDS)}, not {', '.join(unknown)}")
     rng = random.Random(args.seed)
     rows = []
     for bits in args.sizes:
@@ -247,7 +210,7 @@ def cmd_experiments(args) -> tuple:
             f"{1 / q.q:.6f}"
         )
     else:  # cost-model
-        bounds = _int_list("1000,10000" if args.bounds is None else args.bounds, "bound", 3)
+        bounds = [1000, 10000] if args.bounds is None else args.bounds
         rows = []
         for bound in bounds:
             est = cost_model(bound)
@@ -260,28 +223,74 @@ def cmd_experiments(args) -> tuple:
                     "pred_q_squared": bound**3 / math.log(bound**3),
                 }
             )
-        ratios = {}
-        if len(rows) >= 2:
-            a, b = rows[0], rows[-1]
-            ratios = {
-                "measured_qlogq_ratio": b["sum_q_log_q"] / a["sum_q_log_q"],
-                "predicted_qlogq_ratio": b["pred_q_log_q"] / a["pred_q_log_q"],
-                "measured_qsq_ratio": b["sum_q_squared"] / a["sum_q_squared"],
-                "predicted_qsq_ratio": b["pred_q_squared"] / a["pred_q_squared"],
-            }
+        a, b = rows[0], rows[-1]
+        ratios = {
+            "measured_qlogq_ratio": b["sum_q_log_q"] / a["sum_q_log_q"],
+            "predicted_qlogq_ratio": b["pred_q_log_q"] / a["pred_q_log_q"],
+            "measured_qsq_ratio": b["sum_q_squared"] / a["sum_q_squared"],
+            "predicted_qsq_ratio": b["pred_q_squared"] / a["pred_q_squared"],
+        }
         results = {"bounds": rows, "ratios": ratios}
         within = all(
-            0.5 < ratios[m] / ratios[p_] < 2.0
-            for m, p_ in (
-                ("measured_qlogq_ratio", "predicted_qlogq_ratio"),
-                ("measured_qsq_ratio", "predicted_qsq_ratio"),
-            )
-        ) if ratios else False
+            0.5 < ratios[f"measured_{k}_ratio"] / ratios[f"predicted_{k}_ratio"] < 2.0
+            for k in ("qlogq", "qsq")
+        )
         results["scaling_within_factor_two"] = within
         verdict = "confirmed" if within else "refuted"
         claim = "s3-prime-sum-scaling"
         evidence = f"experiments cost-model --bounds {','.join(map(str, bounds))}"
     return results, EXIT_OK, (claim, verdict, evidence)
+
+
+# argparse types: each checks the form of one argument, so a form error exits
+# 2 from argparse before any command runs.  Rules that relate two arguments
+# stay in the commands.
+def _ints(name: str, minimum: int, items: int = 0):
+    """The type of an integer >= minimum or, when items > 0, of a comma-separated
+    list of at least that many (empty items are skipped)."""
+    form = f"a comma-separated list of {items} or more integers" if items else "an integer"
+
+    def parse(text: str):
+        try:
+            values = [int(s) for s in text.split(",") if s] if items else [int(text)]
+            if len(values) >= items and min(values) >= minimum:
+                return values if items else values[0]
+        except ValueError:  # an item is not an integer
+            pass
+        raise argparse.ArgumentTypeError(f"{name} must be {form} >= {minimum}, not {text!r}")
+
+    return parse
+
+
+def _bounds(text: str) -> list:
+    """The type of --bounds: the cost model's ratios divide its last bound's sums by
+    its first's, so those two differ, and each is >= 3 (no prime lies below 2)."""
+    bounds = _ints("bounds", 3, items=2)(text)
+    if bounds[0] == bounds[-1]:
+        raise argparse.ArgumentTypeError(f"the first and last bounds must differ, not {text!r}")
+    return bounds
+
+
+# The exact backends, which need no plan: the ones bench can time.
+_EXACT_BACKENDS = (bigmul.SCHOOLBOOK, bigmul.KARATSUBA, bigmul.ORACLE_NTT)
+
+
+def _backends(text: str) -> list:
+    """The type of bench's --backends: a non-empty comma-separated list of _EXACT_BACKENDS."""
+    backends = [b for b in text.split(",") if b]
+    if not backends or not set(backends) <= set(_EXACT_BACKENDS):
+        raise argparse.ArgumentTypeError(f"bench times {', '.join(_EXACT_BACKENDS)}, not {text!r}")
+    return backends
+
+
+def _hex(text: str) -> str:
+    """The type of mul's operands: the hex text of a natural, kept as given."""
+    try:
+        if int(text, 16) >= 0:
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"operands must be hexadecimal naturals, not {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--ledger", default=None)
 
     sp = sub.add_parser("sieve", help="run the prime sieve against its oracle")
-    sp.add_argument("--limit", type=int, required=True)
+    sp.add_argument("--limit", type=_ints("limit", 2), required=True)
     common(sp)
     sp.set_defaults(func=cmd_sieve)
 
@@ -308,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-target", type=int, default=None)
     sp.add_argument("--coeff-bound", type=int, default=None)
     sp.add_argument("--plan-out", default="", help="where to write the plan JSON")
-    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--seed", type=_ints("seed", 0), default=0)
     common(sp)
     sp.set_defaults(func=cmd_plan)
 
@@ -316,23 +325,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--plan", required=True)
     sp.add_argument("--input", choices=("random", "delta"), default="random")
     sp.add_argument("--sample", type=int, default=16)
-    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--seed", type=_ints("seed", 0), default=0)
     ledger(sp)
     common(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("mul", help="multiply two hex naturals via a backend")
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
+    sp.add_argument("--a", type=_hex, required=True)
+    sp.add_argument("--b", type=_hex, required=True)
     sp.add_argument(
-        "--backend",
-        choices=(
-            bigmul.SCHOOLBOOK,
-            bigmul.KARATSUBA,
-            bigmul.ORACLE_NTT,
-            bigmul.POLY_TRANSFORM,
-        ),
-        default=bigmul.SCHOOLBOOK,
+        "--backend", choices=(*_EXACT_BACKENDS, bigmul.POLY_TRANSFORM), default=bigmul.SCHOOLBOOK
     )
     sp.add_argument("--plan", default="")
     ledger(sp)
@@ -340,12 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_mul)
 
     sp = sub.add_parser("bench", help="wall time and limb-op counts per backend")
-    sp.add_argument("--sizes", required=True, help="comma-separated bit sizes")
-    sp.add_argument(
-        "--backends", default=f"{bigmul.SCHOOLBOOK},{bigmul.KARATSUBA}"
-    )
-    sp.add_argument("--repetitions", type=int, default=3)
-    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--sizes", type=_ints("sizes", 1, items=1), required=True,
+                    help="comma-separated bit sizes")
+    sp.add_argument("--backends", type=_backends, default=[bigmul.SCHOOLBOOK, bigmul.KARATSUBA])
+    sp.add_argument("--repetitions", type=_ints("repetitions", 1), default=3)
+    sp.add_argument("--seed", type=_ints("seed", 0), default=0)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     common(sp)
     sp.set_defaults(func=cmd_bench)
@@ -355,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--q", type=int, default=None)
     sp.add_argument("--trials", type=int, default=100_000)
-    sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--bounds", default=None)
+    sp.add_argument("--seed", type=_ints("seed", 0), default=0)
+    sp.add_argument("--bounds", type=_bounds, default=None)
     ledger(sp)
     common(sp)
     sp.set_defaults(func=cmd_experiments)

@@ -699,10 +699,20 @@ def _json_int(value, name: str, below: Optional[int] = None) -> int:
     return value
 
 
+def _json_ints(values, name: str, below: Optional[int] = None, length: Optional[int] = None):
+    """A plan file's list field: a JSON list, of the given length when one is given,
+    of integers _json_int takes."""
+    if type(values) is not list or length not in (None, len(values)):
+        shape = "a list of" if length is None else f"a list of {length}"
+        raise UsageError(f"plan field {name} must be {shape} integers, not {values!r}")
+    return [_json_int(v, name, below) for v in values]
+
+
 def plan_from_json(text: str) -> PTPlan:
     """Rebuild a plan from its inputs; _plan turns its primes into slots.
 
-    Raises UsageError for a plan preprocess could not have produced.
+    Raises UsageError for every document preprocess could not have produced,
+    and ValueError for text that is not JSON.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -710,19 +720,15 @@ def plan_from_json(text: str) -> PTPlan:
     version = doc.get("format_version")
     if type(version) is not int or version != PLAN_FORMAT_VERSION:
         raise UsageError(f"unsupported plan format version {version!r}")
-    unknown = sorted(set(doc) - PLAN_FIELDS)
-    if unknown:
-        raise UsageError(f"unknown plan fields {unknown}")
+    if set(doc) != PLAN_FIELDS:
+        unknown, missing = sorted(set(doc) - PLAN_FIELDS), sorted(PLAN_FIELDS - set(doc))
+        raise UsageError(f"unknown plan fields {unknown}, missing plan fields {missing}")
     p_mod = PrimeModulus(_json_int(doc["p"], "p"))
     y = p_mod.residue(_json_int(doc["y"], "y", p_mod.q))
     if is_cube(y):
         raise UsageError(f"y = {y.value} is a cube mod {p_mod.q}")
     ctx = ExtensionContext(p_mod, y)
-    coeffs = doc["omega"]
-    if not isinstance(coeffs, list) or len(coeffs) != 3:
-        raise UsageError(f"plan field omega must hold three coefficients, not {coeffs!r}")
-    omega = ctx.element(*(_json_int(c, "omega", p_mod.q) for c in coeffs))
+    omega = ctx.element(*_json_ints(doc["omega"], "omega", p_mod.q, length=3))
     if multiplicative_order(omega, ctx.group_order) != ctx.group_order:
         raise UsageError(f"omega does not have order p^3 - 1 = {ctx.group_order}")
-    primes = [_json_int(q, "primes") for q in doc["primes"]]
-    return _plan(p_mod, y, omega, primes, doc["coeff_bound"])
+    return _plan(p_mod, y, omega, _json_ints(doc["primes"], "primes"), doc["coeff_bound"])

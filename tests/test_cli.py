@@ -37,9 +37,11 @@ def test_sieve_report(capsys):
     assert set(doc) == {"schema_version", "command", "config", "results", "timing"}
 
 
-def test_sieve_usage_error(capsys):
-    code, _ = run(capsys, "sieve", "--limit", "1")
-    assert code == EXIT_USAGE
+def test_sieve_usage_error(capsys, monkeypatch):
+    # argparse refuses the limit before the command runs
+    monkeypatch.setattr(cli, "cmd_sieve", lambda args: pytest.fail("cmd_sieve ran"))
+    code, out = run(capsys, "sieve", "--limit", "1")
+    assert (code, out) == (EXIT_USAGE, "")
 
 
 @pytest.mark.parametrize("argv", [("sieve", "--limit", "100"), ("plan", "--p", "7")])
@@ -152,10 +154,26 @@ def test_verify_updates_ledger_only_on_request(capsys, plan7_file, tmp_path):
     assert json.loads(out)["results"]["ledger_entry"]["verdict"] == entry.verdict
 
 
+def test_verify_ledger_refused_for_delta_input(capsys, plan7_file, tmp_path, monkeypatch):
+    # the delta input is a control with a provable answer, not a measurement
+    ledger = tmp_path / "ledger.json"
+    shutil.copy(LEDGER_SRC, ledger)
+    monkeypatch.setattr(ptransform, "spot_check", lambda *a, **k: pytest.fail("transform ran"))
+    code = main([
+        "verify", "--plan", plan7_file, "--input", "delta", "--sample", "4",
+        "--update-ledger", "--ledger", str(ledger),
+    ])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert captured.err.startswith("usage error:")
+    assert ledger.read_bytes() == LEDGER_SRC.read_bytes()
+
+
 def test_verify_rejects_corrupted_plan(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    for text in ("{not json", "[]", "3", '"x"'):  # not JSON, or not an object
-        bad.write_text(text)
+    # not UTF-8, not JSON, or not an object
+    for data in (b"\xff\xfe{}", b"{not json", b"[]", b"3", b'"x"'):
+        bad.write_bytes(data)
         assert main(["verify", "--plan", str(bad)]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
@@ -241,9 +259,11 @@ def test_negative_seed_is_a_usage_error(capsys, argv):
     assert captured.out == "" and "seed must be an integer >= 0" in captured.err
 
 
-def test_mul_usage_errors(capsys):
-    code, _ = run(capsys, "mul", "--a", "zz", "--b", "0x1")
-    assert code == EXIT_USAGE
+def test_mul_usage_errors(capsys, monkeypatch):
+    with monkeypatch.context() as m:  # argparse refuses the operand before the command runs
+        m.setattr(cli, "cmd_mul", lambda args: pytest.fail("cmd_mul ran"))
+        code, out = run(capsys, "mul", "--a", "zz", "--b", "0x1")
+        assert (code, out) == (EXIT_USAGE, "")
     code, _ = run(capsys, "mul", "--a", "0x2", "--b", "0x3", "--backend", "polynomial-transform")
     assert code == EXIT_USAGE
 
@@ -295,8 +315,8 @@ def test_mul_updates_the_multiplication_claim_only_on_request(capsys, plan13_fil
 
 def test_ledger_experiments_parse():
     # each `polyxform ...` experiment must be a command the CLI accepts, so a
-    # removed flag cannot linger there; a trailing "(...)" note is cut and a
-    # "{a,b,c}" choice reads as its first item
+    # removed flag, or a value its argument's type refuses, cannot linger there;
+    # a trailing "(...)" note is cut and a "{a,b,c}" choice reads as its first item
     parser = cli.build_parser()
     commands = [
         (entry.claim_id, entry.experiment)
@@ -425,13 +445,16 @@ def test_bench_empty_sizes(capsys, monkeypatch):
         ("experiments", "--which", "cost-model", "--bounds", "x,5"),
         ("experiments", "--which", "cost-model", "--bounds", ","),
         ("experiments", "--which", "cost-model", "--bounds", "2,100"),
+        # one bound, or the same first and last, leaves the ratios nothing to compare
+        ("experiments", "--which", "cost-model", "--bounds", "1000"),
+        ("experiments", "--which", "cost-model", "--bounds", "1000,1000"),
     ],
 )
 def test_integer_lists_reject_bad_items(capsys, argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
-    assert captured.out == "" and captured.err.startswith("usage error:")
+    assert captured.out == "" and f"error: argument {argv[-2]}: " in captured.err
 
 
 def test_experiments_density(capsys):
@@ -535,18 +558,18 @@ def test_mul_ledger_refused_before_any_multiply(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, err",
     [
-        ("--which", "density", "--p", "0"),
-        ("--which", "singularity", "--q", "0", "--trials", "10"),
-        ("--which", "cost-model", "--bounds", ""),
+        (("--which", "density", "--p", "0"), "usage error:"),
+        (("--which", "singularity", "--q", "0", "--trials", "10"), "usage error:"),
+        (("--which", "cost-model", "--bounds", ""), "error: argument --bounds: "),
     ],
 )
-def test_experiments_take_zero_and_empty_as_given(capsys, argv):
+def test_experiments_take_zero_and_empty_as_given(capsys, argv, err):
     code = main(["experiments", *argv])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
-    assert captured.out == "" and captured.err.startswith("usage error:")
+    assert captured.out == "" and err in captured.err
 
 
 @pytest.mark.parametrize("flag", ["--out", "--plan-out", "--ledger"])

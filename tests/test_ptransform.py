@@ -1359,7 +1359,9 @@ def test_plan_json_rejects_corrupted_period(plan13):
         plan_from_json(json.dumps(doc))
 
 
-# Each case: an edit of a valid p = 7 plan file, and why the loader refuses it.
+# Each case: an edit of a valid p = 7 plan file (a field set to MISSING is
+# removed), and why the loader refuses it.
+MISSING = object()
 LOADER_CASES = {
     "v1-file": (lambda d: {"format_version": 1}, "format version 1"),
     # a version 2 file also named its bound mode, which no longer exists
@@ -1378,6 +1380,8 @@ LOADER_CASES = {
         lambda d: {"bound_mode": "loose", "certified_bound": 1, "primez": [2]},
         "unknown plan fields ['bound_mode', 'certified_bound', 'primez']",
     ),
+    "missing-field": (lambda d: {"omega": MISSING}, "missing plan fields ['omega']"),
+    "primes-not-a-list": (lambda d: {"primes": 5}, "plan field primes must be a list of integers"),
 }
 
 
@@ -1386,7 +1390,7 @@ def test_plan_loader_rejects(plan7, tmp_path, capsys, case):
     edit, reason = LOADER_CASES[case]
     doc = json.loads(plan_to_json(plan7))
     doc.update(edit(doc))
-    text = json.dumps(doc)
+    text = json.dumps({k: v for k, v in doc.items() if v is not MISSING})
     with pytest.raises(UsageError, match=re.escape(reason)):
         plan_from_json(text)
     path = tmp_path / "plan.json"
