@@ -5,6 +5,7 @@ recovery matrix) and the program's non-cube search.
 Run:  python demos/residue_recovery.py
 """
 
+from polyxform.extension import find_noncube
 from polyxform.modcore import PrimeModulus
 from polyxform.oracles import (
     build_recovery,
@@ -13,7 +14,6 @@ from polyxform.oracles import (
     evaluate_components,
     recover_components,
 )
-from polyxform.residues import find_noncube
 
 # --- the classic 2x2 example: recover components from evaluations ------
 q5 = PrimeModulus(5)

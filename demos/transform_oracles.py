@@ -5,7 +5,8 @@ circulant determinant identity, beside the program's singularity rate.
 Run:  python demos/transform_oracles.py
 """
 
-from polyxform.extension import ExtensionContext
+from polyxform.cli import singularity_experiment
+from polyxform.extension import ExtensionContext, find_extension_root_of_order
 from polyxform.modcore import PrimeModulus
 from polyxform.oracles import (
     CirculantSpec,
@@ -16,7 +17,6 @@ from polyxform.oracles import (
     naive_dft,
     naive_inverse_dft,
 )
-from polyxform.transform import find_extension_root_of_order, singularity_experiment
 
 # --- a DFT round trip in a small prime field ----------------------------
 q13 = PrimeModulus(13)

@@ -11,8 +11,8 @@ the parsed arguments minus _NOT_CONFIG, the report is written to stdout
 or `--out`, and then `--update-ledger` records the claim.
 
 Exit codes: 0 success, 2 usage error (including a path that cannot be
-read or written), 3 plan failure, 4 oracle mismatch in a mode that
-asserts exactness.
+read or written, and an operand pair a backend refuses), 3 plan failure,
+4 oracle mismatch in a mode that asserts exactness.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ import numpy as np
 
 from . import bigmul, claims, ptransform
 from .errors import PolyxformError, PrimeSupplyExhausted, UsageError
+from .extension import is_cube
 from .modcore import PrimeModulus
 from .primes import cost_model, sieve_atkin, trial_division_primes
-from .residues import is_cube
-from .transform import singularity_experiment
 
 SCHEMA_VERSION = 1
 
@@ -179,6 +178,36 @@ def cmd_bench(args) -> tuple:
                 }
             )
     return {"rows": rows}, EXIT_OK, None
+
+
+def singularity_experiment(q: PrimeModulus, trials: int, seed: int) -> dict:
+    """Fraction of random 3x3 circulants mod q that are singular.
+
+    Trials are partitioned into fixed-size chunks with per-chunk seeds,
+    counted in chunk order.
+    """
+    if trials < 1:
+        raise UsageError("trials must be >= 1")
+    if q.q % 3 != 1:
+        raise UsageError("3x3 singularity experiment needs q = 1 mod 3")
+    chunk = 100_000
+    singular = 0
+    for offset in range(0, trials, chunk):
+        rng = np.random.default_rng((seed, offset))
+        c = rng.integers(0, q.q, size=(min(chunk, trials - offset), 3), dtype=np.int64)
+        # det of circulant(c0, c1, c2) = c0^3 + c1^3 + c2^3 - 3*c0*c1*c2
+        det = (
+            np.sum(c * c % q.q * c % q.q, axis=1)
+            - 3 * c[:, 0] % q.q * c[:, 1] % q.q * c[:, 2]
+        ) % q.q
+        singular += int(np.count_nonzero(det == 0))
+    return {
+        "q": q.q,
+        "trials": trials,
+        "singular": singular,
+        "fraction": singular / trials,
+        "reference": 1.0 / q.q,
+    }
 
 
 def cmd_experiments(args) -> tuple:

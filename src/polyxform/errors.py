@@ -33,5 +33,6 @@ class PrimeSupplyExhausted(PolyxformError):
     """Plan construction ran out of candidate primes before meeting its bound."""
 
 
-class OverflowRisk(PolyxformError):
-    """Packing parameters would let a convolution coefficient wrap the modulus."""
+class OverflowRisk(UsageError):
+    """Packing parameters would let a convolution coefficient wrap the modulus;
+    the caller chose operands or parameters the backend cannot take."""

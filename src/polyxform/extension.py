@@ -1,21 +1,61 @@
-"""Cubic extension arithmetic: elements a0 + a1*c + a2*c^2 with c^3 = y.
+"""The field F_p[t]/(t^3 - y) that a plan is built over.
 
-When y has no cube root mod p the quotient ring is a field with p^3
-elements; that is the setting plan construction relies on.  The element
-type stores raw integer coefficients for speed and carries its (p, y)
-context for mismatch checks; `ext_mul_array` and `ext_powers` do the same
-arithmetic on (..., 3) int64 coefficient arrays.
+Its elements are a0 + a1*c + a2*c^2 with c^3 = y.  When y has no cube
+root mod p the quotient ring is a field with p^3 elements; that is the
+setting plan construction relies on.  The module holds:
+
+- the cube test and the non-cube search that pick y;
+- the field's arithmetic.  The element type stores raw integer
+  coefficients for speed and carries its (p, y) context for mismatch
+  checks; `ext_mul_array` and `ext_powers` do the same arithmetic on
+  (..., 3) int64 coefficient arrays;
+- element orders, in F_p or in the field, and the search for the field's
+  root of full order p^3 - 1, the omega of a plan.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple, Union
 
 import numpy as np
 
-from .errors import NotInvertible, UsageError
+from .errors import NoncubeImpossible, NoSuchRoot, NotInvertible, UsageError
 from .modcore import PrimeModulus, Residue
+
+
+def is_cube(x: Residue) -> bool:
+    """Cubic-residue test: exponent criterion for q = 1 mod 3, else always."""
+    q = x.q
+    if q % 3 != 1:
+        return True
+    if x.value == 0:
+        return True
+    return pow(x.value, (q - 1) // 3, q) == 1
+
+
+def find_noncube(p: PrimeModulus, rng_seed: int = None) -> Residue:
+    """A y with no cube root mod p (requires p = 1 mod 3).
+
+    Deterministic scan from 2 by default; a seed (a nonzero `plan --seed`,
+    which preprocess passes on) switches to a seeded random scan.  Non-cubes
+    have density 2/3, so either way a handful of attempts suffices.
+    """
+    if p.q % 3 != 1:
+        raise NoncubeImpossible(
+            f"p = {p.q} is 2 mod 3 (or 3); cubing is a bijection"
+        )
+    if rng_seed is None:
+        candidates = range(2, p.q)
+    else:
+        rng = random.Random(rng_seed)
+        candidates = iter(lambda: rng.randrange(2, p.q), None)
+    for y in candidates:
+        r = p.residue(y)
+        if not is_cube(r):
+            return r
+    raise AssertionError("unreachable: non-cubes exist for p = 1 mod 3")
 
 
 @dataclass(frozen=True)
@@ -155,3 +195,57 @@ def ext_inv(u: ExtensionElement) -> ExtensionElement:
             f"{u.coeffs} not invertible; is y a non-cube mod p?"
         )
     return inv
+
+
+FieldElement = Union[Residue, ExtensionElement]
+
+
+def multiplicative_order(omega: FieldElement, group_order: int) -> int:
+    """Exact order of omega, given the order of the ambient group."""
+    one = omega**0
+    if omega**group_order != one:
+        raise UsageError("element order does not divide the group order")
+    order = group_order
+    for r in _prime_factors(group_order):
+        while order % r == 0 and omega ** (order // r) == one:
+            order //= r
+    return order
+
+
+def _prime_factors(n: int) -> List[int]:
+    factors = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
+def find_extension_root_of_order(
+    n: int, ctx: ExtensionContext
+) -> ExtensionElement:
+    """Element of exact order n in the cubic extension (n | p^3 - 1).
+
+    Scans for the lexicographically-smallest generator of the full
+    multiplicative group outside F_p, whose orders divide p - 1, then powers
+    it down to order n.  Validation is by order factor-checks; the O(n^2)
+    certificate is left to callers at scales where it is affordable.
+    """
+    group = ctx.group_order
+    if group % n != 0:
+        raise NoSuchRoot(f"{n} does not divide p^3 - 1 = {group}")
+    factors = _prime_factors(group)
+    one = ctx.one
+    p = ctx.p.q
+    for a2 in range(p):
+        for a1 in range(a2 == 0, p):  # a1 = a2 = 0 is F_p
+            for a0 in range(p):
+                g = ctx.element(a0, a1, a2)
+                if all(ext_pow(g, group // r) != one for r in factors):
+                    return ext_pow(g, group // n)
+    raise NoSuchRoot("no generator found; is the extension a field?")

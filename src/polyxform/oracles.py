@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NoSuchRoot, Singular, UsageError
+from .extension import FieldElement, _prime_factors
 from .modcore import PrimeModulus, Residue, pow_mod
-from .transform import FieldElement, _prime_factors
 
 # --- CRT -------------------------------------------------------------------
 

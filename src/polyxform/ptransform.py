@@ -41,11 +41,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import PrimeSupplyExhausted, UsageError
-from .extension import ExtensionContext, ExtensionElement, ext_mul_array, ext_pow, ext_powers
+from .extension import (ExtensionContext, ExtensionElement, ext_mul_array, ext_powers,
+                        find_extension_root_of_order, find_noncube, is_cube, multiplicative_order)
 from .modcore import PrimeModulus, Residue, is_prime
 from .primes import doubling_estimate, next_prime_at_or_above
-from .residues import find_noncube, is_cube
-from .transform import find_extension_root_of_order, multiplicative_order
 
 PLAN_FORMAT_VERSION = 3
 PLAN_FIELDS = frozenset({"format_version", "p", "y", "omega", "coeff_bound", "primes"})
@@ -122,7 +121,7 @@ class PTPlan:
     @property
     def n(self) -> int:
         """Transform length p^3 - 1."""
-        return self.p.q**3 - 1
+        return self.context.group_order
 
     @property
     def target_bound(self) -> int:
@@ -141,7 +140,7 @@ class PTPlan:
     def _inverse(self) -> "PTPlan":
         """The plan inverse_plan returns, built by _plan on first use and kept."""
         primes = [s.q.q for s in self.slots]
-        return _plan(self.p, self.y, ext_pow(self.omega, self.n - 1), primes, self.coeff_bound)
+        return _plan(self.p, self.y, self.omega**-1, primes, self.coeff_bound)
 
     @cached_property
     def _oracle_powers(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -217,7 +216,7 @@ def _try_slot(
     and omega and its inverse omega_inv both reduce to nonzero values at each.
     The rule is symmetric in the two, so every slot prime of a plan is a slot
     prime of its inverse plan."""
-    if q.q == y.q or q.q % 3 != 1 or not is_cube(q.residue(y.value)):
+    if q.q % 3 != 1 or not is_cube(q.residue(y.value)):
         return None
     roots = tuple(r for r in range(1, q.q) if (r**3 - y.value) % q.q == 0)
     if len(roots) != 3:  # none when y = 0 mod q; ascending otherwise
@@ -241,7 +240,7 @@ def _plan(p: PrimeModulus, y: Residue, omega: ExtensionElement, primes: Sequence
     cap = MAX_SCAN_FACTOR * p.q
     if max(primes, default=0) > cap:
         raise UsageError(f"helper prime {max(primes)} is above {MAX_SCAN_FACTOR}*p = {cap}")
-    omega_inv = ext_pow(omega, omega.context.group_order - 1)
+    omega_inv = omega**-1
     slots = tuple(_try_slot(PrimeModulus(q), y, omega, omega_inv) for q in primes)
     if None in slots:
         raise UsageError(f"helper prime {primes[slots.index(None)]} is unusable for this plan")
@@ -289,7 +288,7 @@ def preprocess(
     y = find_noncube(p_mod, rng_seed=None if seed == 0 else seed)
     ctx = ExtensionContext(p_mod, y)
     omega = find_extension_root_of_order(ctx.group_order, ctx)
-    omega_inv = ext_pow(omega, ctx.group_order - 1)
+    omega_inv = omega**-1
     target, top = 9 * p_mod.q**6, MAX_SCAN_FACTOR * p_mod.q
     slots, product = [], 1
     scan = itertools.chain(range(p_mod.q - 1, 1, -1), range(p_mod.q + 1, top + 1))

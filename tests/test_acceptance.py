@@ -21,7 +21,7 @@ from polyxform.bigmul import (
     MulBackend,
     transform_mul,
 )
-from polyxform.cli import EXIT_OK, main
+from polyxform.cli import EXIT_OK, main, singularity_experiment
 from polyxform.modcore import PrimeModulus, is_prime
 from polyxform.oracles import (
     CirculantSpec,
@@ -39,7 +39,6 @@ from polyxform.oracles import (
     recover_components,
 )
 from polyxform.primes import sieve_atkin, trial_division_primes
-from polyxform.transform import singularity_experiment
 
 
 def _verdict(num, desc, ok):

@@ -268,6 +268,19 @@ def test_mul_usage_errors(capsys, monkeypatch):
     assert code == EXIT_USAGE
 
 
+
+@pytest.mark.parametrize("argv", [
+    ("mul", "--a", "0x" + "f" * 25_000, "--b", "0x" + "f" * 25_000, "--backend", "oracle-ntt"),
+    ("bench", "--sizes", "300000", "--backends", "oracle-ntt", "--repetitions", "1"),
+])
+def test_refused_operand_pair_is_a_usage_error(capsys, argv):
+    # pack's OverflowRisk refuses the pair before any product is compared, so
+    # it is the caller's error (exit 2), not an oracle mismatch (exit 4)
+    assert main(list(argv)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "usage error: worst convolution coefficient" in captured.err
+
 @pytest.fixture(scope="module")
 def plan13_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("plans13") / "plan13.json"
@@ -350,6 +363,19 @@ def test_readme_commands_parse():
         except SystemExit:
             pytest.fail(f"{command!r} does not parse")
 
+
+
+def test_readme_layout_has_one_row_per_module():
+    # the Layout table names each module of the package once and nothing else,
+    # so a module added or deleted cannot leave the table stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    table = re.search(r"^\|.*?(?=\n[^|])", section, flags=re.M | re.S).group(0)
+    rows = table.splitlines()[2:]  # below the header and its rule
+    named = [re.fullmatch(r"\| `polyxform\.(\w+)` \|.*", row) for row in rows]
+    assert None not in named, rows
+    modules = {path.stem for path in Path(cli.__file__).parent.glob("*.py")} - {"__init__"}
+    assert sorted(m.group(1) for m in named) == sorted(modules)
 
 def test_mul_pt_backend_runs_on_the_p7_plan(capsys, plan7_file):
     # every helper prime of a plan serves omega^-1 too, so the p = 7 plan

@@ -13,9 +13,9 @@ from polyxform.extension import (
     ext_mul_array,
     ext_pow,
     ext_powers,
+    find_noncube,
 )
 from polyxform.modcore import PrimeModulus
-from polyxform.residues import find_noncube
 
 
 P7 = PrimeModulus(7)

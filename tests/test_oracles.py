@@ -34,5 +34,5 @@ def test_oracles_import_no_pipeline_module():
             imported |= {alias.name.split(".")[-1] for alias in node.names}
         elif isinstance(node, ast.ImportFrom):  # the module, and names that may be modules
             imported |= {(node.module or "").split(".")[-1]} | {a.name for a in node.names}
-    assert {"modcore", "transform"} <= imported  # the walk sees the imports there are
+    assert {"modcore", "extension"} <= imported  # the walk sees the imports there are
     assert not imported & PROGRAM_ONLY

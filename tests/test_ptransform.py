@@ -18,7 +18,7 @@ import conftest
 from polyxform import bigmul, extension, modcore, oracles, ptransform
 from polyxform.cli import EXIT_USAGE, main
 from polyxform.errors import PrimeSupplyExhausted, UsageError
-from polyxform.extension import ext_mul
+from polyxform.extension import ext_mul, multiplicative_order
 from polyxform.modcore import PrimeModulus, is_prime
 from polyxform.oracles import CrtBasis, build_recovery, crt_reconstruct, naive_dft, recover_components
 from polyxform.ptransform import (
@@ -34,7 +34,6 @@ from polyxform.ptransform import (
     transform,
     transform_elements,
 )
-from polyxform.transform import multiplicative_order
 
 
 def test_preprocess_rejects_bad_args():
@@ -1371,6 +1370,8 @@ LOADER_CASES = {
     "duplicated-prime": (lambda d: {"primes": d["primes"] + d["primes"][:1]}, "duplicated"),
     # 5 = 2 mod 3, so y has a single cube root mod 5
     "unusable-prime": (lambda d: {"primes": [5] + d["primes"]}, "prime 5 is unusable"),
+    # y is a non-cube mod p itself, so the base prime is never a helper
+    "base-prime": (lambda d: {"primes": [7] + d["primes"]}, "prime 7 is unusable"),
     "identity-omega": (lambda d: {"omega": [1, 0, 0]}, "order p^3 - 1"),
     "cube-y": (lambda d: {"y": 1}, "is a cube"),
     "negative-coeff-bound": (lambda d: {"coeff_bound": -1}, "coeff_bound must be an integer >= 1"),

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from polyxform.errors import NoncubeImpossible, UsageError
+from polyxform.extension import find_noncube, is_cube
 from polyxform.modcore import PrimeModulus, is_prime, pow_mod
 from polyxform.oracles import (
     build_recovery,
@@ -11,7 +12,6 @@ from polyxform.oracles import (
     evaluate_components,
     recover_components,
 )
-from polyxform.residues import find_noncube, is_cube
 
 
 def test_cube_table_golden():

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from polyxform.errors import NoSuchRoot, NotInvertible, UsageError
-from polyxform.extension import ExtensionContext
+from polyxform.cli import singularity_experiment
+from polyxform.extension import ExtensionContext, find_extension_root_of_order, multiplicative_order
 from polyxform.modcore import PrimeModulus, is_prime
 from polyxform.oracles import (
     CirculantSpec,
@@ -13,11 +14,6 @@ from polyxform.oracles import (
     find_root_of_order,
     naive_dft,
     naive_inverse_dft,
-)
-from polyxform.transform import (
-    find_extension_root_of_order,
-    multiplicative_order,
-    singularity_experiment,
 )
 
 
