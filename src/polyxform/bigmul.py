@@ -27,9 +27,13 @@ from .extension import ext_mul_array
 from . import ptransform
 
 # NTT modulus: 15 * 2^27 + 1, primitive root 31.  Products of two values
-# below the modulus stay under 2^62, so uint64 vector math never wraps.
+# below the modulus stay under 2^62, so int64 and uint64 vector math never wraps.
 NTT_PRIME = 2013265921
 NTT_ROOT = 31
+
+# Points of the DFT that one NTT pass takes as a float64 matrix product: the
+# largest power of two with NTT_RADIX·(2^16 − 1)·(NTT_PRIME − 1) < 2^53.
+NTT_RADIX = 64
 
 # Bits per BigNat limb.
 LIMB_BITS = 64
@@ -307,58 +311,73 @@ def _naturals(values: Sequence[int]) -> np.ndarray:
     return ptransform._as_array(values, [(None,)], 0, 2**63, "NTT input").astype(np.uint64)
 
 
-def _ntt_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Bit-reversal index and twiddles root^k (k < n/2) of a length-n transform.
+def _mod_prime(x: np.ndarray) -> np.ndarray:
+    """x mod NTT_PRIME for integer x >= 0, as x - (x // P)·P: numpy divides
+    an integer array by a scalar with a multiply, and its % does not."""
+    return x - x // NTT_PRIME * NTT_PRIME
 
-    Reshaping arange(n) to log2(n) axes of 2 and reversing the axes
-    reverses the bits of every index.
-    """
+
+def _ntt_tables(n: int) -> list:
+    """Each pass's tables for a length-n transform: the low and high 16 bits
+    of its radix-point DFT matrix, stacked as (2, radix, radix) float64, and
+    its (radix, rest) int64 twiddles w^(k·j), for w of order radix·rest."""
     if n < 1 or n & (n - 1):
         raise UsageError("NTT length must be a power of two")
     if (NTT_PRIME - 1) % n:
         raise UsageError(f"length {n} has no root of unity mod {NTT_PRIME}")
-    rev = np.arange(n).reshape((2,) * (n.bit_length() - 1)).transpose().ravel()
     root = pow(NTT_ROOT, (NTT_PRIME - 1) // n, NTT_PRIME)
-    # root^k by doubling; a stage of width m uses every (n/m)-th
-    twiddles = np.ones(1, dtype=np.uint64)
-    while len(twiddles) < n // 2:
-        step = np.uint64(pow(root, len(twiddles), NTT_PRIME))
-        twiddles = np.concatenate([twiddles, twiddles * step % NTT_PRIME])
-    return rev, twiddles
+    powers = np.ones(1, dtype=np.int64)  # root^k for k < n, up to NTT_RADIX-fold longer a round
+    while len(powers) < n:
+        step, factors = pow(root, len(powers), NTT_PRIME), [1]
+        while len(factors) < min(NTT_RADIX, n // len(powers)):
+            factors.append(factors[-1] * step % NTT_PRIME)
+        powers = _mod_prime(np.multiply.outer(factors, powers)).ravel()
+    passes, width = [], n
+    while width > 1:
+        radix = min(NTT_RADIX, width)
+        k = np.arange(radix)[:, None]
+        if not passes or radix < NTT_RADIX:  # passes of one radix share its DFT matrix
+            dft = powers[n // radix * ((k * k.T) & (radix - 1))]
+            split = np.stack([dft & 0xFFFF, dft >> 16]).astype(np.float64)
+        width //= radix
+        passes.append((split, powers[n // (radix * width) * (k * np.arange(width))]))
+    return passes
 
 
 def ntt(values: Sequence[int], invert: bool = False) -> np.ndarray:
-    """Iterative radix-2 transform mod NTT_PRIME (length a power of two) of
-    integers in [0, 2^63), as uint64."""
+    """Transform mod NTT_PRIME, in passes of radix NTT_RADIX (length a power
+    of two), of integers in [0, 2^63), as uint64."""
     x = _naturals(values)
     return _ntt(x, _ntt_tables(len(x)), invert)
 
 
-def _ntt(
-    values: np.ndarray, tables: Tuple[np.ndarray, np.ndarray], invert: bool = False
-) -> np.ndarray:
-    """The transform of a uint64 array, with the tables of its length.
+def _ntt(values: np.ndarray, passes: list, invert: bool = False) -> np.ndarray:
+    """The transform of a uint64 array, with the pass tables of its length.
 
+    A pass views each row of the data as (radix digit, rest) and takes the
+    radix-point DFT over the digit as a float64 product with each 16-bit
+    half of the DFT matrix: every dot product stays below
+    NTT_RADIX·(2^16 − 1)·(P − 1) < 2^53, exact in any summation order.
+    The halves are two products, not one of twice the height, so that up
+    to length 4,096 each is at most 64³ multiply-adds, which OpenBLAS runs
+    on the calling thread rather than leave a worker spinning after it.
+    Each output row, times its twiddles, is a transform of length rest
+    holding every radix-th output, so the pass moves its output digit to
+    the end of the row, and one digit reversal puts the outputs in order.
     The inverse is the forward transform read at -k mod n, scaled by 1/n.
     """
-    rev, twiddles = tables
-    n, prime = len(values), np.uint64(NTT_PRIME)
-    a = values[rev] % NTT_PRIME
-    for s in range(1, n.bit_length()):
-        m = 1 << s
-        half = m >> 1
-        w = twiddles[:: n // m]
-        blocks = a.reshape(-1, m)
-        u, t = blocks[:, :half], blocks[:, half:] * w % NTT_PRIME
-        total, diff = u + t, u + prime - t
-        # for x < 2P, x - P wraps around to above x exactly when x < P, so
-        # min(x, x - P) is x mod P
-        blocks[:, :half] = np.minimum(total, total - prime)
-        blocks[:, half:] = np.minimum(diff, diff - prime)
+    a = _mod_prime(values).view(np.int64)  # reduced in uint64 before the int64 view
+    for split, twiddles in passes:
+        radix, rest = twiddles.shape
+        low, high = (split @ a.reshape(radix, -1).astype(np.float64)).astype(np.int64)
+        y = _mod_prime((_mod_prime(high) << 16) + low)
+        if rest > 1:  # the last pass's twiddles are all 1
+            y = _mod_prime(y.reshape(radix, rest, -1) * twiddles[:, :, None])
+        a = y.reshape(radix, -1).T
+    a = a.reshape([len(twiddles) for _, twiddles in passes]).transpose().ravel()
     if invert:
-        n_inv = np.uint64(pow(n, NTT_PRIME - 2, NTT_PRIME))
-        a = np.concatenate([a[:1], a[:0:-1]]) * n_inv % NTT_PRIME
-    return a
+        a = _mod_prime(np.concatenate([a[:1], a[:0:-1]]) * pow(len(a), NTT_PRIME - 2, NTT_PRIME))
+    return a.view(np.uint64)
 
 
 def ntt_convolve(x: Sequence[int], y: Sequence[int]) -> np.ndarray:
@@ -368,7 +387,7 @@ def ntt_convolve(x: Sequence[int], y: Sequence[int]) -> np.ndarray:
     if len(x) != len(y):
         raise UsageError("vectors must have equal length")
     tables = _ntt_tables(len(x))
-    product = _ntt(x, tables) * _ntt(y, tables) % NTT_PRIME
+    product = _mod_prime(_ntt(x, tables) * _ntt(y, tables))
     return _ntt(product, tables, invert=True)
 
 
@@ -391,9 +410,10 @@ class MulReport:
     """Outcome of one multiplication, with the oracle cross-check.
 
     extra["limb_ops"] is the exact backends' operation count for this call:
-    64-bit limb products for schoolbook, 64-bit limb products in the base
-    cases for karatsuba, butterflies over the three transforms for
-    oracle-ntt.
+    64-bit limb products for schoolbook and, in its base cases, karatsuba,
+    and the radix-2 butterflies 3·(n/2)·log2(n) of oracle-ntt's three
+    length-n transforms: cost models that their kernels, on 16-bit digits
+    and in passes of radix NTT_RADIX, keep.
     """
 
     backend: str
@@ -407,7 +427,7 @@ class MulReport:
 
 
 def _ntt_mul(a: BigNat, b: BigNat, limb_bits: int) -> Tuple[BigNat, int]:
-    """Product and its butterfly count: length/2 per stage, three transforms."""
+    """Product and its radix-2 butterfly count: length/2 per stage, three transforms."""
     total_bits = max(a.bit_length + b.bit_length, 1)
     length = 1 << (-(-total_bits // limb_bits) - 1).bit_length()  # least power of two that fits
     xa = pack(a, limb_bits, length, modulus=NTT_PRIME)

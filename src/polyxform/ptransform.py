@@ -602,13 +602,15 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
 
     Each term of a dot product of length L is at most (m-1)^2, so while
     L * (m-1)^2 < 2^53 every partial sum is an integer that float64 holds
-    exactly, in whatever order BLAS adds them; past that it is refused.
+    exactly, in whatever order BLAS adds them; past that it is refused.  It
+    is reduced as x - (x // m)·m in int64: np.fmod divides every element,
+    and numpy's int64 floor division by a scalar is a multiply.
     """
     length = a.shape[-1]
     if length * (m - 1) ** 2 >= 2**53:
         raise UsageError(f"a dot product of length {length} mod {m} is not exact in float64")
-    product = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
-    return np.fmod(product, m, out=product).astype(np.int64)
+    product = (np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)).astype(np.int64)
+    return product - product // m * m
 
 
 def oracle_output(x: Sequence[int], plan: PTPlan, indices: Sequence[int]) -> np.ndarray:

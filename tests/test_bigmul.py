@@ -12,6 +12,7 @@ from polyxform.bigmul import (
     KARATSUBA,
     NTT_LIMB_BITS,
     NTT_PRIME,
+    NTT_RADIX,
     NTT_ROOT,
     ORACLE_NTT,
     POLY_TRANSFORM,
@@ -37,6 +38,13 @@ def test_ntt_modulus_constants():
     # 31 generates the full group: no proper-divisor power is 1
     for r in (2, 3, 5):
         assert pow(NTT_ROOT, (NTT_PRIME - 1) // r, NTT_PRIME) != 1
+
+
+def test_ntt_radix_keeps_float64_dot_products_exact():
+    # a pass's dot product: NTT_RADIX terms of a 16-bit half of a DFT entry
+    # times a value below the modulus
+    assert NTT_RADIX * (2**16 - 1) * (NTT_PRIME - 1) < 2**53
+    assert 2 * NTT_RADIX * (2**16 - 1) * (NTT_PRIME - 1) >= 2**53
 
 
 def test_bignat_canonical_form():
@@ -346,6 +354,46 @@ def test_ntt_refuses_negative_or_non_integer_input():
     assert _naturals(packed) is packed  # pack's output is taken without a scan
     as_list = [0xCD, 0xAB, 0, 0]
     assert ntt_convolve(packed, packed).tolist() == ntt_convolve(as_list, as_list).tolist()
+
+
+def test_ntt_reduces_unscanned_uint64_input_past_2_63():
+    x = np.array([2**64 - 1, 5, 0, 7], dtype=np.uint64)
+    assert ntt(x).tolist() == ntt([(2**64 - 1) % NTT_PRIME, 5, 0, 7]).tolist()
+
+
+def _python_dft(rows):
+    """The O(n^2) DFT mod NTT_PRIME of each of the equal-length rows, in
+    Python ints."""
+    n = len(rows[0])
+    root = pow(NTT_ROOT, (NTT_PRIME - 1) // n, NTT_PRIME)
+    powers = np.array([pow(root, e, NTT_PRIME) for e in range(n)], dtype=object)
+    k = np.arange(n)
+    matrix = powers[np.outer(k, k) % n]
+    return [(matrix.dot(np.array(row, dtype=object)) % NTT_PRIME).tolist() for row in rows]
+
+
+def test_ntt_matches_python_dft_in_one_and_two_passes():
+    # lengths up to NTT_RADIX take one pass, longer ones up to 4,096 two;
+    # all P - 1 gives every pass its largest dot products
+    rng = random.Random(31)
+    for e in range(13):
+        n = 1 << e
+        rows = [[NTT_PRIME - 1] * n, [rng.randrange(NTT_PRIME) for _ in range(n)]]
+        for row, want in zip(rows, _python_dft(rows)):
+            assert ntt(row).tolist() == want, n
+
+
+def test_ntt_three_passes_roundtrip_and_convolve():
+    rng = random.Random(37)
+    for n in (2**13, 2**15):
+        values = [rng.randrange(NTT_PRIME) for _ in range(n)]
+        assert ntt(ntt(values), invert=True).tolist() == values
+        # bytes in the low half: no product coefficient wraps, so the
+        # convolution's carry is the product
+        a, b = rng.randbytes(n // 2), rng.randbytes(n // 2)
+        coeffs = ntt_convolve(list(a) + [0] * (n // 2), list(b) + [0] * (n // 2))
+        want = int.from_bytes(a, "little") * int.from_bytes(b, "little")
+        assert carry_propagate(coeffs, 8) == want
 
 
 @given(st.lists(st.integers(min_value=0, max_value=NTT_PRIME - 1), min_size=2, max_size=64))
