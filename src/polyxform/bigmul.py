@@ -303,12 +303,10 @@ def carry_propagate(coeffs: Sequence[int], limb_bits: int) -> int:
 # --- NTT convolution backend -------------------------------------------
 
 def _naturals(values: Sequence[int]) -> np.ndarray:
-    """values, a list of integers in [0, 2^63) checked by ptransform._as_array,
-    as the uint64 array the transform takes; a 1-D uint64 array, as pack
-    returns, is taken as it is, without a scan."""
-    if isinstance(values, np.ndarray) and values.dtype == np.uint64 and values.ndim == 1:
-        return values
-    return ptransform._as_array(values, [(None,)], 0, 2**63, "NTT input").astype(np.uint64)
+    """values, integers in [0, 2^63) as a list or an array of any integer
+    dtype, pack's uint64 included, checked by ptransform._as_array: the one
+    way into the NTT, as int64."""
+    return ptransform._as_array(values, [(None,)], 0, 2**63, "NTT input")
 
 
 def _mod_prime(x: np.ndarray) -> np.ndarray:
@@ -346,13 +344,16 @@ def _ntt_tables(n: int) -> list:
 
 def ntt(values: Sequence[int], invert: bool = False) -> np.ndarray:
     """Transform mod NTT_PRIME, in passes of radix NTT_RADIX (length a power
-    of two), of integers in [0, 2^63), as uint64."""
+    of two), of integers in [0, 2^63), as uint64.  Every input passes
+    _naturals' check, so a uint64 entry of 2^63 or more is refused, as the
+    same value in a list is."""
     x = _naturals(values)
-    return _ntt(x, _ntt_tables(len(x)), invert)
+    return _ntt(x, _ntt_tables(len(x)), invert).view(np.uint64)
 
 
 def _ntt(values: np.ndarray, passes: list, invert: bool = False) -> np.ndarray:
-    """The transform of a uint64 array, with the pass tables of its length.
+    """The transform of an int64 array of entries in [0, 2^63), with the pass
+    tables of its length, as int64 in [0, P).
 
     A pass views each row of the data as (radix digit, rest) and takes the
     radix-point DFT over the digit as a float64 product with each 16-bit
@@ -366,7 +367,7 @@ def _ntt(values: np.ndarray, passes: list, invert: bool = False) -> np.ndarray:
     the end of the row, and one digit reversal puts the outputs in order.
     The inverse is the forward transform read at -k mod n, scaled by 1/n.
     """
-    a = _mod_prime(values).view(np.int64)  # reduced in uint64 before the int64 view
+    a = _mod_prime(values)
     for split, twiddles in passes:
         radix, rest = twiddles.shape
         low, high = (split @ a.reshape(radix, -1).astype(np.float64)).astype(np.int64)
@@ -377,7 +378,7 @@ def _ntt(values: np.ndarray, passes: list, invert: bool = False) -> np.ndarray:
     a = a.reshape([len(twiddles) for _, twiddles in passes]).transpose().ravel()
     if invert:
         a = _mod_prime(np.concatenate([a[:1], a[:0:-1]]) * pow(len(a), NTT_PRIME - 2, NTT_PRIME))
-    return a.view(np.uint64)
+    return a
 
 
 def ntt_convolve(x: Sequence[int], y: Sequence[int]) -> np.ndarray:
@@ -388,7 +389,7 @@ def ntt_convolve(x: Sequence[int], y: Sequence[int]) -> np.ndarray:
         raise UsageError("vectors must have equal length")
     tables = _ntt_tables(len(x))
     product = _mod_prime(_ntt(x, tables) * _ntt(y, tables))
-    return _ntt(product, tables, invert=True)
+    return _ntt(product, tables, invert=True).view(np.uint64)
 
 
 # --- backend dispatch ---------------------------------------------------
@@ -439,8 +440,10 @@ def _ntt_mul(a: BigNat, b: BigNat, limb_bits: int) -> Tuple[BigNat, int]:
 def _pt_mul(a: BigNat, b: BigNat, plan: "ptransform.PTPlan") -> Tuple[BigNat, dict]:
     p = plan.p.q
     limb_bits = max(1, min(plan.coeff_bound.bit_length() - 1, p.bit_length() - 1))
-    # zero-pad to the plan's full transform length
-    fa, fb = (ptransform.transform_naturals(pack(v, limb_bits, plan.n), plan) for v in (a, b))
+    # zero-pad to the plan's full transform length; each digit is at most
+    # 2^limb_bits - 1 <= coeff_bound, a column natural_column would accept
+    fa, fb = (ptransform.transform_elements(pack(v, limb_bits, plan.n)[:, None], plan)
+              for v in (a, b))
     pointwise = ext_mul_array(fa, fb, plan.context)
     inv = ptransform.inverse_plan(plan)
     back = ptransform.transform_elements(pointwise, inv)

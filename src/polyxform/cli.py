@@ -126,6 +126,8 @@ def cmd_verify(args) -> tuple:
 def cmd_mul(args) -> tuple:
     if args.update_ledger and args.backend != bigmul.POLY_TRANSFORM:
         raise UsageError("--update-ledger records the polynomial-transform backend only")
+    if args.plan and args.backend != bigmul.POLY_TRANSFORM:
+        raise UsageError("--plan is taken by the polynomial-transform backend only")
     a, b = bigmul.BigNat.from_hex(args.a), bigmul.BigNat.from_hex(args.b)
     plan = _load_plan(args.plan) if args.plan else None
     backend = bigmul.MulBackend(tag=args.backend, plan=plan)

@@ -10,8 +10,10 @@ its root's period, runs small DFTs as products with the root's DFT
 matrix, recovers components by the closed-form Vandermonde inverse into
 one table per prime over its index classes, merges the primes' tables by
 CRT at their shared periods, and combines the merged groups mod p, all
-on int64 arrays.  Sampled output rows take the same path: each prime's
-class table is read at the sampled rows before the merge.  The boxed
+on int64 arrays.  `transform_elements` is the one way into it: `transform`,
+`spot_check` and both directions of the polynomial-transform multiply
+call it.  Sampled output rows take the same path: each prime's class
+table is read at the sampled rows before the merge.  The boxed
 references each stage is tested against (`naive_dft`, the Gauss-Jordan
 `recover_components`, `crt_reconstruct`) live in `oracles`, which no
 program module imports.
@@ -526,21 +528,10 @@ def _as_array(values: Sequence, shapes: Sequence[tuple], low: int = -(2**63),
     return array.astype(np.int64, copy=False)
 
 
-def _transform(x: np.ndarray, plan: PTPlan, rows: Optional[np.ndarray], peak: int) -> np.ndarray:
-    """The pipeline on a checked (n, c) int64 input at the given rows (all n if
-    None), where peak bounds every |x|."""
-    tables = [_slot_table(x, slot, peak) for slot in plan.slots]
-    if rows is not None:
-        tables = [table[rows % len(table)] for table in tables]
-    joins, final = plan._crt
-    count = plan.n if rows is None else len(rows)
-    return _crt_mod_p(_merge_slots(tables, joins), final, count)
-
-
 def transform_elements(
     xs: Sequence, plan: PTPlan, indices: Optional[Sequence[int]] = None
 ) -> np.ndarray:
-    """Pipeline over extension-element inputs; returns the outputs as int64 rows.
+    """The pipeline, and the one way into it: the outputs as int64 rows.
 
     xs is n component triples mod p, or an (n, 1) column of naturals v,
     each standing for (v, 0, 0); the inverse direction needs triples.
@@ -555,7 +546,13 @@ def transform_elements(
     """
     x = _as_array(xs, [(plan.n, 3), (plan.n, 1)])
     rows = None if indices is None else _as_array(indices, [(None,)], 0, plan.n, "indices")
-    return _transform(x, plan, rows, max(-int(x.min()), int(x.max())))
+    peak = max(-int(x.min()), int(x.max()))
+    tables = [_slot_table(x, slot, peak) for slot in plan.slots]
+    if rows is not None:
+        tables = [table[rows % len(table)] for table in tables]
+    joins, final = plan._crt
+    count = plan.n if rows is None else len(rows)
+    return _crt_mod_p(_merge_slots(tables, joins), final, count)
 
 
 def natural_column(x: Sequence[int], plan: PTPlan) -> np.ndarray:
@@ -563,22 +560,10 @@ def natural_column(x: Sequence[int], plan: PTPlan) -> np.ndarray:
     return _as_array(x, [(plan.n,)], 0, plan.coeff_bound + 1)[:, None]
 
 
-def transform_naturals(x: Sequence[int], plan: PTPlan) -> np.ndarray:
-    """The pipeline on n natural-number coefficients: (n, 3) int64 rows.
-
-    natural_column checks every entry against the plan's coeff_bound, and
-    that bound is the peak the slot stage folds by, so the input is scanned
-    once, not again as transform_elements scans an input it cannot trust.
-    """
-    return _transform(natural_column(x, plan), plan, None, plan.coeff_bound)
-
-
 def transform(x: Sequence[int], plan: PTPlan) -> List[Tuple[int, int, int]]:
-    """The pipeline on natural-number coefficients, as n triples of Python ints.
-
-    transform_naturals' (n, 3) result is converted to a list once, here.
-    """
-    return list(zip(*transform_naturals(x, plan).T.tolist()))
+    """The pipeline on natural-number coefficients, as n triples of Python ints:
+    transform_elements on natural_column(x), converted to a list once, here."""
+    return list(zip(*transform_elements(natural_column(x, plan), plan).T.tolist()))
 
 
 def inverse_plan(plan: PTPlan) -> PTPlan:
@@ -661,13 +646,14 @@ def oracle_output(x: Sequence[int], plan: PTPlan, indices: Sequence[int]) -> np.
 def spot_check(
     x: Sequence[int], plan: PTPlan, sample: int, seed: int
 ) -> TransformReport:
-    """Compare pipeline outputs against the direct oracle at random indices."""
+    """Compare pipeline outputs against the direct oracle at random indices:
+    x is checked once by natural_column, and that column goes to both
+    transform_elements and oracle_output."""
     _as_array(sample, [()], 1, name="sample")
     rng = random.Random(seed)
     indices = sorted(rng.sample(range(plan.n), min(sample, plan.n)))
     column = natural_column(x, plan)
-    rows = np.array(indices, dtype=np.int64)
-    pipeline = _transform(column, plan, rows, plan.coeff_bound).tolist()
+    pipeline = transform_elements(column, plan, indices).tolist()
     oracle = oracle_output(column, plan, indices).tolist()
     checks = tuple(
         IndexCheck(j, tuple(row), tuple(want))

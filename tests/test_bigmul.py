@@ -18,7 +18,6 @@ from polyxform.bigmul import (
     POLY_TRANSFORM,
     SCHOOLBOOK,
     BigNat,
-    _naturals,
     _ntt_mul,
     MulBackend,
     carry_propagate,
@@ -342,7 +341,7 @@ def test_ntt_refuses_negative_or_non_integer_input():
     # ntt([-1, 2]) used to raise OverflowError and ntt([1.5, 2]) to truncate;
     # [2^63, 1], which numpy reads as float64, is past int64
     bad_inputs = ([-1, 2], [1.5, 2], [2**63, 1], [2**64, 1], [True, False],
-                  np.array([1.0, 2.0]), [[1, 2]])
+                  np.array([1.0, 2.0]), [[1, 2]], np.array([2**63, 1], dtype=np.uint64))
     for bad in bad_inputs:
         with pytest.raises(UsageError):
             ntt(bad)
@@ -351,14 +350,8 @@ def test_ntt_refuses_negative_or_non_integer_input():
         with pytest.raises(UsageError):
             ntt_convolve(bad, [1, 2])
     packed = pack(BigNat.from_int(0xABCD), 8, 4)
-    assert _naturals(packed) is packed  # pack's output is taken without a scan
     as_list = [0xCD, 0xAB, 0, 0]
     assert ntt_convolve(packed, packed).tolist() == ntt_convolve(as_list, as_list).tolist()
-
-
-def test_ntt_reduces_unscanned_uint64_input_past_2_63():
-    x = np.array([2**64 - 1, 5, 0, 7], dtype=np.uint64)
-    assert ntt(x).tolist() == ntt([(2**64 - 1) % NTT_PRIME, 5, 0, 7]).tolist()
 
 
 def _python_dft(rows):

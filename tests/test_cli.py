@@ -583,6 +583,21 @@ def test_mul_ledger_refused_before_any_multiply(capsys, tmp_path, monkeypatch):
     assert ledger.read_text() == LEDGER_SRC.read_text()
 
 
+@pytest.mark.parametrize("backend", ["schoolbook", "karatsuba", "oracle-ntt"])
+@pytest.mark.parametrize("plan", ["missing", "real"])
+def test_mul_plan_refused_with_an_exact_backend_before_it_is_read(
+    capsys, monkeypatch, plan13_file, tmp_path, backend, plan
+):
+    # an exact backend uses no plan, so --plan is refused before any file is read
+    path = plan13_file if plan == "real" else str(tmp_path / "missing.json")
+    monkeypatch.setattr(cli, "_load_plan", lambda _: pytest.fail("plan read"))
+    monkeypatch.setattr(bigmul, "transform_mul", lambda *a: pytest.fail("multiplied"))
+    code = main(["mul", "--a", "0x2", "--b", "0x3", "--backend", backend, "--plan", path])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert "usage error: --plan is taken by the polynomial-transform backend only" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv, err",
     [

@@ -1048,7 +1048,6 @@ def zero_column(plan):
 # builds and the rest of its arguments valid.
 INTEGER_ARRAY_ENTRIES = {
     "transform": lambda plan, make: transform(make(plan.n), plan),
-    "transform_naturals": lambda plan, make: ptransform.transform_naturals(make(plan.n), plan),
     "transform_elements": lambda plan, make: transform_elements(
         [[v] for v in make(plan.n)], plan
     ),
@@ -1083,9 +1082,33 @@ def test_natural_input_must_be_n_scalars(plan7, shape):
     if shape == "n triples":
         x = [tuple(row) for row in x.tolist()]
     verdict = lambda x, plan: spot_check(x, plan, sample=4, seed=0)  # noqa: E731
-    for call in (transform, ptransform.transform_naturals, verdict):
+    for call in (transform, verdict):
         with pytest.raises(UsageError, match=re.escape(f"input shape ({plan7.n}, {width})")):
             call(x, plan7)
+
+
+def test_every_transform_goes_through_transform_elements(plan7, monkeypatch):
+    # a tracer wraps transform_elements under its name, as perfbench does, and
+    # must see every transform: one per transform or spot_check, and two
+    # forward and one inverse per polynomial-transform multiply
+    calls = []
+    inner = ptransform.transform_elements
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(ptransform, "transform_elements", counting)
+    x = [k % plan7.p.q for k in range(plan7.n)]
+    transform(x, plan7)
+    assert calls == [plan7]
+    calls.clear()
+    spot_check(x, plan7, sample=4, seed=0)
+    assert calls == [plan7]
+    calls.clear()
+    backend = bigmul.MulBackend(tag=bigmul.POLY_TRANSFORM, plan=plan7)
+    bigmul.transform_mul(bigmul.BigNat(0x3039), bigmul.BigNat(0x1A85), backend)
+    assert calls == [plan7, plan7, inverse_plan(plan7)]
 
 
 def test_indices_are_validated_alike_by_pipeline_and_oracle(plan13):
