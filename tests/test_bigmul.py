@@ -354,6 +354,14 @@ def test_ntt_refuses_negative_or_non_integer_input():
     assert ntt_convolve(packed, packed).tolist() == ntt_convolve(as_list, as_list).tolist()
 
 
+def test_ntt_takes_uint64_input_below_2_63_as_the_same_list():
+    # a uint64 array, pack's dtype, passes the same check as a list: entries
+    # below 2^63, NTT_PRIME and past it, are taken and reduced alike
+    x = [2**63 - 1, NTT_PRIME, 5, 0, 7, NTT_PRIME - 1, 2**40, 1]
+    assert ntt(np.array(x, dtype=np.uint64)).tolist() == ntt(x).tolist()
+    assert ntt(x).tolist() == ntt([v % NTT_PRIME for v in x]).tolist()
+
+
 def _python_dft(rows):
     """The O(n^2) DFT mod NTT_PRIME of each of the equal-length rows, in
     Python ints."""

@@ -1060,6 +1060,7 @@ INTEGER_ARRAY_ENTRIES = {
     "spot_check": lambda plan, make: spot_check(make(plan.n), plan, sample=2, seed=0),
     "ntt": lambda plan, make: bigmul.ntt(make(4)),
     "ntt_convolve": lambda plan, make: bigmul.ntt_convolve([0] * 4, make(4)),
+    "ntt_convolve x": lambda plan, make: bigmul.ntt_convolve(make(4), [0] * 4),
     "carry_propagate": lambda plan, make: bigmul.carry_propagate(make(4), 8),
 }
 
