@@ -8,6 +8,8 @@ when an update is explicitly requested (the CLI's --update-ledger).
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import List, Optional
@@ -48,12 +50,23 @@ def load_ledger(path: Optional[Path] = None) -> List[ClaimsLedgerEntry]:
 
 
 def save_ledger(entries: List[ClaimsLedgerEntry], path: Optional[Path] = None) -> None:
+    """Write the ledger whole or not at all: the text goes to a temporary
+    file beside it, which then replaces it, so a write that fails part-way
+    leaves the old ledger, and no temporary file, behind."""
     path = Path(path or DEFAULT_LEDGER_PATH)
     doc = {
         "ledger_version": LEDGER_VERSION,
         "claims": [asdict(e) for e in entries],
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temporary.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        if path.exists():
+            shutil.copymode(path, temporary)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def set_verdict(

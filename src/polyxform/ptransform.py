@@ -307,8 +307,14 @@ def preprocess(
 
 
 # Rows per block when the slot stage reduces the input mod q before folding
-# it, and when the CRT combines outputs; caps the temporaries of both.
-_ROW_BLOCK = 1 << 14
+# it, and when the CRT combines outputs; caps the temporaries of both.  A
+# block's int64 triple temporary is 4,096 x 3 x 8 B = 96 KiB, below glibc's
+# default 128 KiB mmap threshold, so the heap reuses it from call to call.
+# Minor page faults per p = 43 transform_elements call, from the third call
+# in a process on: about 1,450 at 16,384 rows (384 KiB temporaries, mapped
+# and trimmed afresh), about 1,100 at 8,192, none at 4,096; 2,048 rows run
+# slower, on loop overhead.
+_ROW_BLOCK = 1 << 12
 
 
 def _reduce(x: np.ndarray, q: int) -> np.ndarray:

@@ -326,6 +326,30 @@ def test_mul_updates_the_multiplication_claim_only_on_request(capsys, plan13_fil
     assert code == EXIT_USAGE
 
 
+def test_save_ledger_failing_part_way_leaves_the_ledger_whole(tmp_path, monkeypatch):
+    ledger = tmp_path / "ledger.json"
+    shutil.copy(LEDGER_SRC, ledger)
+    before = ledger.read_bytes()
+    write_text = Path.write_text
+
+    def half_then_fail(path, text, *args, **kwargs):
+        write_text(path, text[: len(text) // 2], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", half_then_fail)
+    entries = claims.set_verdict("s5-multiplication", "pending", "stale", path=ledger)
+    with pytest.raises(OSError):
+        claims.save_ledger(entries, ledger)
+    assert ledger.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [ledger]  # no temporary file left
+    monkeypatch.undo()
+    ledger.chmod(0o640)
+    claims.save_ledger(entries, ledger)
+    assert claims.load_ledger(ledger) == entries
+    assert ledger.stat().st_mode & 0o777 == 0o640
+    assert list(tmp_path.iterdir()) == [ledger]
+
+
 def test_ledger_experiments_parse():
     # each `polyxform ...` experiment must be a command the CLI accepts, so a
     # removed flag, or a value its argument's type refuses, cannot linger there;

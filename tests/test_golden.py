@@ -37,6 +37,9 @@ def natural_input(plan, seed):
     # composition at all 342 rows when its digest was recorded
     (7, "391ca42b41d4229575ed793d4dea096c2ae92eb38366d0ec7d855a2082b7b65b"),
     (43, "b3129366a634fcbf069405275a5cda610323e90d98ffce51f79c8ed84ac5a673"),
+    # the headline scale, n = 1,092,726: 267 final-combine row blocks, the
+    # last one short; recorded at 16,384-row blocks and equal at 4,096
+    (103, "90634c50469f7704af28c431afead815a76a8382f5e30a7e8721663dfec7aa5f"),
 ])
 def test_all_n_strict_transform_digest(p, want):
     plan = ptransform.preprocess(p=p)

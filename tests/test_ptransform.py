@@ -4,10 +4,15 @@ import hashlib
 import inspect
 import json
 import math
+import os
+import platform
 import random
 import re
+import subprocess
+import sys
 import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -676,6 +681,38 @@ def test_merge_slots_groups_at_p43():
     assert [slot.q.q for slot in plan.slots] == [61, 67, 73, 103, 151, 193]
     assert moduli == (61 * 67 * 73, 103 * 151, 193)
     assert [len(t) for t in tables] == [3960, 2550, 192]
+
+
+FAULTS_PER_CALL = """
+import resource
+import numpy as np
+from polyxform import ptransform
+plan = ptransform.preprocess(p=43)
+column = np.random.default_rng(43).integers(0, plan.coeff_bound + 1, size=plan.n)[:, None]
+for _ in range(7):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    ptransform.transform_elements(column, plan)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_transform_elements_faults_in_no_fresh_pages_per_call():
+    # A fresh interpreter with glibc's default malloc settings, so the heap
+    # starts from a known state.  The first call's freed blocks raise glibc's
+    # mmap threshold and the second grows the heap to the working size; past
+    # that, blocks of _ROW_BLOCK rows keep the heap's free top below the trim
+    # threshold, so no call hands pages back and faults them in again.
+    # 16,384-row blocks fault in about 1,450 pages a call.
+    src = Path(ptransform.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", FAULTS_PER_CALL], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    faults = [int(line) for line in done.stdout.split()]
+    assert len(faults) == 7 and max(faults[2:]) < 50, faults
 
 
 def test_transform_elements_at_indices(monkeypatch, plan13):
