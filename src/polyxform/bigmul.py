@@ -244,36 +244,24 @@ def karatsuba_mul(a: BigNat, b: BigNat) -> Tuple[BigNat, int]:
     return BigNat(product), ops
 
 
-def pack(
-    a: BigNat, limb_bits: int, length: int, modulus: Optional[int] = None
-) -> np.ndarray:
+def pack(a: BigNat, limb_bits: int, length: int) -> np.ndarray:
     """a as `length` uint64 coefficients of limb_bits bits each, least significant first.
 
-    When a convolution modulus is given, refuse packings whose worst-case
-    convolution coefficient could reach it.  Read in order, the limbs' bits
-    form one bit string, so repacking is one numpy unpack and one pack,
-    linear in the bit length.
+    Read in order, the coefficients' bits form one bit string, so one numpy
+    unpack cuts it into rows of limb_bits bits and one pack of those rows,
+    zero-filled to 64 bits, gives the coefficients, linear in the bit length.
     """
     if not 1 <= limb_bits <= 64:
         raise UsageError("limb_bits must be 1 to 64")
     if a.bit_length > limb_bits * length:
         raise UsageError("number does not fit in length * limb_bits bits")
-    if modulus is not None:
-        worst = length * ((1 << limb_bits) - 1) ** 2
-        if worst >= modulus:
-            raise OverflowRisk(
-                f"worst convolution coefficient {worst} >= modulus {modulus}"
-            )
-    data = a.value.to_bytes(-(-a.bit_length // 8), "little")
-    stream = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
     filled = -(-a.bit_length // limb_bits)  # coefficients past these are zero
-    nbytes = 1 << max(0, (limb_bits - 1).bit_length() - 3)  # 1, 2, 4 or 8 bytes a coefficient
-    cut = np.zeros(filled * limb_bits, dtype=np.uint8)
-    cut[: a.bit_length] = stream[: a.bit_length]
-    grid = np.zeros((filled, 8 * nbytes), dtype=np.uint8)
-    grid[:, :limb_bits] = cut.reshape(filled, limb_bits)
+    data = np.frombuffer(a.value.to_bytes(-(-a.bit_length // 8), "little"), np.uint8)
+    grid = np.zeros((filled, 64), dtype=np.uint8)
+    grid[:, :limb_bits] = np.unpackbits(data, count=filled * limb_bits,
+                                        bitorder="little").reshape(filled, limb_bits)
     out = np.zeros(length, dtype=np.uint64)
-    out[:filled] = np.packbits(grid, axis=1, bitorder="little").view(f"<u{nbytes}").ravel()
+    out[:filled] = np.packbits(grid, axis=1, bitorder="little").view("<u8").ravel()
     return out
 
 
@@ -309,12 +297,6 @@ def _naturals(values: Sequence[int]) -> np.ndarray:
     return ptransform._as_array(values, [(None,)], 0, 2**63, "NTT input")
 
 
-def _mod_prime(x: np.ndarray) -> np.ndarray:
-    """x mod NTT_PRIME for integer x >= 0, as x - (x // P)·P: numpy divides
-    an integer array by a scalar with a multiply, and its % does not."""
-    return x - x // NTT_PRIME * NTT_PRIME
-
-
 def _ntt_tables(n: int) -> list:
     """Each pass's tables for a length-n transform: the low and high 16 bits
     of its radix-point DFT matrix, stacked as (2, radix, radix) float64, and
@@ -329,7 +311,7 @@ def _ntt_tables(n: int) -> list:
         step, factors = pow(root, len(powers), NTT_PRIME), [1]
         while len(factors) < min(NTT_RADIX, n // len(powers)):
             factors.append(factors[-1] * step % NTT_PRIME)
-        powers = _mod_prime(np.multiply.outer(factors, powers)).ravel()
+        powers = ptransform._reduce(np.multiply.outer(factors, powers), NTT_PRIME).ravel()
     passes, width = [], n
     while width > 1:
         radix = min(NTT_RADIX, width)
@@ -367,17 +349,18 @@ def _ntt(values: np.ndarray, passes: list, invert: bool = False) -> np.ndarray:
     the end of the row, and one digit reversal puts the outputs in order.
     The inverse is the forward transform read at -k mod n, scaled by 1/n.
     """
-    a = _mod_prime(values)
+    a = values % NTT_PRIME
     for split, twiddles in passes:
         radix, rest = twiddles.shape
         low, high = (split @ a.reshape(radix, -1).astype(np.float64)).astype(np.int64)
-        y = _mod_prime((_mod_prime(high) << 16) + low)
+        y = ptransform._reduce((ptransform._reduce(high, NTT_PRIME) << 16) + low, NTT_PRIME)
         if rest > 1:  # the last pass's twiddles are all 1
-            y = _mod_prime(y.reshape(radix, rest, -1) * twiddles[:, :, None])
+            y = ptransform._reduce(y.reshape(radix, rest, -1) * twiddles[:, :, None], NTT_PRIME)
         a = y.reshape(radix, -1).T
     a = a.reshape([len(twiddles) for _, twiddles in passes]).transpose().ravel()
     if invert:
-        a = _mod_prime(np.concatenate([a[:1], a[:0:-1]]) * pow(len(a), NTT_PRIME - 2, NTT_PRIME))
+        scale = pow(len(a), NTT_PRIME - 2, NTT_PRIME)
+        a = ptransform._reduce(np.concatenate([a[:1], a[:0:-1]]) * scale, NTT_PRIME)
     return a
 
 
@@ -388,7 +371,7 @@ def ntt_convolve(x: Sequence[int], y: Sequence[int]) -> np.ndarray:
     if len(x) != len(y):
         raise UsageError("vectors must have equal length")
     tables = _ntt_tables(len(x))
-    product = _mod_prime(_ntt(x, tables) * _ntt(y, tables))
+    product = ptransform._reduce(_ntt(x, tables) * _ntt(y, tables), NTT_PRIME)
     return _ntt(product, tables, invert=True).view(np.uint64)
 
 
@@ -428,11 +411,16 @@ class MulReport:
 
 
 def _ntt_mul(a: BigNat, b: BigNat, limb_bits: int) -> Tuple[BigNat, int]:
-    """Product and its radix-2 butterfly count: length/2 per stage, three transforms."""
+    """Product and its radix-2 butterfly count: length/2 per stage, three
+    transforms.  Each convolution coefficient is at most
+    length·(2^limb_bits − 1)², so a pair where that reaches NTT_PRIME is
+    refused with OverflowRisk before anything is packed."""
     total_bits = max(a.bit_length + b.bit_length, 1)
     length = 1 << (-(-total_bits // limb_bits) - 1).bit_length()  # least power of two that fits
-    xa = pack(a, limb_bits, length, modulus=NTT_PRIME)
-    xb = pack(b, limb_bits, length, modulus=NTT_PRIME)
+    worst = length * ((1 << limb_bits) - 1) ** 2
+    if worst >= NTT_PRIME:
+        raise OverflowRisk(f"worst convolution coefficient {worst} >= modulus {NTT_PRIME}")
+    xa, xb = pack(a, limb_bits, length), pack(b, limb_bits, length)
     product = BigNat.from_int(carry_propagate(ntt_convolve(xa, xb), limb_bits))
     return product, 3 * (length // 2) * (length.bit_length() - 1)
 

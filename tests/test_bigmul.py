@@ -31,6 +31,18 @@ from polyxform.bigmul import (
 from polyxform.errors import OverflowRisk, UsageError
 
 
+def test_ntt_length_without_a_root_of_unity_is_refused_before_allocating():
+    # NTT_PRIME - 1 = 15 * 2^27, so 2^28 points have no root of unity
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match="has no root of unity"):
+            bigmul._ntt_tables(2**28)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_ntt_modulus_constants():
     assert NTT_PRIME == 15 * 2**27 + 1
     assert pow(NTT_ROOT, NTT_PRIME - 1, NTT_PRIME) == 1
@@ -133,13 +145,24 @@ def test_pack_matches_loop_reference(width):
                 pack(BigNat.from_int(value), width, fit - 1)
 
 
-def test_pack_refuses_at_the_modulus_bound():
-    n = BigNat.from_int(0xABCD)
-    worst = 64 * 255**2
-    message = f"worst convolution coefficient {worst} >= modulus {worst}"
-    with pytest.raises(OverflowRisk, match=message):
-        pack(n, 8, 64, modulus=worst)
-    assert pack(n, 8, 64, modulus=worst + 1)[:2].tolist() == [0xCD, 0xAB]
+def test_ntt_refuses_at_the_modulus_bound_before_packing(monkeypatch):
+    packed = []
+    real = bigmul.pack
+    monkeypatch.setattr(bigmul, "pack", lambda *args: packed.append(args[1:]) or real(*args))
+    # a 131,072-bit product in 8-bit digits: length 16,384, worst 16,384 * 255^2 < NTT_PRIME
+    a = BigNat.from_int((1 << 65_536) - 1)
+    assert transform_mul(a, a, MulBackend(ORACLE_NTT)).verdict == "match"
+    assert packed == [(8, 16_384)] * 2
+    # one bit more pads to length 32,768: 32,768 * 255^2 = 2,130,739,200
+    b = BigNat.from_int((1 << 65_537) - 1)
+    with pytest.raises(OverflowRisk, match=f"worst convolution coefficient 2130739200 "
+                                           f">= modulus {NTT_PRIME}$"):
+        transform_mul(b, a, MulBackend(ORACLE_NTT))
+    # 16-bit digits pass the bound at length 1: (2^16 - 1)^2 = 4,294,836,225
+    with pytest.raises(OverflowRisk, match=f"worst convolution coefficient 4294836225 "
+                                           f">= modulus {NTT_PRIME}$"):
+        _ntt_mul(BigNat(1), BigNat(1), 16)
+    assert packed == [(8, 16_384)] * 2  # a refused pair never reaches pack
 
 
 def test_limb_widths_beyond_one_to_64_are_refused():
@@ -267,15 +290,6 @@ def test_pack_golden():
     assert pack(n, 4, 4).tolist() == [0xD, 0xC, 0xB, 0xA]
     with pytest.raises(UsageError):
         pack(n, 4, 3)  # does not fit
-
-
-def test_pack_overflow_risk():
-    n = BigNat.from_int(1)
-    # 64 coefficients of 16 bits: worst coefficient 64 * (2^16-1)^2 > NTT_PRIME
-    with pytest.raises(OverflowRisk):
-        pack(n, 16, 64, modulus=NTT_PRIME)
-    # 8-bit coefficients are safe at this length
-    assert pack(n, 8, 64, modulus=NTT_PRIME)[0] == 1
 
 
 @given(st.integers(min_value=0, max_value=2**256), st.sampled_from([4, 8, 12]))

@@ -274,8 +274,8 @@ def test_mul_usage_errors(capsys, monkeypatch):
     ("bench", "--sizes", "300000", "--backends", "oracle-ntt", "--repetitions", "1"),
 ])
 def test_refused_operand_pair_is_a_usage_error(capsys, argv):
-    # pack's OverflowRisk refuses the pair before any product is compared, so
-    # it is the caller's error (exit 2), not an oracle mismatch (exit 4)
+    # _ntt_mul's OverflowRisk refuses the pair before anything is packed or
+    # compared, so it is the caller's error (exit 2), not an oracle mismatch (exit 4)
     assert main(list(argv)) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
@@ -686,13 +686,14 @@ def test_refused_format_leaves_the_ledger_as_it_was(capsys, tmp_path):
     "text",
     [
         "{not json",
+        json.dumps({"ledger_version": 2, "claims": []}),  # a version this code cannot read
         json.dumps({"ledger_version": 1}),  # no claims
         json.dumps({"ledger_version": 1, "claims": [{"claim_id": "x"}]}),  # missing fields
         json.dumps({"ledger_version": 1, "claims": [
             {**dataclasses.asdict(claims.load_ledger(LEDGER_SRC)[0]), "colour": "red"}
         ]}),  # unknown field
     ],
-    ids=["invalid-json", "no-claims", "missing-fields", "unknown-field"],
+    ids=["invalid-json", "version-2", "no-claims", "missing-fields", "unknown-field"],
 )
 def test_malformed_ledger_is_a_usage_error(capsys, tmp_path, text):
     ledger = tmp_path / "ledger.json"
@@ -707,3 +708,24 @@ def test_malformed_ledger_is_a_usage_error(capsys, tmp_path, text):
     assert code == EXIT_USAGE and captured.out == ""
     assert captured.err.startswith("usage error:") and "Traceback" not in captured.err
     assert ledger.read_text() == text
+
+
+def test_ledger_refuses_an_unknown_verdict_or_claim(tmp_path):
+    ledger = tmp_path / "ledger.json"
+    shutil.copy(LEDGER_SRC, ledger)
+    with pytest.raises(UsageError, match="verdict must be one of"):
+        claims.set_verdict("s5-multiplication", "proven", "", path=ledger)
+    for refused in (lambda: claims.set_verdict("no-such-claim", "pending", "", path=ledger),
+                    lambda: claims.get_entry("no-such-claim", path=ledger)):
+        with pytest.raises(UsageError, match="no ledger entry with id 'no-such-claim'"):
+            refused()
+    assert ledger.read_bytes() == LEDGER_SRC.read_bytes()
+
+
+def test_backend_mismatch_in_bench_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(bigmul, "schoolbook_mul", lambda a, b: bigmul.BigNat(0))
+    code = main(["bench", "--sizes", "64", "--backends", "schoolbook", "--repetitions", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_MISMATCH, "")
+    assert "error: backend schoolbook mismatched at 64 bits" in captured.err
+    assert "Traceback" not in captured.err

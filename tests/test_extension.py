@@ -112,6 +112,13 @@ def test_inv_zero_raises():
         ext_inv(CTX.zero)
 
 
+def test_inv_over_a_cube_y_refuses_a_zero_divisor():
+    # y = 1 is a cube mod 7, so t^3 - 1 = (t - 1)(t^2 + t + 1) and 1 - t divides zero
+    ring = ExtensionContext(P7, P7.residue(1))
+    with pytest.raises(NotInvertible):
+        ext_inv(ring.element(1, 6, 0))
+
+
 def test_reduce_at_golden():
     # 31 = 1 mod 3 and 2 has cube roots mod 31: 20^3 = 8000 = 2 mod 31
     q31 = PrimeModulus(31)

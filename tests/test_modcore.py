@@ -61,6 +61,8 @@ def test_pow_mod_examples():
     assert pow_mod(q.residue(2), 10).value == 1
     assert pow_mod(q.residue(7), 0).value == 1
     assert pow_mod(q.residue(7), 1).value == 7
+    with pytest.raises(UsageError):
+        pow_mod(q.residue(7), -1)
 
 
 def test_inv_mod_examples():
@@ -97,6 +99,15 @@ def test_crt_exhaustive_small():
 def test_crt_rejects_noncoprime():
     with pytest.raises(UsageError):
         CrtBasis.of([6, 9])
+
+
+@pytest.mark.parametrize("residues, message", [
+    ([2], "residue count"), ([2, 3, 0], "residue count"),
+    ([3, 3], "residue 3 out of range"), ([-1, 3], "residue -1 out of range"),
+], ids=["too-few", "too-many", "too-large", "negative"])
+def test_crt_rejects_residues_that_do_not_fit_the_basis(residues, message):
+    with pytest.raises(UsageError, match=message):
+        crt_reconstruct(residues, CrtBasis.of([3, 5]))
 
 
 @given(st.integers(min_value=0, max_value=10**30 - 1))

@@ -6,7 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from polyxform import oracles
+from polyxform.errors import UsageError
+from polyxform.modcore import PrimeModulus
 
 PROGRAM_ONLY = {"ptransform", "bigmul", "cli", "claims"}
 
@@ -36,3 +40,19 @@ def test_oracles_import_no_pipeline_module():
             imported |= {(node.module or "").split(".")[-1]} | {a.name for a in node.names}
     assert {"modcore", "extension"} <= imported  # the walk sees the imports there are
     assert not imported & PROGRAM_ONLY
+
+
+Q5, Q11 = PrimeModulus(5), PrimeModulus(11)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: oracles.cube_root_fermat(Q5.residue(2), Q11), "residue modulus does not match q"),
+    (lambda: oracles.build_recovery([Q5.residue(2), Q11.residue(3)]),
+     "roots must share one modulus"),
+    (lambda: oracles.recover_components(
+        [Q5.residue(1)], oracles.build_recovery([Q5.residue(2), Q5.residue(3)])),
+     "evaluation count does not match"),
+], ids=["cube-root-moduli", "recovery-mixed-moduli", "recovery-count"])
+def test_oracles_refuse_arguments_from_mixed_or_wrong_sizes(call, message):
+    with pytest.raises(UsageError, match=message):
+        call()

@@ -21,6 +21,7 @@ def test_sieve_golden_30():
 def test_sieve_tiny():
     assert sieve_atkin(2).primes == (2,)
     assert sieve_atkin(1).primes == ()
+    assert trial_division_primes(1).primes == ()
 
 
 def test_sieve_against_trial_division_random_limits():
@@ -47,12 +48,15 @@ def test_doubling_estimate_golden():
     assert doubling_estimate(1000) == 16
     assert doubling_estimate(1) == 1
     assert doubling_estimate(8) == 2
+    with pytest.raises(ValueError):
+        doubling_estimate(0)
 
 
 def test_next_prime():
     assert next_prime_at_or_above(16).q == 17
     assert next_prime_at_or_above(17).q == 17
     assert next_prime_at_or_above(90).q == 97
+    assert next_prime_at_or_above(-5).q == 2
 
 
 def test_cost_model_golden():
@@ -60,6 +64,8 @@ def test_cost_model_golden():
     assert cost_model(3).sum_q_squared == 4
     expected = sum(q * math.log(q) for q in (2, 3, 5, 7))
     assert cost_model(10).sum_q_log_q == pytest.approx(expected, rel=1e-9)
+    with pytest.raises(ValueError):
+        cost_model(1)
 
 
 def test_cost_model_scaling():

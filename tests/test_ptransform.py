@@ -97,6 +97,28 @@ def test_plan_slot_invariants(plan13):
             assert multiplicative_order(slot.q.residue(w), q - 1) == period
 
 
+def test_slot_rule_matches_the_boxed_cube_table(plan13):
+    # every prime up to MAX_SCAN_FACTOR * 13, judged by oracles.cube_table
+    y, omega, omega_inv = plan13.y, plan13.omega, plan13.omega**-1
+    accepted = []
+    for q in filter(is_prime, range(2, ptransform.MAX_SCAN_FACTOR * 13 + 1)):
+        if q == 13:
+            continue
+        modulus = PrimeModulus(q)
+        roots = oracles.cube_table(modulus)[modulus.residue(y.value)]
+        usable = (len(roots) == 3 and 0 not in [r.value for r in roots]
+                  and all(w.reduce_at(r).value for w in (omega, omega_inv) for r in roots))
+        slot = ptransform._try_slot(modulus, y, omega, omega_inv)
+        assert (slot is not None) == usable, q
+        if usable:
+            assert slot.roots == tuple(r.value for r in roots)
+            accepted.append(q)
+    assert accepted[:5] == [s.q.q for s in plan13.slots]
+    # y = 0 mod q leaves no nonzero cube root
+    seven = PrimeModulus(7)
+    assert ptransform._try_slot(seven, PrimeModulus(13).residue(7), omega, omega_inv) is None
+
+
 def test_slots_hold_plain_integers(plan7, plan13):
     # boxed values belong at the API and in the oracles, not in a plan's slots
     fields = {f.name for f in dataclasses.fields(ptransform.PTPrimeSlot)}

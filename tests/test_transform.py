@@ -23,6 +23,8 @@ def test_multiplicative_order_golden():
     assert multiplicative_order(q.residue(6), 6) == 2
     assert multiplicative_order(q.residue(2), 6) == 3
     assert multiplicative_order(q.residue(3), 6) == 6
+    with pytest.raises(UsageError):  # 3 has order 6 mod 7, which does not divide 4
+        multiplicative_order(q.residue(3), 4)
 
 
 def test_multiplicative_order_exhaustive_small_fields():
@@ -42,6 +44,8 @@ def test_find_root_of_order_golden():
     assert find_root_of_order(4, q13).value == 5
     with pytest.raises(NoSuchRoot):
         find_root_of_order(5, q13)
+    with pytest.raises(UsageError):
+        find_root_of_order(0, q13)
 
 
 def test_find_root_of_order_all_divisors():
