@@ -16,6 +16,7 @@ oracle's `*`.  Their counts are still 64-bit limb products.
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -290,17 +291,12 @@ def carry_propagate(coeffs: Sequence[int], limb_bits: int) -> int:
 
 # --- NTT convolution backend -------------------------------------------
 
-def _naturals(values: Sequence[int]) -> np.ndarray:
-    """values, integers in [0, 2^63) as a list or an array of any integer
-    dtype, pack's uint64 included, checked by ptransform._as_array: the one
-    way into the NTT, as int64."""
-    return ptransform._as_array(values, [(None,)], 0, 2**63, "NTT input")
-
-
-def _ntt_tables(n: int) -> list:
-    """Each pass's tables for a length-n transform: the low and high 16 bits
-    of its radix-point DFT matrix, stacked as (2, radix, radix) float64, and
-    its (radix, rest) int64 twiddles w^(k·j), for w of order radix·rest."""
+@functools.lru_cache(maxsize=1)
+def _ntt_tables(n: int) -> tuple:
+    """Each pass's tables for a length-n transform, kept read-only for the last
+    length asked: the low and high 16 bits of its radix-point DFT matrix as
+    (2, radix, radix) float64, and its (radix, rest) int64 twiddles w^(k·j),
+    for w of order radix·rest."""
     if n < 1 or n & (n - 1):
         raise UsageError("NTT length must be a power of two")
     if (NTT_PRIME - 1) % n:
@@ -316,26 +312,19 @@ def _ntt_tables(n: int) -> list:
     while width > 1:
         radix = min(NTT_RADIX, width)
         k = np.arange(radix)[:, None]
-        if not passes or radix < NTT_RADIX:  # passes of one radix share its DFT matrix
-            dft = powers[n // radix * ((k * k.T) & (radix - 1))]
-            split = np.stack([dft & 0xFFFF, dft >> 16]).astype(np.float64)
+        dft = powers[n // radix * ((k * k.T) & (radix - 1))]
         width //= radix
-        passes.append((split, powers[n // (radix * width) * (k * np.arange(width))]))
-    return passes
+        passes.append((ptransform._held(np.stack([dft & 0xFFFF, dft >> 16]).astype(np.float64)),
+                       ptransform._held(powers[n // (radix * width) * (k * np.arange(width))])))
+    return tuple(passes)
 
 
 def ntt(values: Sequence[int], invert: bool = False) -> np.ndarray:
     """Transform mod NTT_PRIME, in passes of radix NTT_RADIX (length a power
-    of two), of integers in [0, 2^63), as uint64.  Every input passes
-    _naturals' check, so a uint64 entry of 2^63 or more is refused, as the
-    same value in a list is."""
-    x = _naturals(values)
-    return _ntt(x, _ntt_tables(len(x)), invert).view(np.uint64)
-
-
-def _ntt(values: np.ndarray, passes: list, invert: bool = False) -> np.ndarray:
-    """The transform of an int64 array of entries in [0, 2^63), with the pass
-    tables of its length, as int64 in [0, P).
+    of two), of integers in [0, 2^63), as uint64: the one way into the NTT.
+    Every input, a list or an array of any integer dtype, pack's uint64
+    included, passes ptransform._as_array's check, so a uint64 entry of 2^63
+    or more is refused, as the same value in a list is.
 
     A pass views each row of the data as (radix digit, rest) and takes the
     radix-point DFT over the digit as a float64 product with each 16-bit
@@ -349,7 +338,8 @@ def _ntt(values: np.ndarray, passes: list, invert: bool = False) -> np.ndarray:
     the end of the row, and one digit reversal puts the outputs in order.
     The inverse is the forward transform read at -k mod n, scaled by 1/n.
     """
-    a = values % NTT_PRIME
+    a = ptransform._as_array(values, [(None,)], 0, 2**63, "NTT input") % NTT_PRIME
+    passes = _ntt_tables(len(a))
     for split, twiddles in passes:
         radix, rest = twiddles.shape
         low, high = (split @ a.reshape(radix, -1).astype(np.float64)).astype(np.int64)
@@ -361,18 +351,16 @@ def _ntt(values: np.ndarray, passes: list, invert: bool = False) -> np.ndarray:
     if invert:
         scale = pow(len(a), NTT_PRIME - 2, NTT_PRIME)
         a = ptransform._reduce(np.concatenate([a[:1], a[:0:-1]]) * scale, NTT_PRIME)
-    return a
+    return a.view(np.uint64)
 
 
 def ntt_convolve(x: Sequence[int], y: Sequence[int]) -> np.ndarray:
-    """Exact cyclic convolution mod NTT_PRIME of two equal-length vectors, as uint64;
-    the three transforms share one build of the tables."""
-    x, y = _naturals(x), _naturals(y)
-    if len(x) != len(y):
+    """Exact cyclic convolution mod NTT_PRIME of two equal-length vectors, as
+    uint64: two forward ntt calls, a pointwise product and one inverse call."""
+    fx, fy = ntt(x), ntt(y)
+    if len(fx) != len(fy):
         raise UsageError("vectors must have equal length")
-    tables = _ntt_tables(len(x))
-    product = ptransform._reduce(_ntt(x, tables) * _ntt(y, tables), NTT_PRIME)
-    return _ntt(product, tables, invert=True).view(np.uint64)
+    return ntt(ptransform._reduce(fx * fy, NTT_PRIME), invert=True)
 
 
 # --- backend dispatch ---------------------------------------------------

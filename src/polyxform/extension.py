@@ -162,7 +162,7 @@ def ext_mul_array(a, b, ctx: ExtensionContext) -> np.ndarray:
 def ext_powers(u: ExtensionElement, count: int) -> np.ndarray:
     """u^k for k < count as a (count, 3) int64 array, by doubling."""
     table = np.zeros((count, 3), dtype=np.int64)
-    table[0, 0] = 1
+    table[:1, 0] = 1
     m = 1
     while m < count:
         step = ext_mul_array(table[m - 1], u.coeffs, u.context)  # u^m

@@ -43,11 +43,13 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True, order=True)
 class PrimeModulus:
-    """An odd (or 2) prime modulus, primality-checked at construction."""
+    """An odd (or 2) prime modulus: a Python int, primality-checked at construction."""
 
     q: int
 
     def __post_init__(self):
+        if type(self.q) is not int:
+            raise UsageError(f"a prime modulus is a Python int, not {type(self.q).__name__}")
         if self.q < 2 or not is_prime(self.q):
             raise UsageError(f"{self.q} is not prime")
 
@@ -83,9 +85,6 @@ class Residue:
 
     def __mul__(self, other: "Residue") -> "Residue":
         return mul_mod(self, other)
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value % self.q, self.modulus)
 
     def __pow__(self, e: int) -> "Residue":
         return pow_mod(self, e) if e >= 0 else pow_mod(inv_mod(self), -e)

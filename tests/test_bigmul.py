@@ -431,8 +431,39 @@ def test_ntt_convolve_matches_direct():
             for j in range(n)
         ]
         assert ntt_convolve(x, y).tolist() == direct
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="vectors must have equal length"):
         ntt_convolve([1, 2], [1, 2, 3, 4])
+    # each operand is transformed before the lengths are compared
+    with pytest.raises(UsageError, match="NTT length must be a power of two"):
+        ntt_convolve([1, 2, 3, 4], [1, 2, 3])
+
+
+def test_oracle_ntt_multiply_runs_its_three_transforms_through_ntt(monkeypatch):
+    calls = []
+    real = bigmul.ntt
+
+    def counting(values, invert=False):
+        calls.append(invert)
+        return real(values, invert)
+
+    monkeypatch.setattr(bigmul, "ntt", counting)
+    rng = random.Random(83)
+    a, b = BigNat(rng.getrandbits(10_000)), BigNat(rng.getrandbits(10_000))
+    assert transform_mul(a, b, MulBackend(ORACLE_NTT)).verdict == "match"
+    assert calls == [False, False, True]
+
+
+def test_ntt_tables_are_built_once_per_length_and_read_only():
+    rng = random.Random(89)
+    x, y = ([rng.randrange(256) for _ in range(4096)] for _ in range(2))
+    ntt_convolve([1, 2], [3, 4])  # another length, so the next call builds
+    misses = bigmul._ntt_tables.cache_info().misses
+    first = ntt_convolve(x, y)
+    assert ntt_convolve(x, y).tolist() == first.tolist()
+    assert bigmul._ntt_tables.cache_info().misses == misses + 1
+    for table in (array for pair in bigmul._ntt_tables(4096) for array in pair):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
 
 
 def test_ntt_mul_matches_python_from_zero_to_20000_bits():

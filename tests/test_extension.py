@@ -179,7 +179,7 @@ def test_mul_array_rejects_p_beyond_int64():
         ext_mul_array(np.ones(3, dtype=np.int64), np.ones(3, dtype=np.int64), ctx)
 
 
-@pytest.mark.parametrize("count", [1, 2, 5, 342])
+@pytest.mark.parametrize("count", [0, 1, 2, 5, 342])
 def test_powers_table_matches_ext_pow(count):
     u = CTX.element(3, 4, 5)
     table = ext_powers(u, count)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,12 @@ def test_prime_modulus_rejects_composites():
         PrimeModulus(15)
     with pytest.raises(UsageError):
         PrimeModulus(1)
+
+
+def test_prime_modulus_refuses_anything_but_an_int():
+    for q, name in ((13.0, "float"), (np.int64(13), "int64"), ("13", "str"), (True, "bool")):
+        with pytest.raises(UsageError, match=f"a prime modulus is a Python int, not {name}$"):
+            PrimeModulus(q)
 
 
 def test_residue_canonical_form_enforced():
