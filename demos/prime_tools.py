@@ -6,7 +6,7 @@ Run:  python demos/prime_tools.py
 
 import time
 
-from polyxform.primes import (
+from polyxform.modcore import (
     cost_model,
     doubling_estimate,
     next_prime_at_or_above,
@@ -17,9 +17,9 @@ from polyxform.primes import (
 limit = 1_000_000
 
 t0 = time.perf_counter()
-fast = sieve_atkin(limit).primes
+fast = sieve_atkin(limit)
 t1 = time.perf_counter()
-slow = trial_division_primes(limit).primes
+slow = trial_division_primes(limit)
 t2 = time.perf_counter()
 
 print(f"sieve of Atkin to {limit}: {len(fast)} primes in {t1 - t0:.3f}s")

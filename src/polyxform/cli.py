@@ -32,8 +32,7 @@ import numpy as np
 from . import bigmul, claims, ptransform
 from .errors import PolyxformError, PrimeSupplyExhausted, UsageError
 from .extension import is_cube
-from .modcore import PrimeModulus
-from .primes import cost_model, sieve_atkin, trial_division_primes
+from .modcore import PrimeModulus, cost_model, sieve_atkin, trial_division_primes
 
 SCHEMA_VERSION = 1
 
@@ -62,14 +61,13 @@ def _render(report: dict, fmt: str) -> str:
 # Each cmd_* returns (results, exit code, claim); claim is None or the
 # (claim_id, verdict, evidence) that --update-ledger records.
 def cmd_sieve(args) -> tuple:
-    table = sieve_atkin(args.limit)
-    oracle = trial_division_primes(args.limit)
+    primes = sieve_atkin(args.limit)
     results = {
         "limit": args.limit,
-        "count": len(table.primes),
-        "agreement": table.primes == oracle.primes,
-        "first": list(table.primes[:10]),
-        "last": list(table.primes[-3:]),
+        "count": len(primes),
+        "agreement": primes == trial_division_primes(args.limit),
+        "first": list(primes[:10]),
+        "last": list(primes[-3:]),
     }
     return results, EXIT_OK if results["agreement"] else EXIT_MISMATCH, None
 

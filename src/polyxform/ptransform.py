@@ -45,8 +45,7 @@ import numpy as np
 from .errors import PrimeSupplyExhausted, UsageError
 from .extension import (ExtensionContext, ExtensionElement, ext_mul_array, ext_powers,
                         find_extension_root_of_order, find_noncube, is_cube, multiplicative_order)
-from .modcore import PrimeModulus, Residue, is_prime
-from .primes import doubling_estimate, next_prime_at_or_above
+from .modcore import PrimeModulus, Residue, doubling_estimate, is_prime, next_prime_at_or_above
 
 PLAN_FORMAT_VERSION = 3
 PLAN_FIELDS = frozenset({"format_version", "p", "y", "omega", "coeff_bound", "primes"})

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import re
@@ -76,6 +77,14 @@ def test_plan_report_and_file(capsys, tmp_path):
 def test_plan_rejects_bad_p(capsys):
     code, _ = run(capsys, "plan", "--p", "11")
     assert code == EXIT_USAGE
+
+
+def test_plan_refuses_a_strong_pseudoprime_at_once(capsys):
+    # psi_12 is composite, 1 mod 3, and a strong pseudoprime to every base below 41
+    start = time.perf_counter()
+    code, out = run(capsys, "plan", "--p", "318665857834031151167461")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_plan_rejects_negative_coeff_bound(capsys, tmp_path):
@@ -400,6 +409,20 @@ def test_readme_layout_has_one_row_per_module():
     assert None not in named, rows
     modules = {path.stem for path in Path(cli.__file__).parent.glob("*.py")} - {"__init__"}
     assert sorted(m.group(1) for m in named) == sorted(modules)
+
+
+def test_the_library_raises_only_its_own_errors():
+    # a caller catches PolyxformError (UsageError for a bad argument); a bare
+    # ValueError or TypeError from the package would escape that handler
+    raised = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in ("ValueError", "TypeError"):
+                    raised.append(f"{path.name}:{node.lineno} {exc.id}")
+    assert raised == []
+
 
 def test_mul_pt_backend_runs_on_the_p7_plan(capsys, plan7_file):
     # every helper prime of a plan serves omega^-1 too, so the p = 7 plan

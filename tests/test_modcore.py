@@ -38,10 +38,38 @@ def test_prime_modulus_refuses_anything_but_an_int():
             PrimeModulus(q)
 
 
+# psi_12 = 399,165,290,221 x 798,330,580,441 is the least strong pseudoprime to
+# the first 12 prime bases; psi_13 fools the first 13 (Sorenson and Webster, 2017)
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_is_not_fooled_by_psi_12():
+    assert not is_prime(PSI_12)
+    assert is_prime(399165290221) and is_prime(798330580441)
+    with pytest.raises(UsageError, match="is not prime"):
+        PrimeModulus(PSI_12)
+
+
+def test_is_prime_refuses_what_its_witnesses_cannot_decide():
+    assert not is_prime(PSI_13 - 1)
+    for n in (PSI_13, PSI_13 + 2, 2**89 - 1):
+        with pytest.raises(UsageError, match="Miller-Rabin bound"):
+            is_prime(n)
+    for n in (7.0, np.int64(7), True):
+        with pytest.raises(UsageError, match="a primality candidate is a Python int"):
+            is_prime(n)
+
+
 def test_residue_canonical_form_enforced():
     with pytest.raises(UsageError):
         Residue(5, Q5)
     assert Q5.residue(-1).value == 4
+    for value, name in ((2.5, "float"), (True, "bool"), (np.int64(2), "int64")):
+        with pytest.raises(UsageError, match=f"a residue is a Python int, not {name}$"):
+            Q5.residue(value)
+        with pytest.raises(UsageError, match=f"a residue is a Python int, not {name}$"):
+            Residue(value, Q5)
 
 
 def test_mul_mod_examples():
@@ -70,6 +98,9 @@ def test_pow_mod_examples():
     assert pow_mod(q.residue(7), 1).value == 7
     with pytest.raises(UsageError):
         pow_mod(q.residue(7), -1)
+    for e in (2.0, True, np.int64(2)):
+        with pytest.raises(UsageError, match="an exponent is a Python int"):
+            pow_mod(q.residue(7), e)
 
 
 def test_inv_mod_examples():

@@ -50,6 +50,8 @@ def test_preprocess_rejects_bad_args():
         preprocess()  # neither n_target nor p
     with pytest.raises(UsageError, match="a prime modulus is a Python int, not float"):
         preprocess(p=13.0)
+    with pytest.raises(UsageError, match="a transform size is a Python int, not float"):
+        preprocess(n_target=300.5)
     # a plan file refuses all of these, so a plan may not hold them either;
     # 2^63 would admit input past int64
     for coeff_bound in (-1, 0, 2.5, 12.0, True, 2**63):
