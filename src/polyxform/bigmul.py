@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import OverflowRisk, UsageError
 from .extension import ext_mul_array
+from .modcore import _as_int
 from . import ptransform
 
 # NTT modulus: 15 * 2^27 + 1, primitive root 31.  Products of two values
@@ -63,8 +64,7 @@ class BigNat:
     value: int
 
     def __post_init__(self):
-        if type(self.value) is not int or self.value < 0:
-            raise UsageError("a BigNat is a Python int >= 0")
+        _as_int(self.value, "a BigNat", 0)
 
     @classmethod
     def from_int(cls, value: int) -> "BigNat":
@@ -252,9 +252,7 @@ def pack(a: BigNat, limb_bits: int, length: int) -> np.ndarray:
     unpack cuts it into rows of limb_bits bits and one pack of those rows,
     zero-filled to 64 bits, gives the coefficients, linear in the bit length.
     """
-    if not 1 <= limb_bits <= 64:
-        raise UsageError("limb_bits must be 1 to 64")
-    if a.bit_length > limb_bits * length:
+    if a.bit_length > _as_int(limb_bits, "limb_bits", 1, 65) * _as_int(length, "a length", 0):
         raise UsageError("number does not fit in length * limb_bits bits")
     filled = -(-a.bit_length // limb_bits)  # coefficients past these are zero
     data = np.frombuffer(a.value.to_bytes(-(-a.bit_length // 8), "little"), np.uint8)
@@ -273,8 +271,7 @@ def carry_propagate(coeffs: Sequence[int], limb_bits: int) -> int:
     Bits g*limb_bits up to (g+1)*limb_bits of every coefficient form one
     bit string without overlaps, so each such group packs into one integer.
     """
-    if limb_bits < 1:
-        raise UsageError("limb_bits must be >= 1")
+    _as_int(limb_bits, "limb_bits", 1)
     c = ptransform._as_array(coeffs, [(None,)], 0, 2**63, "convolution coefficients")
     c = np.ascontiguousarray(c, dtype="<i8")
     groups = -(-int(c.max(initial=0)).bit_length() // limb_bits)

@@ -34,7 +34,8 @@ class ClaimsLedgerEntry:
 
 
 def load_ledger(path: Optional[Path] = None) -> List[ClaimsLedgerEntry]:
-    """The ledger's claims; UsageError for a file that is not a ledger."""
+    """The ledger's claims; UsageError for a file that is not a ledger, among
+    them one with a field that is not a string or a verdict not in VERDICTS."""
     path = Path(path or DEFAULT_LEDGER_PATH)
     try:
         doc = json.loads(path.read_text())
@@ -44,9 +45,15 @@ def load_ledger(path: Optional[Path] = None) -> List[ClaimsLedgerEntry]:
     if version != LEDGER_VERSION:
         raise UsageError(f"unsupported ledger version {version!r}")
     try:
-        return [ClaimsLedgerEntry(**e) for e in doc["claims"]]
+        entries = [ClaimsLedgerEntry(**e) for e in doc["claims"]]
     except (KeyError, TypeError) as exc:  # no claims list, or a claim's fields wrong
         raise UsageError(f"malformed ledger {path}: {exc!r}") from exc
+    for fields in map(asdict, entries):
+        strings = all(isinstance(v, str) for v in fields.values())
+        if not strings or fields["verdict"] not in VERDICTS:
+            raise UsageError(f"malformed ledger {path}: a claim's fields are strings and its "
+                             f"verdict one of {VERDICTS}, not {fields!r}")
+    return entries
 
 
 def save_ledger(entries: List[ClaimsLedgerEntry], path: Optional[Path] = None) -> None:

@@ -32,7 +32,7 @@ import numpy as np
 from . import bigmul, claims, ptransform
 from .errors import PolyxformError, PrimeSupplyExhausted, UsageError
 from .extension import is_cube
-from .modcore import PrimeModulus, cost_model, sieve_atkin, trial_division_primes
+from .modcore import PrimeModulus, _as_int, cost_model, sieve_atkin, trial_division_primes
 
 SCHEMA_VERSION = 1
 
@@ -186,8 +186,8 @@ def singularity_experiment(q: PrimeModulus, trials: int, seed: int) -> dict:
     Trials are partitioned into fixed-size chunks with per-chunk seeds,
     counted in chunk order.
     """
-    if trials < 1:
-        raise UsageError("trials must be >= 1")
+    _as_int(trials, "trials", 1)
+    _as_int(seed, "a seed", 0)
     if q.q % 3 != 1:
         raise UsageError("3x3 singularity experiment needs q = 1 mod 3")
     chunk = 100_000

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy shared across the library.
+
+UsageError is the one class for a caller's bad argument (see modcore._as_int);
+a zero to invert, a singular matrix and a root the field lacks are usage
+errors too.  So the CLI's exit 4, for a PolyxformError that is neither a
+UsageError nor PrimeSupplyExhausted, means only an oracle mismatch.
+"""
 
 
 class PolyxformError(Exception):
@@ -7,26 +13,6 @@ class PolyxformError(Exception):
 
 class UsageError(PolyxformError):
     """Caller violated a precondition (mismatched moduli, bad arguments)."""
-
-
-class NotInvertible(PolyxformError):
-    """Element has no multiplicative inverse in the given ring."""
-
-
-class Singular(PolyxformError):
-    """Linear system has a singular matrix; carries the zero determinant."""
-
-    def __init__(self, message, determinant=0):
-        super().__init__(message)
-        self.determinant = determinant
-
-
-class NoncubeImpossible(PolyxformError):
-    """Every residue is a cube (modulus = 2 mod 3), so no non-cube exists."""
-
-
-class NoSuchRoot(PolyxformError):
-    """No root of unity of the requested order exists in the field."""
 
 
 class PrimeSupplyExhausted(PolyxformError):

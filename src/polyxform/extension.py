@@ -21,8 +21,8 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
-from .errors import NoncubeImpossible, NoSuchRoot, NotInvertible, UsageError
-from .modcore import PrimeModulus, Residue
+from .errors import UsageError
+from .modcore import PrimeModulus, Residue, _as_int
 
 
 def is_cube(x: Residue) -> bool:
@@ -43,9 +43,7 @@ def find_noncube(p: PrimeModulus, rng_seed: int = None) -> Residue:
     have density 2/3, so either way a handful of attempts suffices.
     """
     if p.q % 3 != 1:
-        raise NoncubeImpossible(
-            f"p = {p.q} is 2 mod 3 (or 3); cubing is a bijection"
-        )
+        raise UsageError(f"p = {p.q} is 2 mod 3 (or 3); cubing is a bijection")
     if rng_seed is None:
         candidates = range(2, p.q)
     else:
@@ -71,7 +69,7 @@ class ExtensionContext:
 
     def element(self, a0: int, a1: int = 0, a2: int = 0) -> "ExtensionElement":
         q = self.p.q
-        return ExtensionElement((a0 % q, a1 % q, a2 % q), self)
+        return ExtensionElement(tuple(_as_int(a, "a coefficient") % q for a in (a0, a1, a2)), self)
 
     @property
     def one(self) -> "ExtensionElement":
@@ -161,7 +159,7 @@ def ext_mul_array(a, b, ctx: ExtensionContext) -> np.ndarray:
 
 def ext_powers(u: ExtensionElement, count: int) -> np.ndarray:
     """u^k for k < count as a (count, 3) int64 array, by doubling."""
-    table = np.zeros((count, 3), dtype=np.int64)
+    table = np.zeros((_as_int(count, "a power count", 0), 3), dtype=np.int64)
     table[:1, 0] = 1
     m = 1
     while m < count:
@@ -173,7 +171,7 @@ def ext_powers(u: ExtensionElement, count: int) -> np.ndarray:
 
 def ext_pow(u: ExtensionElement, e: int) -> ExtensionElement:
     """u**e by square-and-multiply."""
-    if e < 0:
+    if _as_int(e, "an exponent") < 0:
         return ext_pow(ext_inv(u), -e)
     result = u.context.one
     base = u
@@ -188,12 +186,10 @@ def ext_pow(u: ExtensionElement, e: int) -> ExtensionElement:
 def ext_inv(u: ExtensionElement) -> ExtensionElement:
     """Inverse via the group order p^3 - 2 exponent (field case only)."""
     if u.coeffs == (0, 0, 0):
-        raise NotInvertible("zero has no inverse")
+        raise UsageError("zero has no inverse")
     inv = ext_pow(u, u.context.group_order - 1)
     if ext_mul(inv, u) != u.context.one:
-        raise NotInvertible(
-            f"{u.coeffs} not invertible; is y a non-cube mod p?"
-        )
+        raise UsageError(f"{u.coeffs} not invertible; is y a non-cube mod p?")
     return inv
 
 
@@ -237,8 +233,8 @@ def find_extension_root_of_order(
     certificate is left to callers at scales where it is affordable.
     """
     group = ctx.group_order
-    if group % n != 0:
-        raise NoSuchRoot(f"{n} does not divide p^3 - 1 = {group}")
+    if group % _as_int(n, "an order", 1) != 0:
+        raise UsageError(f"{n} does not divide p^3 - 1 = {group}")
     factors = _prime_factors(group)
     one = ctx.one
     p = ctx.p.q
@@ -248,4 +244,4 @@ def find_extension_root_of_order(
                 g = ctx.element(a0, a1, a2)
                 if all(ext_pow(g, group // r) != one for r in factors):
                     return ext_pow(g, group // n)
-    raise NoSuchRoot("no generator found; is the extension a field?")
+    raise UsageError("no generator found; is the extension a field?")

@@ -7,8 +7,9 @@ The sieve of Atkin is the production path to the primes below a limit;
 `trial_division_primes` is the independent oracle it is checked against.
 The doubling estimate and the next prime at or above it pick a plan's base
 prime p; the helper-prime scan lives with the plan builder in `ptransform`.
-Every integer argument is a Python int in range; anything else (a bool, a
-float, a numpy integer) is refused with UsageError.
+`_as_int` is the library's one check of a scalar integer argument: a
+Python int in range, or UsageError for anything else (a bool, a float, a
+numpy integer, a value out of range).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import NotInvertible, UsageError
+from .errors import UsageError
 
 # Deterministic Miller-Rabin witnesses: the first 13 primes decide every
 # n below psi_13, the least strong pseudoprime to all of them (Sorenson and
@@ -29,10 +30,15 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981  # psi_13
 
 
-def _as_int(value, what: str) -> int:
-    """value itself if it is a Python int (not a bool, a float or a numpy integer)."""
+def _as_int(value, what: str, low: int = None, high: int = None) -> int:
+    """value itself if it is a Python int (not a bool, a float or a numpy
+    integer) in [low, high), where a bound left as None is open."""
     if type(value) is not int:
         raise UsageError(f"{what} is a Python int, not {type(value).__name__}")
+    if (low is not None and value < low) or (high is not None and value >= high):
+        bounds = (f">= {low}" if high is None else f"< {high}" if low is None
+                  else f"in [{low}, {high})")
+        raise UsageError(f"{what} must be {bounds}, not {value}")
     return value
 
 
@@ -89,8 +95,7 @@ class Residue:
     modulus: PrimeModulus
 
     def __post_init__(self):
-        if not 0 <= _as_int(self.value, "a residue") < self.modulus.q:
-            raise UsageError(f"{self.value} not canonical mod {self.modulus.q}")
+        _as_int(self.value, "a residue", 0, self.modulus.q)
 
     @property
     def q(self) -> int:
@@ -108,7 +113,7 @@ class Residue:
         return mul_mod(self, other)
 
     def __pow__(self, e: int) -> "Residue":
-        return pow_mod(self, e) if e >= 0 else pow_mod(inv_mod(self), -e)
+        return pow_mod(self, e) if _as_int(e, "an exponent") >= 0 else pow_mod(inv_mod(self), -e)
 
     def __repr__(self):
         return f"{self.value} mod {self.q}"
@@ -127,15 +132,13 @@ def mul_mod(a: Residue, b: Residue) -> Residue:
 
 def pow_mod(a: Residue, e: int) -> Residue:
     """a**e mod q by square-and-multiply (O(log e) multiplications)."""
-    if _as_int(e, "an exponent") < 0:
-        raise UsageError("negative exponent; use inv_mod first")
-    return Residue(pow(a.value, e, a.q), a.modulus)
+    return Residue(pow(a.value, _as_int(e, "an exponent", 0), a.q), a.modulus)
 
 
 def inv_mod(a: Residue) -> Residue:
     """Multiplicative inverse, by Python's pow(a, -1, q)."""
     if a.value == 0:
-        raise NotInvertible(f"0 mod {a.q} has no inverse")
+        raise UsageError(f"0 mod {a.q} has no inverse")
     return Residue(pow(a.value, -1, a.q), a.modulus)
 
 
@@ -206,8 +209,7 @@ def doubling_estimate(n: int) -> int:
     The companion cube estimate is multiplied by 8 each step, so both
     updates are bit shifts.
     """
-    if _as_int(n, "a transform size") < 1:
-        raise UsageError(f"a transform size must be >= 1, not {n}")
+    _as_int(n, "a transform size", 1)
     p0 = 1
     n0 = 1  # p0 ** 3, maintained by shifts
     while n0 < n:
@@ -227,8 +229,7 @@ def next_prime_at_or_above(x: int) -> PrimeModulus:
 
 def cost_model(bound: int) -> CostEstimate:
     """Exact sums over primes q < bound: sum q*ln(q) (float) and sum q^2 (int)."""
-    if _as_int(bound, "a cost-model bound") < 2:
-        raise UsageError(f"a cost-model bound must be >= 2, not {bound}")
+    _as_int(bound, "a cost-model bound", 2)
     primes = [p for p in sieve_atkin(bound) if p < bound]
     return CostEstimate(
         sum_q_log_q=float(sum(q * math.log(q) for q in primes)),

@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import NoSuchRoot, Singular, UsageError
+from .errors import UsageError
 from .extension import FieldElement, _prime_factors
-from .modcore import PrimeModulus, Residue, pow_mod
+from .modcore import PrimeModulus, Residue, _as_int, pow_mod
 
 # --- CRT -------------------------------------------------------------------
 
@@ -105,11 +105,11 @@ def determinant(A: Sequence[Sequence[Residue]]) -> Residue:
 
 
 def invert_matrix(A: Sequence[Sequence[Residue]]) -> list:
-    """Matrix inverse over the prime field; raises Singular when det = 0."""
+    """Matrix inverse over the prime field; raises UsageError when det = 0."""
     n = len(A)
     _, inverse = _eliminate(A, [[int(c == r) for c in range(n)] for r in range(n)])
     if inverse is None:
-        raise Singular("matrix not invertible", determinant=0)
+        raise UsageError("matrix not invertible")
     return inverse
 
 
@@ -257,10 +257,8 @@ def find_root_of_order(n: int, q: PrimeModulus) -> Residue:
     Requires n | q-1; the result additionally passes the full principal
     certificate before being returned.
     """
-    if n < 1:
-        raise UsageError("order must be >= 1")
-    if (q.q - 1) % n != 0:
-        raise NoSuchRoot(f"{n} does not divide {q.q - 1}")
+    if (q.q - 1) % _as_int(n, "an order", 1) != 0:
+        raise UsageError(f"{n} does not divide {q.q - 1}")
     if n == 1:
         return q.residue(1)
     factors = _prime_factors(n)
@@ -273,7 +271,7 @@ def find_root_of_order(n: int, q: PrimeModulus) -> Residue:
         cert = check_principal_root(cand, n)
         assert cert.passed  # exact order n in a field implies principal
         return cand
-    raise NoSuchRoot(f"no element of order {n} mod {q.q}")
+    raise UsageError(f"no element of order {n} mod {q.q}")
 
 
 def naive_dft(
@@ -308,7 +306,7 @@ def naive_inverse_dft(
     """x[k] = n^-1 * sum_j X[j] * omega^(-j*k); exact round-trip partner."""
     one = omega**0
     n_elem = sum((one for _ in X), one - one)  # len(X) in the field
-    n_inv = n_elem**-1  # raises NotInvertible when the length is 0 there
+    n_inv = n_elem**-1  # raises UsageError when the length is 0 there
     return [n_inv * v for v in naive_dft(X, omega**-1)]
 
 
@@ -338,7 +336,7 @@ def circulant_det_formula(spec: CirculantSpec, q: PrimeModulus) -> Residue:
     det = prod_j sum_l c_l * omega^(j*l) with omega of order t mod q;
     requires t | q-1 so such an omega exists in the field.
     """
-    omega = find_root_of_order(spec.dimension, q)  # NoSuchRoot unless t | q-1
+    omega = find_root_of_order(spec.dimension, q)  # UsageError unless t | q-1
     # the eigenvalues of a circulant are the DFT of its first row
     return math.prod(naive_dft(spec.coeffs, omega), start=q.residue(1))
 

@@ -45,7 +45,8 @@ import numpy as np
 from .errors import PrimeSupplyExhausted, UsageError
 from .extension import (ExtensionContext, ExtensionElement, ext_mul_array, ext_powers,
                         find_extension_root_of_order, find_noncube, is_cube, multiplicative_order)
-from .modcore import PrimeModulus, Residue, doubling_estimate, is_prime, next_prime_at_or_above
+from .modcore import (PrimeModulus, Residue, _as_int, doubling_estimate, is_prime,
+                      next_prime_at_or_above)
 
 PLAN_FORMAT_VERSION = 3
 PLAN_FIELDS = frozenset({"format_version", "p", "y", "omega", "coeff_bound", "primes"})
@@ -115,9 +116,7 @@ class PTPlan:
     coeff_bound: int  # largest input coefficient natural_column accepts, below 2^63
 
     def __post_init__(self):
-        bound = self.coeff_bound
-        if type(bound) is not int or not 1 <= bound < 2**63:
-            raise UsageError(f"coeff_bound must be an integer >= 1 and below 2^63, not {bound!r}")
+        _as_int(self.coeff_bound, "coeff_bound", 1, 2**63)
 
     @property
     def n(self) -> int:
@@ -277,16 +276,16 @@ def preprocess(
     if p is not None and n_target is not None:
         raise UsageError(f"give n_target or p, not both (n_target = {n_target}, p = {p})")
     if p is None:
-        if n_target is None or n_target < 2:
+        if n_target is None:
             raise UsageError("need n_target >= 2 or an explicit p")
-        p_mod = next_prime_at_or_above(doubling_estimate(n_target))
+        p_mod = next_prime_at_or_above(doubling_estimate(_as_int(n_target, "a transform size", 2)))
         while p_mod.q % 3 != 1:
             p_mod = next_prime_at_or_above(p_mod.q + 1)
     else:
         p_mod = PrimeModulus(p)
         if p_mod.q % 3 != 1:
             raise UsageError(f"p = {p} must be 1 mod 3 for a non-cube to exist")
-    y = find_noncube(p_mod, rng_seed=None if seed == 0 else seed)
+    y = find_noncube(p_mod, rng_seed=_as_int(seed, "a seed", 0) or None)
     ctx = ExtensionContext(p_mod, y)
     omega = find_extension_root_of_order(ctx.group_order, ctx)
     omega_inv = omega**-1
@@ -654,8 +653,8 @@ def spot_check(
     """Compare pipeline outputs against the direct oracle at random indices:
     x is checked once by natural_column, and that column goes to both
     transform_elements and oracle_output."""
-    _as_array(sample, [()], 1, name="sample")
-    rng = random.Random(seed)
+    _as_int(sample, "sample", 1)
+    rng = random.Random(_as_int(seed, "a seed", 0))
     indices = sorted(rng.sample(range(plan.n), min(sample, plan.n)))
     column = natural_column(x, plan)
     pipeline = transform_elements(column, plan, indices).tolist()
@@ -682,22 +681,14 @@ def plan_to_json(plan: PTPlan) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _json_int(value, name: str, below: Optional[int] = None) -> int:
-    """A plan file's integer field, refused unless it is a JSON integer (not a
-    boolean or a float), and in [0, below) when below is given."""
-    if type(value) is not int or (below is not None and not 0 <= value < below):
-        within = "" if below is None else f" in [0, {below})"
-        raise UsageError(f"plan field {name} must be an integer{within}, not {value!r}")
-    return value
-
-
-def _json_ints(values, name: str, below: Optional[int] = None, length: Optional[int] = None):
+def _json_ints(values, name: str, low: Optional[int] = None, high: Optional[int] = None,
+               length: Optional[int] = None):
     """A plan file's list field: a JSON list, of the given length when one is given,
-    of integers _json_int takes."""
+    of integers _as_int takes in [low, high)."""
     if type(values) is not list or length not in (None, len(values)):
         shape = "a list of" if length is None else f"a list of {length}"
         raise UsageError(f"plan field {name} must be {shape} integers, not {values!r}")
-    return [_json_int(v, name, below) for v in values]
+    return [_as_int(v, f"plan field {name}", low, high) for v in values]
 
 
 def plan_from_json(text: str) -> PTPlan:
@@ -710,17 +701,18 @@ def plan_from_json(text: str) -> PTPlan:
     if not isinstance(doc, dict):
         raise UsageError(f"a plan file holds a JSON object, not {type(doc).__name__}")
     version = doc.get("format_version")
-    if type(version) is not int or version != PLAN_FORMAT_VERSION:
+    if version != PLAN_FORMAT_VERSION:
         raise UsageError(f"unsupported plan format version {version!r}")
+    _as_int(version, "plan field format_version")  # 3.0 == 3, but is not a JSON integer
     if set(doc) != PLAN_FIELDS:
         unknown, missing = sorted(set(doc) - PLAN_FIELDS), sorted(PLAN_FIELDS - set(doc))
         raise UsageError(f"unknown plan fields {unknown}, missing plan fields {missing}")
-    p_mod = PrimeModulus(_json_int(doc["p"], "p"))
-    y = p_mod.residue(_json_int(doc["y"], "y", p_mod.q))
+    p_mod = PrimeModulus(_as_int(doc["p"], "plan field p"))
+    y = p_mod.residue(_as_int(doc["y"], "plan field y", 0, p_mod.q))
     if is_cube(y):
         raise UsageError(f"y = {y.value} is a cube mod {p_mod.q}")
     ctx = ExtensionContext(p_mod, y)
-    omega = ctx.element(*_json_ints(doc["omega"], "omega", p_mod.q, length=3))
+    omega = ctx.element(*_json_ints(doc["omega"], "omega", 0, p_mod.q, length=3))
     if multiplicative_order(omega, ctx.group_order) != ctx.group_order:
         raise UsageError(f"omega does not have order p^3 - 1 = {ctx.group_order}")
     return _plan(p_mod, y, omega, _json_ints(doc["primes"], "primes"), doc["coeff_bound"])

@@ -6,11 +6,13 @@ import shutil
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from polyxform import bigmul, claims, cli, ptransform
+from polyxform import bigmul, claims, cli, extension, oracles, ptransform
 from polyxform.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PLAN, EXIT_USAGE, main
 from polyxform.errors import UsageError
+from polyxform.modcore import PrimeModulus
 
 LEDGER_SRC = Path(__file__).resolve().parents[1] / "claims_ledger.json"
 
@@ -411,17 +413,108 @@ def test_readme_layout_has_one_row_per_module():
     assert sorted(m.group(1) for m in named) == sorted(modules)
 
 
+def library_trees():
+    """(module name, parsed source) for every module of the package."""
+    paths = sorted(Path(cli.__file__).parent.glob("*.py"))
+    return [(path.stem, ast.parse(path.read_text())) for path in paths]
+
+
 def test_the_library_raises_only_its_own_errors():
     # a caller catches PolyxformError (UsageError for a bad argument); a bare
     # ValueError or TypeError from the package would escape that handler
     raised = []
-    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for module, tree in library_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 if isinstance(exc, ast.Name) and exc.id in ("ValueError", "TypeError"):
-                    raised.append(f"{path.name}:{node.lineno} {exc.id}")
+                    raised.append(f"{module}:{node.lineno} {exc.id}")
     assert raised == []
+
+
+# The classes a library raise may name: the library's own four, AssertionError
+# for what cannot happen, and argparse's error, the one an argparse type raises
+# for argparse to exit 2 with it.
+RAISABLE = {"PolyxformError", "UsageError", "OverflowRisk", "PrimeSupplyExhausted",
+            "AssertionError", "argparse.ArgumentTypeError"}
+
+
+def test_every_raise_names_a_library_error():
+    # a bad argument is a UsageError, so no other class says "the caller erred"
+    raised = {
+        f"{module}:{node.lineno} {ast.unparse(node.exc)}"
+        for module, tree in library_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and ast.unparse(getattr(node.exc, "func", node.exc)) not in RAISABLE
+    }
+    assert raised == set()
+
+
+def test_only_as_int_checks_for_an_int():
+    # one function decides what counts as an integer argument: any other
+    # type(v) is int, type(v) is not int or isinstance(v, int) is a copy of it
+    def checks_int(node):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            return (any(isinstance(s, ast.Name) and s.id == "int" for s in sides)
+                    and any(isinstance(s, ast.Call) and ast.unparse(s.func) == "type"
+                            for s in sides))
+        return (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+                and "int" in ast.unparse(node.args[1]))
+
+    owners = []
+    for module, tree in library_trees():
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in filter(checks_int, ast.walk(tree)):
+            around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            owner = max(around, key=lambda f: f.lineno).name if around else "<module>"
+            owners.append(f"{module}.{owner}")
+    assert owners == ["modcore._as_int"]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda plan: ptransform.preprocess(p=13, seed=1.5), "a seed is a Python int, not float"),
+    (lambda plan: ptransform.preprocess(p=13, seed=True), "a seed is a Python int, not bool"),
+    (lambda plan: ptransform.preprocess(p=13, seed="x"), "a seed is a Python int, not str"),
+    (lambda plan: ptransform.preprocess(p=13, seed=-1), "a seed must be >= 0, not -1"),
+    (lambda plan: ptransform.spot_check([1] * plan.n, plan, 4, seed=1.5),
+     "a seed is a Python int, not float"),
+    (lambda plan: ptransform.spot_check([1] * plan.n, plan, 4, seed="x"),
+     "a seed is a Python int, not str"),
+    (lambda plan: ptransform.spot_check([1] * plan.n, plan, np.int64(4), seed=1),
+     "sample is a Python int, not int64"),
+    (lambda plan: cli.singularity_experiment(PrimeModulus(103), 1.5, 4),
+     "trials is a Python int, not float"),
+    (lambda plan: cli.singularity_experiment(PrimeModulus(103), 0, 4), "trials must be >= 1, not 0"),
+    (lambda plan: cli.singularity_experiment(PrimeModulus(103), 10, 1.5),
+     "a seed is a Python int, not float"),
+    (lambda plan: bigmul.pack(bigmul.BigNat(12345), 8.0, 4), "limb_bits is a Python int, not float"),
+    (lambda plan: bigmul.pack(bigmul.BigNat(12345), 65, 4), "limb_bits must be in [1, 65), not 65"),
+    (lambda plan: bigmul.pack(bigmul.BigNat(12345), 8, 2.5), "a length is a Python int, not float"),
+    (lambda plan: bigmul.carry_propagate([1, 2], 8.0), "limb_bits is a Python int, not float"),
+    (lambda plan: bigmul.carry_propagate([1, 2], True), "limb_bits is a Python int, not bool"),
+    (lambda plan: bigmul.BigNat(-1), "a BigNat must be >= 0, not -1"),
+    (lambda plan: extension.ext_powers(plan.omega, 2.0), "a power count is a Python int, not float"),
+    (lambda plan: extension.ext_powers(plan.omega, -1), "a power count must be >= 0, not -1"),
+    (lambda plan: extension.ext_pow(plan.omega, 1.5), "an exponent is a Python int, not float"),
+    (lambda plan: plan.omega ** "2", "an exponent is a Python int, not str"),
+    (lambda plan: plan.context.element(1, 2.5), "a coefficient is a Python int, not float"),
+    (lambda plan: plan.p.residue(3) ** "2", "an exponent is a Python int, not str"),
+    (lambda plan: extension.find_extension_root_of_order(0, plan.context),
+     "an order must be >= 1, not 0"),
+    (lambda plan: oracles.find_root_of_order(1.5, plan.p), "an order is a Python int, not float"),
+], ids=["preprocess-float-seed", "preprocess-bool-seed", "preprocess-str-seed",
+        "preprocess-negative-seed", "spot-check-float-seed", "spot-check-str-seed",
+        "spot-check-numpy-sample", "singularity-float-trials", "singularity-zero-trials",
+        "singularity-float-seed", "pack-float-limb-bits", "pack-wide-limb-bits",
+        "pack-float-length", "carry-float-limb-bits", "carry-bool-limb-bits",
+        "negative-bignat", "ext-powers-float-count", "ext-powers-negative-count",
+        "ext-pow-float-exponent", "element-str-exponent", "element-float-coefficient",
+        "residue-str-exponent", "extension-root-of-order-zero", "root-of-float-order"])
+def test_scalar_arguments_are_refused_with_a_usage_error(plan7, call, message):
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        call(plan7)
 
 
 def test_mul_pt_backend_runs_on_the_p7_plan(capsys, plan7_file):
@@ -560,6 +653,20 @@ def test_experiments_cost_model(capsys):
     res = json.loads(out)["results"]
     assert res["scaling_within_factor_two"] is True
     assert len(res["bounds"]) == 2
+
+
+def test_experiments_cost_model_refutes_outside_its_band(capsys, tmp_path):
+    # from 1,000 to 100,000 the measured ratios leave the factor-two band of the predicted ones
+    argv = ("experiments", "--which", "cost-model", "--bounds", "1000,100000")
+    code, out = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["scaling_within_factor_two"] is False
+    ledger = tmp_path / "ledger.json"
+    shutil.copy(LEDGER_SRC, ledger)
+    code, out = run(capsys, *argv, "--update-ledger", "--ledger", str(ledger))
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["ledger_entry"]["verdict"] == "refuted"
+    assert claims.get_entry("s3-prime-sum-scaling", path=ledger).verdict == "refuted"
 
 
 def test_config_is_the_parsed_arguments(capsys, plan7_file, tmp_path):
@@ -715,8 +822,15 @@ def test_refused_format_leaves_the_ledger_as_it_was(capsys, tmp_path):
         json.dumps({"ledger_version": 1, "claims": [
             {**dataclasses.asdict(claims.load_ledger(LEDGER_SRC)[0]), "colour": "red"}
         ]}),  # unknown field
+        json.dumps({"ledger_version": 1, "claims": [
+            {**dataclasses.asdict(claims.load_ledger(LEDGER_SRC)[0]), "verdict": "yes"}
+        ]}),  # a verdict not in VERDICTS
+        json.dumps({"ledger_version": 1, "claims": [
+            {**dataclasses.asdict(claims.load_ledger(LEDGER_SRC)[1]), "evidence": 7}
+        ]}),  # a field that is not a string
     ],
-    ids=["invalid-json", "version-2", "no-claims", "missing-fields", "unknown-field"],
+    ids=["invalid-json", "version-2", "no-claims", "missing-fields", "unknown-field",
+         "unknown-verdict", "non-string-field"],
 )
 def test_malformed_ledger_is_a_usage_error(capsys, tmp_path, text):
     ledger = tmp_path / "ledger.json"

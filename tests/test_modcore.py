@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyxform.errors import NotInvertible, Singular, UsageError
+from polyxform.errors import UsageError
 from polyxform.modcore import (
     PrimeModulus,
     Residue,
@@ -108,7 +108,7 @@ def test_inv_mod_examples():
     q = PrimeModulus(97)
     assert inv_mod(q.residue(1)).value == 1
     assert inv_mod(q.residue(96)).value == 96  # (-1)^2 = 1
-    with pytest.raises(NotInvertible):
+    with pytest.raises(UsageError, match="0 mod 97 has no inverse"):
         inv_mod(q.residue(0))
 
 
@@ -180,9 +180,8 @@ def test_solve_linear_singular():
         [Q5.residue(2), Q5.residue(2)],
     ]
     b = [Q5.residue(0), Q5.residue(0)]
-    with pytest.raises(Singular) as exc:
+    with pytest.raises(UsageError, match="matrix not invertible"):
         solve(A, b)
-    assert exc.value.determinant == 0
     assert determinant(A).value == 0
 
 
@@ -223,9 +222,8 @@ def test_elimination_matches_sympy(q):
             assert determinant(A).value == det
             if det == 0:
                 singular += 1
-                with pytest.raises(Singular) as exc:
+                with pytest.raises(UsageError, match="matrix not invertible"):
                     invert_matrix(A)
-                assert exc.value.determinant == 0
                 continue
             inverse = M.inv_mod(q)
             assert [[e.value for e in row] for row in invert_matrix(A)] == [

@@ -29,6 +29,8 @@ from polyxform.oracles import CrtBasis, build_recovery, crt_reconstruct, naive_d
 from polyxform.ptransform import (
     INPUT_AWARE,
     STRICT,
+    IndexCheck,
+    TransformReport,
     inverse_plan,
     matmul_mod,
     oracle_output,
@@ -54,8 +56,10 @@ def test_preprocess_rejects_bad_args():
         preprocess(n_target=300.5)
     # a plan file refuses all of these, so a plan may not hold them either;
     # 2^63 would admit input past int64
-    for coeff_bound in (-1, 0, 2.5, 12.0, True, 2**63):
-        with pytest.raises(UsageError, match="coeff_bound must be an integer >= 1"):
+    for coeff_bound, form in ((-1, "must be in"), (0, "must be in"), (2**63, "must be in"),
+                              (2.5, "is a Python int"), (12.0, "is a Python int"),
+                              (True, "is a Python int")):
+        with pytest.raises(UsageError, match=f"coeff_bound {form}"):
             preprocess(p=13, coeff_bound=coeff_bound)
     with pytest.raises(UsageError, match="not both"):
         preprocess(p=7, n_target=100000)  # n_target would pick a larger p
@@ -1461,8 +1465,8 @@ LOADER_CASES = {
     "base-prime": (lambda d: {"primes": [7] + d["primes"]}, "prime 7 is unusable"),
     "identity-omega": (lambda d: {"omega": [1, 0, 0]}, "order p^3 - 1"),
     "cube-y": (lambda d: {"y": 1}, "is a cube"),
-    "negative-coeff-bound": (lambda d: {"coeff_bound": -1}, "coeff_bound must be an integer >= 1"),
-    "zero-coeff-bound": (lambda d: {"coeff_bound": 0}, "coeff_bound must be an integer >= 1"),
+    "negative-coeff-bound": (lambda d: {"coeff_bound": -1}, f"coeff_bound must be in [1, {2**63})"),
+    "zero-coeff-bound": (lambda d: {"coeff_bound": 0}, f"coeff_bound must be in [1, {2**63})"),
     # fields the loader never reads, a misspelt one among them
     "unknown-fields": (
         lambda d: {"bound_mode": "loose", "certified_bound": 1, "primez": [2]},
@@ -1495,3 +1499,13 @@ def test_transform_report_dict_shape(plan13):
     assert set(d) == {"plan_p", "seed", "sampled_indices", "checks", "aggregate"}
     assert d["aggregate"]["verdict"] == r.verdict
     assert len(d["checks"]) == 3
+
+
+@pytest.mark.parametrize("matching, verdict", [(16, "confirmed"), (15, "refuted")])
+def test_transform_report_confirms_only_when_every_index_matches(matching, verdict):
+    # one mismatched index of 16 refutes; the rule is all indices, not any
+    checks = tuple(IndexCheck(j, (j, 1, 2), (j, 1, 2 if j < matching else 3)) for j in range(16))
+    report = TransformReport(plan_p=13, seed=0, checks=checks)
+    assert (report.matches, report.mismatches, report.verdict) == (matching, 16 - matching, verdict)
+    assert report.to_dict()["aggregate"] == {
+        "matches": matching, "mismatches": 16 - matching, "verdict": verdict}
