@@ -7,9 +7,9 @@ backend is an experiment whose agreement (or not) is recorded in a
 MulReport rather than asserted.
 
 Schoolbook and Karatsuba's base cases share one digit kernel: a batch of
-operand pairs, cut into 16-bit digits, whose columns of digit products
-numpy sums in int64 (exact while the shorter operand has at most
-MAX_SHORTER_LIMBS limbs) and one carry turns into integers.  Python ints
+operand pairs cut into 16-bit digits, one np.convolve in int64 per pair
+(exact while the shorter operand has at most MAX_SHORTER_LIMBS limbs)
+and one carry that turns every pair's columns into integers.  Python ints
 only shift, mask, add and convert bytes, so these backends never use the
 oracle's `*`.  Their counts are still 64-bit limb products.
 """
@@ -17,7 +17,6 @@ oracle's `*`.  Their counts are still 64-bit limb products.
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -114,29 +113,6 @@ def _carry(columns: np.ndarray) -> List[int]:
     return [int.from_bytes(data[r * width:(r + 1) * width], "little") for r in range(count)]
 
 
-def _size_class(limbs: int) -> int:
-    """limbs rounded up to a multiple of the power of two at or below limbs / 2,
-    so at most 1.5 times limbs."""
-    step = 1 << max(0, limbs.bit_length() - 2)
-    return -(-limbs // step) * step
-
-
-def _long_multiply(xs: Sequence[int], la: int, ys: Sequence[int], lb: int) -> List[int]:
-    """xs[r] · ys[r] for every r, each x below 2^(64·la) and each y below
-    2^(64·lb): one einsum sums every column of 16-bit digit products, and
-    one carry turns the columns into integers."""
-    x, y = _digit_rows(xs, la), _digit_rows(ys, lb)
-    if x.shape[1] > y.shape[1]:
-        x, y = y, x
-    dx, dy = x.shape[1], y.shape[1]
-    # y between dx - 1 zero digits and dx more: its window k of dx digits
-    # against x reversed sums column k of the long multiplication
-    padded = np.zeros((len(xs), dy + 2 * dx - 1), dtype="<i8")
-    padded[:, dx - 1:dx - 1 + dy] = y
-    windows = np.ndarray((len(xs), dx + dy, dx), "<i8", padded, 0, (padded.strides[0], 8, 8))
-    return _carry(np.einsum("rkj,rj->rk", windows, x[:, ::-1]))
-
-
 def _digit_products(pairs: Sequence[Tuple[int, int, int, int]]) -> List[int]:
     """a · b for every (a, la, b, lb) pair, a and b held in la and lb limbs,
     by long multiplication of 16-bit digits, all pairs in one batch.
@@ -144,24 +120,27 @@ def _digit_products(pairs: Sequence[Tuple[int, int, int, int]]) -> List[int]:
     A digit product is below 2^32, so an int64 column sum of the shorter
     operand's 4·min(la, lb) digit products is exact while
     4·min(la, lb)·(2^16 − 1)^2 < 2^63; a pair past that is refused before
-    anything is allocated.  A pair with a zero operand has product 0 and is
-    never padded.  The others are grouped by the size classes of la and lb
-    and padded to the longest in their group, at most 1.5 times either
-    side; each group is one _long_multiply call.
+    anything is allocated.  A pair with a zero operand has product 0.  The
+    others' digits are cut in one _digit_rows call per side, each pair's
+    columns are one np.convolve of its own 4·la and 4·lb digits, and one
+    _carry turns every row of columns into its product.
     """
     if any(min(la, lb) > MAX_SHORTER_LIMBS for _, la, _, lb in pairs):
         raise OverflowRisk(f"an int64 column sum of more than {4 * MAX_SHORTER_LIMBS} "
                            f"16-bit digit products could reach 2^63")
     products = [0] * len(pairs)
-    groups = defaultdict(list)
-    for i, (a, la, b, lb) in enumerate(pairs):
-        if a and b:
-            groups[_size_class(la), _size_class(lb)].append(i)
-    for rows in groups.values():
-        la, lb = max(pairs[i][1] for i in rows), max(pairs[i][3] for i in rows)
-        got = _long_multiply([pairs[i][0] for i in rows], la, [pairs[i][2] for i in rows], lb)
-        for i, product in zip(rows, got):
-            products[i] = product
+    live = [i for i, (a, _, b, _) in enumerate(pairs) if a and b]
+    if not live:  # _carry cannot reshape a batch of no rows
+        return products
+    la, lb = max(pairs[i][1] for i in live), max(pairs[i][3] for i in live)
+    x = _digit_rows([pairs[i][0] for i in live], la)
+    y = _digit_rows([pairs[i][2] for i in live], lb)
+    columns = np.zeros((len(live), 4 * (la + lb)), dtype="<i8")
+    for row, i in enumerate(live):
+        dx, dy = 4 * pairs[i][1], 4 * pairs[i][3]
+        columns[row, :dx + dy - 1] = np.convolve(x[row, :dx], y[row, :dy])
+    for i, product in zip(live, _carry(columns)):
+        products[i] = product
     return products
 
 
@@ -353,11 +332,12 @@ def ntt(values: Sequence[int], invert: bool = False) -> np.ndarray:
 
 def ntt_convolve(x: Sequence[int], y: Sequence[int]) -> np.ndarray:
     """Exact cyclic convolution mod NTT_PRIME of two equal-length vectors, as
-    uint64: two forward ntt calls, a pointwise product and one inverse call."""
+    uint64: two forward ntt calls and one inverse call on their pointwise
+    product, each entry below 2^62, which that call reduces."""
     fx, fy = ntt(x), ntt(y)
     if len(fx) != len(fy):
         raise UsageError("vectors must have equal length")
-    return ntt(ptransform._reduce(fx * fy, NTT_PRIME), invert=True)
+    return ntt(np.multiply(fx, fy, out=fx), invert=True)
 
 
 # --- backend dispatch ---------------------------------------------------

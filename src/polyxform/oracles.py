@@ -28,14 +28,14 @@ from .modcore import PrimeModulus, Residue, _as_int, pow_mod
 
 @dataclass(frozen=True)
 class CrtBasis:
-    """Ordered pairwise-coprime moduli with their exact product."""
+    """Ordered pairwise-coprime moduli, Python ints >= 2, with their product."""
 
     moduli: tuple
     Q: int
 
     @classmethod
     def of(cls, moduli: Sequence[int]) -> "CrtBasis":
-        mods = tuple(int(m) for m in moduli)
+        mods = tuple(_as_int(m, "a modulus", 2) for m in moduli)
         for i in range(len(mods)):
             for j in range(i + 1, len(mods)):
                 if math.gcd(mods[i], mods[j]) != 1:
@@ -46,7 +46,8 @@ class CrtBasis:
 
 
 def crt_reconstruct(residues: Sequence[int], basis: CrtBasis) -> int:
-    """Unique x in [0, Q) with x = residues[k] mod moduli[k], exact.
+    """Unique x in [0, Q) with x = residues[k] mod moduli[k], exact, for
+    residues that are Python ints in [0, moduli[k]).
 
     Uses the idempotent combination: for each modulus, the integer that is
     1 mod that modulus and 0 mod every other one.
@@ -55,7 +56,7 @@ def crt_reconstruct(residues: Sequence[int], basis: CrtBasis) -> int:
         raise UsageError("residue count does not match basis size")
     x = 0
     for r, m in zip(residues, basis.moduli):
-        if not 0 <= r < m:
+        if not 0 <= _as_int(r, "a residue") < m:
             raise UsageError(f"residue {r} out of range for modulus {m}")
         others = basis.Q // m
         x += r * others * pow(others, -1, m)

@@ -243,6 +243,34 @@ def test_digit_columns_past_int64_are_refused():
         bigmul._digit_products([(3, 1, 5, 1), (1, 2 * limit, 1, limit + 1)])
 
 
+def _full(rng, limbs):
+    """A random natural of exactly `limbs` limbs, its top bit set."""
+    return rng.getrandbits(64 * limbs) | 1 << (64 * limbs - 1)
+
+
+_KERNEL_RNG = random.Random(37)
+_A, _B, _C = (_full(_KERNEL_RNG, n) for n in (3, 5, 300))
+_ONE = _full(_KERNEL_RNG, 1)
+
+
+@pytest.mark.parametrize("pairs", [
+    [],
+    [(0, 1, 0, 1), (0, 4, _B, 5), (_A, 3, 0, 0)],
+    [(_A, 3, _B, 5), (0, 3, _B, 5), (_B, 5, _A, 3)],
+    [(_ONE, 1, _C, 300), (_A, 3, _A, 3)],
+    [(_C, 300, _ONE, 1), (0, 2, 0, 2)],
+    [(_A, 4, _B, 6), (_A >> 64, 3, _B, 5)],
+    [(_A, 3, _A, 3), (_A, 3, _A, 3), (_B, 5, _B, 5)],
+    [((1 << 64 * 16) - 1, 16, (1 << 64 * 16) - 1, 16)],
+], ids=["empty", "all-zero", "zero-operand", "one-by-300-limbs", "300-by-one-and-zero",
+        "carry-limb", "equal-pairs", "all-ones"])
+def test_digit_products_match_python(pairs):
+    # each live pair is one convolution of its own digits, whatever the
+    # batch's longest operands; a declared limb above the values (a
+    # Karatsuba sum's carry limb) changes nothing
+    assert bigmul._digit_products(pairs) == [a * b for a, _, b, _ in pairs]
+
+
 def test_carry_matches_loop_reference():
     rng = np.random.default_rng(16)
     columns = rng.integers(0, 2**63, size=(5, 9), dtype=np.int64)

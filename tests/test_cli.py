@@ -432,6 +432,32 @@ def test_the_library_raises_only_its_own_errors():
     assert raised == []
 
 
+def test_no_module_keeps_an_unused_import():
+    # an import that no code reads is left over from deleted code; a name read
+    # only in a string annotation, such as Optional["ptransform.PTPlan"], is read
+    unused = []
+    for module, tree in library_trees():
+        imported = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        annotations = [getattr(node, "annotation", None) or getattr(node, "returns", None)
+                       for node in ast.walk(tree)
+                       if isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef))]
+        strings = [ast.parse(node.value, mode="eval")
+                   for annotation in annotations if annotation is not None
+                   for node in ast.walk(annotation)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+        read = {node.id for part in [tree, *strings] for node in ast.walk(part)
+                if isinstance(node, ast.Name)}
+        unused += [f"{module}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unused == []
+
+
 # The classes a library raise may name: the library's own four, AssertionError
 # for what cannot happen, and argparse's error, the one an argparse type raises
 # for argparse to exit 2 with it.

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,21 @@ def test_crt_rejects_noncoprime():
 def test_crt_rejects_residues_that_do_not_fit_the_basis(residues, message):
     with pytest.raises(UsageError, match=message):
         crt_reconstruct(residues, CrtBasis.of([3, 5]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CrtBasis.of([3.7, 5]), "a modulus is a Python int, not float"),
+    (lambda: CrtBasis.of([1, 5]), "a modulus must be >= 2, not 1"),
+    (lambda: crt_reconstruct([1.5, 2], CrtBasis.of([3, 5])), "a residue is a Python int, not float"),
+    (lambda: crt_reconstruct([True, 2], CrtBasis.of([3, 5])), "a residue is a Python int, not bool"),
+    (lambda: crt_reconstruct([np.int64(1), 2], CrtBasis.of([3, 5])),
+     "a residue is a Python int, not int64"),
+], ids=["float-modulus", "modulus-one", "float-residue", "bool-residue", "numpy-residue"])
+def test_crt_oracle_takes_only_python_ints(call, message):
+    # a float modulus would be truncated, a float residue gives a float, a
+    # bool counts as 1 and a numpy int64 can wrap on large moduli
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @given(st.integers(min_value=0, max_value=10**30 - 1))
