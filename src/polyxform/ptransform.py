@@ -9,11 +9,14 @@ the folded rows at all three roots in one product and folds each on to
 its root's period, runs small DFTs as products with the root's DFT
 matrix, recovers components by the closed-form Vandermonde inverse into
 one table per prime over its index classes, merges the primes' tables by
-CRT at their shared periods, and combines the merged groups mod p, all
-on int64 arrays.  `transform_elements` is the one way into it: `transform`,
-`spot_check` and both directions of the polynomial-transform multiply
-call it.  Sampled output rows take the same path: each prime's class
-table is read at the sampled rows before the merge.  The boxed
+CRT at their shared periods, and combines the merged groups mod p.  The
+CRT is Garner's in carry form: its terms are solved on int64 tables, and
+each output row forms only the carries, in unsigned rows as narrow as
+each level's bound allows, and one last sum.  `transform_elements` is the
+one way into it: `transform`, `spot_check` and both directions of the
+polynomial-transform multiply call it.  Sampled output rows take the same
+path: each prime's class table is read at the sampled rows before the
+merge.  The boxed
 references each stage is tested against (`naive_dft`, the Gauss-Jordan
 `recover_components`, `crt_reconstruct`) live in `oracles`, which no
 program module imports.
@@ -37,7 +40,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -305,13 +308,12 @@ def preprocess(
 
 
 # Rows per block when the slot stage reduces the input mod q before folding
-# it, and when the CRT combines outputs; caps the temporaries of both.  A
-# block's int64 triple temporary is 4,096 x 3 x 8 B = 96 KiB, below glibc's
-# default 128 KiB mmap threshold, so the heap reuses it from call to call.
-# Minor page faults per p = 43 transform_elements call, from the third call
-# in a process on: about 1,450 at 16,384 rows (384 KiB temporaries, mapped
-# and trimmed afresh), about 1,100 at 8,192, none at 4,096; 2,048 rows run
-# slower, on loop overhead.
+# it, and when the CRT solves its terms and combines outputs; caps the
+# temporaries of both.  A block's int64 triple temporary is 4,096 x 3 x 8 B
+# = 96 KiB, below glibc's default 128 KiB mmap threshold, so the heap reuses
+# it from call to call: with the CRT's digits in int64, 16,384 rows faulted
+# in about 1,450 pages per p = 43 transform_elements call and 4,096 none.
+# 2,048 rows ran slower, on loop overhead.
 _ROW_BLOCK = 1 << 12
 
 
@@ -366,7 +368,9 @@ def _slot_table(x: np.ndarray, slot: PTPrimeSlot, peak: int) -> np.ndarray:
     rows into each folded row, all exact, and is folded as it is: the whole
     input is one block when ceil(n / P) * peak < 2^63, as for naturals
     below p.  When that allows fewer than _ROW_BLOCK rows, each block of
-    about _ROW_BLOCK rows is reduced mod q before it is folded.
+    about _ROW_BLOCK rows is reduced mod q before it is folded.  Each
+    block's fold is reduced mod q, and the folds are added with one
+    reduction per added block, none when there is one block.
     """
     q, period = slot.q.q, slot.index_period
     forward, inverse = slot.vandermonde
@@ -377,7 +381,8 @@ def _slot_table(x: np.ndarray, slot: PTPrimeSlot, peak: int) -> np.ndarray:
     else:
         block = period * max(1, _ROW_BLOCK // period)
         blocks = (x[start : start + block] % q for start in range(0, len(x), block))
-    folded = sum(_fold(values, period, q) for values in blocks) % q
+    parts = (_fold(values, period, q) for values in blocks)  # each reduced mod q
+    folded = reduce(lambda acc, part: (acc + part) % q, parts)
     at_roots = forward[:, : x.shape[1]] @ folded.T % q
     evals = np.empty((3, period), dtype=np.int64)
     for out, at_root, d, dft in zip(evals, at_roots, slot.periods, slot.dfts):
@@ -386,31 +391,64 @@ def _slot_table(x: np.ndarray, slot: PTPrimeSlot, peak: int) -> np.ndarray:
 
 
 class _Garner:
-    """Garner's constants for the x in [0, prod(moduli)) given mod each modulus,
-    taken mod m.
+    """Garner's constants in carry form, for the x in [0, prod(moduli)) given
+    by its residue r_i mod each modulus q_i, taken mod m.
 
-    Digit k of x is (r_k * inverses[k] + sum_i v_i * weights[k][i]) mod q_k,
-    with inverses[k] = 1 / (q_0...q_{k-1}) and
-    weights[k][i] = -(q_0...q_{i-1}) * inverses[k], and x mod m is
-    sum_k v_k * out_weights[k] mod m, with out_weights[k] = q_0...q_{k-1} mod m.
-    For residues in [0, q_k), each digit's sum stays below K * Q^2 and the
-    result's below K * Q * m, for K moduli of which Q is the largest.  So the
-    constants are refused unless K * Q * max(Q, m) < 2^63, the bound within
-    which int64 holds every sum exactly.
+    With P_k = q_0...q_{k-1}, level k < K solves digit k of x = sum P_k v_k,
+    and level K gives x mod m.  Level k's sum is S_k = sum_i T_ki + c_{k-1}:
+    term T_ki reads residue i alone (T_kk = r_k / P_k mod q_k, and
+    T_ki = sum_l W_kl T_li over i <= l < k with W_kl = -P_l / P_k, all mod
+    q_k, or W_Kl = P_l, all mod m, at level K), and c_k = S_k // q_k, at
+    most k, is its carry.  Digit k, S_k - q_k c_k, is never formed: written
+    so in a later level, each earlier carry's weight cancels but c_{k-1}'s,
+    which is 1.  So x = sum_i T_Ki - c_{K-1} prod(moduli), reduced mod m; in a merge
+    step (m >= prod(moduli)) the T_Ki stay unreduced and that sum, modulo
+    2^w in a width w that holds m - 1, is x.
+
+    The terms are solved in int64 and refused unless K * Q * max(Q, m) < 2^63
+    for the largest modulus Q.  Each level runs in the narrowest of uint16,
+    uint32 and uint64 that holds the bound derived here; level 1's carry is
+    the comparison T_10 >= q_1 - T_11 of two values at most q_1.
     """
 
     def __init__(self, moduli: Sequence[int], m: int):
-        top = max(moduli)
-        if len(moduli) * top * max(top, m) >= 2**63:
+        top, count = max(moduli), len(moduli)
+        if count * top * max(top, m) >= 2**63:
             raise UsageError(f"Garner's digits over {list(moduli)} mod {m} overflow int64")
-        prefix = [math.prod(moduli[:k]) for k in range(len(moduli))]
+        prefix = [math.prod(moduli[:k]) for k in range(count + 1)]
         self.moduli, self.m = tuple(moduli), m
         self.inverses = tuple(pow(c, -1, q) for c, q in zip(prefix, moduli))
-        self.weights = tuple(
-            tuple(-c * inv % q for c in prefix[:k])
-            for k, (q, inv) in enumerate(zip(moduli, self.inverses))
+        exact, bounds, carry = m >= prefix[-1], [], 0  # carry: the largest c_{k-1}
+        for k, q in enumerate(moduli[1:], 1):
+            bounds.append(q if k == 1 else (k + 1) * (q - 1) + carry)
+            carry = bounds[-1] // q
+        shift = -prefix[-1] % m
+        bounds.append(m - 1 if exact else count * (m - 1) + carry * shift)
+        widths = [np.promote_types(np.min_scalar_type(b), np.uint16) for b in bounds]
+        # per level k = 1 .. K: M_k (None at level K of a merge step, whose
+        # terms are not reduced), the weights W_kl and the level's width
+        self.levels = tuple(
+            (None if exact and k == count else q, tuple(
+                c % m if k == count else -c * self.inverses[k] % q for c in prefix[:k]), width)
+            for k, (q, width) in enumerate(zip(self.moduli[1:] + (m,), widths), 1)
         )
-        self.out_weights = tuple(c % m for c in prefix)
+        # c_{K-1}'s weight at level K, and whether S_K is already x mod m
+        last = widths[-1]
+        self.shift = last.type(-prefix[-1] % 2 ** (8 * last.itemsize) if exact else shift)
+        self.reduced = bounds[-1] < m
+
+    def terms(self, residues: np.ndarray, i: int) -> list:
+        """T_ki from rows of residue i's table, in int64, for each level k that
+        reads it (k >= max(i, 1)), with q_1 - T_11 in place of T_11."""
+        chain = [residues if i == 0 else _reduce(residues * self.inverses[i], self.moduli[i])]
+        for modulus, weights, _ in self.levels[i:]:
+            acc = chain[0] * weights[i]
+            for value, w in zip(chain[1:], weights[i + 1 :]):
+                acc += value * w
+            chain.append(acc if modulus is None else _reduce(acc, modulus))
+        if i == 1:
+            chain[0] = self.moduli[1] - chain[0]
+        return chain if i else chain[1:]
 
 
 def _crt_schedule(
@@ -439,47 +477,58 @@ def _crt_mod_p(tables: Sequence[np.ndarray], garner: _Garner, count: int) -> np.
     """x mod garner.m at each row j < count, for the x in [0, prod(moduli))
     that is tables[k][j mod len(tables[k])] mod garner.moduli[k] for every k.
 
-    Garner's mixed-radix digits, each solved mod its modulus and folded
-    straight into the result mod m: no intermediate grows with prod(moduli),
-    and every sum stays exact in int64 (see _Garner).  Digit 0 is r_0, so the
-    terms that read one table, r_k * inv_k and v_0 * w_k0 mod q_k and v_0 mod
-    m, are solved once on that table's own rows.  The rows are then taken in
-    blocks of _ROW_BLOCK; each term shorter than count is tiled, in whole
-    periods, to cover one block past its start, so a block's rows of it are
-    one slice.
+    Garner in carry form (see _Garner).  Each term is solved once on its
+    table's own rows, in int64 pieces of _ROW_BLOCK rows that stay in cache,
+    and written in its level's width to the whole periods that cover one
+    block of _ROW_BLOCK rows past its start, so a block's rows of it are one
+    slice.  A block then forms only the carries, level 1's by one
+    comparison, and the last sum, reduced mod m into the int64 output, in
+    scratch rows of each level's width reused from block to block.
     """
-    moduli, m, weights = garner.moduli, garner.m, garner.weights
-    first, period = tables[0], len(tables[0])
+    levels, shape = garner.levels, tables[0].shape[1:]
+    out = np.empty((count, *shape), dtype=np.int64)
+    if not count:
+        return out
+    terms = [[] for _ in levels]  # per level: (table index, tiled term) for each table it reads
+    for i, table in enumerate(tables):
+        period = len(table)
+        reps = -(-min(count, period + _ROW_BLOCK - 1) // period)
+        tiled = [np.empty((reps, *table.shape), level[2]) for level in levels[max(i, 1) - 1 :]]
+        for lo in range(0, period, _ROW_BLOCK):
+            for tile, value in zip(tiled, garner.terms(table[lo : lo + _ROW_BLOCK], i)):
+                tile[:, lo : lo + _ROW_BLOCK] = value
+        for k, tile in enumerate(tiled, max(i, 1)):
+            terms[k - 1].append((i, tile.reshape(-1, *shape)))
 
-    def repeated(term):
-        size = min(count, len(term) + _ROW_BLOCK - 1)
-        if len(term) >= size:
-            return term
-        tiled = np.empty((-(-size // len(term)), *term.shape), dtype=np.int64)
-        tiled[...] = term
-        return tiled.reshape(-1, *term.shape[1:])
-
-    base = repeated(_reduce(first * garner.out_weights[0], m))
-    terms = [
-        (repeated(_reduce(table * inv, q)), len(table), repeated(_reduce(first * w[0], q)))
-        for table, q, inv, w in zip(tables[1:], moduli[1:], garner.inverses[1:], weights[1:])
-    ]
-    out = np.empty((count, *first.shape[1:]), dtype=np.int64)
+    block = (min(count, _ROW_BLOCK), *shape)
+    scratch = [np.empty((2, *block), width) for _, _, width in levels]  # a sum and a spare
+    compared = np.empty(block, dtype=np.uint16)  # level 1's carry
     for start in range(0, count, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, count)
-        at = start % period
-        digits = []
-        for (own, own_period, cross), q, w in zip(terms, moduli[1:], weights[1:]):
-            at_own = start % own_period
-            acc = own[at_own : at_own + stop - start] + cross[at : at + stop - start]
-            for v, c in zip(digits, w[1:]):
-                acc += v * c
-            digits.append(_reduce(acc, q))
-        acc = out[start:stop]
-        acc[...] = base[at : at + stop - start]
-        for v, c in zip(digits, garner.out_weights[1:]):
-            acc += v * c
-        _reduce(acc, m)
+        size = min(_ROW_BLOCK, count - start)
+        at = [start % len(table) for table in tables]
+        carry = None
+        for k, ((modulus, _, _), level_terms, rows) in enumerate(zip(levels, terms, scratch), 1):
+            parts = [term[at[i] : at[i] + size] for i, term in level_terms]
+            if k == 1 < len(levels):  # T_10 >= q_1 - T_11
+                carry = np.greater_equal(*parts, out=compared[:size])
+                continue
+            acc, spare = rows[:, :size]
+            if len(parts) > 1:
+                np.add(parts[0], parts[1], out=acc)
+            else:
+                acc[...] = parts[0]
+            for part in parts[2:]:
+                np.add(acc, part, out=acc)
+            if k < len(levels):
+                carry = np.floor_divide(np.add(acc, carry, out=acc), modulus, out=acc)
+                continue
+            if carry is not None:
+                np.add(acc, np.multiply(carry, garner.shift, out=spare), out=acc)
+            if garner.reduced:
+                out[start : start + size] = acc
+            else:
+                np.multiply(np.floor_divide(acc, modulus, out=spare), modulus, out=spare)
+                out[start : start + size] = np.subtract(acc, spare, out=acc)
     return out
 
 
@@ -490,9 +539,9 @@ def _merge_slots(tables: Sequence[np.ndarray], joins: Sequence[Optional[_Garner]
     A joining slot's table is combined with its group's over the lcm of
     their lengths: the lcm of their periods for class tables, and the row
     count for tables gathered at given rows.  The group stays the first
-    modulus, so its digit is its residue as it is and only the new prime's
-    digit is solved, mod q.  Each group holds the same x as its slots would,
-    so the outputs are too.
+    modulus, so a join is Garner's two-modulus carry form exact mod the
+    product: one comparison for the new prime's carry and one sum per row.
+    Each group holds the same x as its slots would, so the outputs are too.
     """
     merged = []
     for table, garner in zip(tables, joins):

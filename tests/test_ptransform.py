@@ -596,6 +596,87 @@ def test_merge_step_at_the_int64_limit_matches_crt_reconstruct(k, q, periods, se
     ]
 
 
+@pytest.mark.parametrize("moduli, m, row_block", [
+    ((5, 7, 11, 13), 17, 91),  # a final combine: 5,005 rows in 55 whole blocks
+    ((5, 7, 11, 13), 17, 97),  # 51 whole blocks and 58 rows
+    ((35, 11), 385, 35),  # a merge step, m = prod(moduli): 385 rows in 11 blocks
+    ((35, 11), 385, 97),  # 3 whole blocks and 94 rows
+])
+def test_crt_mod_p_over_every_residue_tuple(monkeypatch, moduli, m, row_block):
+    # row j of every column reads a residue j * c mod q of each table, c = 1,
+    # 2 or 3, so by the CRT the prod(moduli) rows meet every residue tuple
+    # once per column, and with them every value each level's carry can take
+    monkeypatch.setattr(ptransform, "_ROW_BLOCK", row_block)
+    count = math.prod(moduli)
+    tables = [np.array([[j * c % q for c in (1, 2, 3)] for j in range(q)], dtype=np.int64)
+              for q in moduli]
+    got = ptransform._crt_mod_p(tables, ptransform._Garner(moduli, m), count)
+    basis = CrtBasis.of(list(moduli))
+    assert got.tolist() == [
+        [crt_reconstruct([j * c % q for q in moduli], basis) % m for c in (1, 2, 3)]
+        for j in range(count)
+    ]
+
+
+def _prime_at_or_below(v):
+    return next(q for q in range(v, 1, -1) if is_prime(q))
+
+
+@st.composite
+def garner_inputs(draw):
+    """Up to eight distinct primes, each of up to the bit length _Garner allows
+    for their count, and an m of any size it allows, or their product (a merge
+    step), so that every width the levels can run in is drawn."""
+    count = draw(st.integers(1, 8))
+    top = math.isqrt((2**63 - 1) // count)  # count * Q^2 < 2^63
+
+    def below(limit):
+        bits = draw(st.integers(2, limit.bit_length()))
+        return _prime_at_or_below(draw(st.integers(2 ** (bits - 1), min(2**bits - 1, limit))))
+
+    moduli = []
+    for _ in range(count):
+        q = below(top)
+        moduli += [q] * (q not in moduli)
+    largest = (2**63 - 1) // (len(moduli) * max(moduli))  # K * Q * m < 2^63 for m > Q
+    product = math.prod(moduli)
+    merge = product <= max(largest, max(moduli)) and draw(st.booleans())
+    return moduli, product if merge else below(max(largest, max(moduli)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=garner_inputs(), seed=st.integers(0, 2**32 - 1))
+@example(inputs=((13, 1048573), 13 * 1048573), seed=0)  # uint32 levels
+@example(inputs=((65521, 65519, 65497), 13), seed=0)  # uint16, uint32, uint16
+@example(inputs=((31, 43, 61), (2**63 - 1) // (3 * 61)), seed=0)  # a uint64 last level
+def test_garner_at_every_width_matches_crt_reconstruct(inputs, seed):
+    moduli, m = inputs
+    rng = random.Random(seed)
+    rows = [[rng.randrange(q) for q in moduli] for _ in range(8)]
+    rows += [[0] * len(moduli), [q - 1 for q in moduli]]
+    tables = [np.array([[v, v, v] for v in column], dtype=np.int64) for column in zip(*rows)]
+    got = ptransform._crt_mod_p(tables, ptransform._Garner(moduli, m), len(rows))
+    basis = CrtBasis.of(moduli)
+    assert got.tolist() == [[crt_reconstruct(row, basis) % m] * 3 for row in rows]
+
+
+@pytest.mark.parametrize("moduli, m, widths", [
+    ((5, 7, 11, 13), 17, ["uint16"] * 4),
+    ((13, 1048573), 13 * 1048573, ["uint32", "uint32"]),  # a merge step: level 2 is x
+    ((13, 31, _Q_AT_BOUND), 13, ["uint16", "uint64", "uint16"]),  # 3 * Q > 2^32
+    ((31, 43, 61), _M_AT_BOUND, ["uint16", "uint16", "uint64"]),  # m > prod(moduli)
+])
+def test_garner_runs_each_level_in_the_narrowest_width(moduli, m, widths):
+    garner = ptransform._Garner(moduli, m)
+    assert [str(level[2]) for level in garner.levels] == widths
+    rows = [[q - 1 for q in moduli], [0] * len(moduli), [1] * len(moduli)]
+    tables = [np.array(column, dtype=np.int64) for column in zip(*rows)]
+    basis = CrtBasis.of(list(moduli))
+    assert ptransform._crt_mod_p(tables, garner, 3).tolist() == [
+        crt_reconstruct(row, basis) % m for row in rows
+    ]
+
+
 def flat_garner(xs, plan):
     """The CRT before slots were merged: every slot table gathered to n rows
     (in row blocks) and Garner's digits taken over all K primes.  The peak
