@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import OverflowRisk, UsageError
 from .extension import ext_mul_array
-from .modcore import _as_int
+from .modcore import _as_array, _as_int
 from . import ptransform
 
 # NTT modulus: 15 * 2^27 + 1, primitive root 31.  Products of two values
@@ -71,7 +71,11 @@ class BigNat:
 
     @classmethod
     def from_hex(cls, text: str) -> "BigNat":
-        return cls(int(text, 16))
+        """The natural that text names in hexadecimal, as int(text, 16) reads it."""
+        try:
+            return cls(int(text, 16))
+        except (TypeError, ValueError):
+            raise UsageError(f"a BigNat's hex text must be hexadecimal, not {text!r}") from None
 
     def to_int(self) -> int:
         return self.value
@@ -245,13 +249,13 @@ def pack(a: BigNat, limb_bits: int, length: int) -> np.ndarray:
 
 def carry_propagate(coeffs: Sequence[int], limb_bits: int) -> int:
     """sum(coeffs[k] * 2^(k*limb_bits)), exactly, for a list of integer
-    coefficients in [0, 2^63), checked by ptransform._as_array.
+    coefficients in [0, 2^63), checked by modcore._as_array.
 
     Bits g*limb_bits up to (g+1)*limb_bits of every coefficient form one
     bit string without overlaps, so each such group packs into one integer.
     """
     _as_int(limb_bits, "limb_bits", 1)
-    c = ptransform._as_array(coeffs, [(None,)], 0, 2**63, "convolution coefficients")
+    c = _as_array(coeffs, [(None,)], 0, 2**63, "convolution coefficients")
     c = np.ascontiguousarray(c, dtype="<i8")
     groups = -(-int(c.max(initial=0)).bit_length() // limb_bits)
     bits = np.unpackbits(c.view(np.uint8).reshape(-1, 8), axis=1, count=groups * limb_bits,
@@ -299,7 +303,7 @@ def ntt(values: Sequence[int], invert: bool = False) -> np.ndarray:
     """Transform mod NTT_PRIME, in passes of radix NTT_RADIX (length a power
     of two), of integers in [0, 2^63), as uint64: the one way into the NTT.
     Every input, a list or an array of any integer dtype, pack's uint64
-    included, passes ptransform._as_array's check, so a uint64 entry of 2^63
+    included, passes modcore._as_array's check, so a uint64 entry of 2^63
     or more is refused, as the same value in a list is.
 
     A pass views each row of the data as (radix digit, rest) and takes the
@@ -314,7 +318,7 @@ def ntt(values: Sequence[int], invert: bool = False) -> np.ndarray:
     the end of the row, and one digit reversal puts the outputs in order.
     The inverse is the forward transform read at -k mod n, scaled by 1/n.
     """
-    a = ptransform._as_array(values, [(None,)], 0, 2**63, "NTT input") % NTT_PRIME
+    a = _as_array(values, [(None,)], 0, 2**63, "NTT input") % NTT_PRIME
     passes = _ntt_tables(len(a))
     for split, twiddles in passes:
         radix, rest = twiddles.shape

@@ -22,7 +22,7 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from .errors import UsageError
-from .modcore import PrimeModulus, Residue, _as_int
+from .modcore import PrimeModulus, Residue, _as_array, _as_int
 
 
 def is_cube(x: Residue) -> bool:
@@ -141,13 +141,15 @@ def ext_mul(u: ExtensionElement, v: ExtensionElement) -> ExtensionElement:
 
 
 def ext_mul_array(a, b, ctx: ExtensionContext) -> np.ndarray:
-    """ext_mul elementwise on (..., 3) int64 coefficient arrays (broadcasting)."""
+    """ext_mul elementwise on (3,), (k, 3) or (j, k, 3) int64 coefficient
+    arrays (broadcasting), each checked by _as_array."""
     p = ctx.p.q
     y = ctx.y.value
     if 3 * (p - 1) ** 2 >= 2**63:
         raise UsageError(f"p = {p} is too large for int64 extension products")
-    a = np.asarray(a, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64) % p
+    shapes = [(3,), (None, 3), (None, None, 3)]
+    a = _as_array(a, shapes, name="extension coefficients") % p
+    b = _as_array(b, shapes, name="extension coefficients") % p
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)

@@ -9,14 +9,15 @@ The doubling estimate and the next prime at or above it pick a plan's base
 prime p; the helper-prime scan lives with the plan builder in `ptransform`.
 `_as_int` is the library's one check of a scalar integer argument: a
 Python int in range, or UsageError for anything else (a bool, a float, a
-numpy integer, a value out of range).
+numpy integer, a value out of range); `_as_array` is its one check of an
+integer array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +41,35 @@ def _as_int(value, what: str, low: int = None, high: int = None) -> int:
                   else f"in [{low}, {high})")
         raise UsageError(f"{what} must be {bounds}, not {value}")
     return value
+
+
+def _as_array(values: Sequence, shapes: Sequence[tuple], low: int = -(2**63),
+              high: int = 2**63, name: str = "input") -> np.ndarray:
+    """values as int64: the one check of every integer array the program takes.
+
+    Refused, not broadcast, truncated or wrapped: a shape not in shapes
+    (None matches any length), a dtype that is not an integer one (bools,
+    floats, strings and Python ints past int64, which numpy reads as object
+    or float64, among them), and any entry outside [low, high) or int64.
+    The entries are scanned only when their dtype admits one out of range.
+    """
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged
+        array = np.array(None)
+    if not any(
+        len(shape) == array.ndim and all(w in (None, d) for w, d in zip(shape, array.shape))
+        for shape in shapes
+    ):
+        raise UsageError(f"{name} shape {array.shape} != {' or '.join(map(str, shapes))}")
+    low, high = max(low, -(2**63)), min(high, 2**63)
+    if array.size and (
+        array.dtype.kind not in "iu"
+        or not low <= np.iinfo(array.dtype).min <= np.iinfo(array.dtype).max < high
+        and not low <= int(array.min()) <= int(array.max()) < high
+    ):
+        raise UsageError(f"{name} entries must be integers in [{low}, {high})")
+    return array.astype(np.int64, copy=False)
 
 
 def is_prime(n: int) -> bool:

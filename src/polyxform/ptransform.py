@@ -11,12 +11,12 @@ matrix, recovers components by the closed-form Vandermonde inverse into
 one table per prime over its index classes, merges the primes' tables by
 CRT at their shared periods, and combines the merged groups mod p.  The
 CRT is Garner's in carry form: its terms are solved on int64 tables, and
-each output row forms only the carries, in unsigned rows as narrow as
-each level's bound allows, and one last sum.  `transform_elements` is the
-one way into it: `transform`, `spot_check` and both directions of the
-polynomial-transform multiply call it.  Sampled output rows take the same
-path: each prime's class table is read at the sampled rows before the
-merge.  The boxed
+each output row forms only the carries (none in a merge step), in unsigned
+rows as narrow as each level's bound allows, and one last sum.
+`transform_elements` is the one way into it: `transform`, `spot_check`
+and both directions of the polynomial-transform multiply call it.
+Sampled output rows take the same path: each prime's class table is read
+at the sampled rows before the merge.  The boxed
 references each stage is tested against (`naive_dft`, the Gauss-Jordan
 `recover_components`, `crt_reconstruct`) live in `oracles`, which no
 program module imports.
@@ -48,7 +48,7 @@ import numpy as np
 from .errors import PrimeSupplyExhausted, UsageError
 from .extension import (ExtensionContext, ExtensionElement, ext_mul_array, ext_powers,
                         find_extension_root_of_order, find_noncube, is_cube, multiplicative_order)
-from .modcore import (PrimeModulus, Residue, _as_int, doubling_estimate, is_prime,
+from .modcore import (PrimeModulus, Residue, _as_array, _as_int, doubling_estimate, is_prime,
                       next_prime_at_or_above)
 
 PLAN_FORMAT_VERSION = 3
@@ -311,7 +311,7 @@ def preprocess(
 # it, and when the CRT solves its terms and combines outputs; caps the
 # temporaries of both.  A block's int64 triple temporary is 4,096 x 3 x 8 B
 # = 96 KiB, below glibc's default 128 KiB mmap threshold, so the heap reuses
-# it from call to call: with the CRT's digits in int64, 16,384 rows faulted
+# it from call to call: with the CRT's terms in int64, 16,384 rows faulted
 # in about 1,450 pages per p = 43 transform_elements call and 4,096 none.
 # 2,048 rows ran slower, on loop overhead.
 _ROW_BLOCK = 1 << 12
@@ -401,9 +401,9 @@ class _Garner:
     q_k, or W_Kl = P_l, all mod m, at level K), and c_k = S_k // q_k, at
     most k, is its carry.  Digit k, S_k - q_k c_k, is never formed: written
     so in a later level, each earlier carry's weight cancels but c_{k-1}'s,
-    which is 1.  So x = sum_i T_Ki - c_{K-1} prod(moduli), reduced mod m; in a merge
-    step (m >= prod(moduli)) the T_Ki stay unreduced and that sum, modulo
-    2^w in a width w that holds m - 1, is x.
+    which is 1.  So x = sum_i T_Ki + c_{K-1} shift mod m, shift = -prod(moduli)
+    mod m.  When m divides prod(moduli), as in a merge step, shift is 0 and
+    level K runs alone: no carry is formed.
 
     The terms are solved in int64 and refused unless K * Q * max(Q, m) < 2^63
     for the largest modulus Q.  Each level runs in the narrowest of uint16,
@@ -414,41 +414,37 @@ class _Garner:
     def __init__(self, moduli: Sequence[int], m: int):
         top, count = max(moduli), len(moduli)
         if count * top * max(top, m) >= 2**63:
-            raise UsageError(f"Garner's digits over {list(moduli)} mod {m} overflow int64")
+            raise UsageError(f"Garner's terms over {list(moduli)} mod {m} overflow int64")
         prefix = [math.prod(moduli[:k]) for k in range(count + 1)]
         self.moduli, self.m = tuple(moduli), m
         self.inverses = tuple(pow(c, -1, q) for c, q in zip(prefix, moduli))
-        exact, bounds, carry = m >= prefix[-1], [], 0  # carry: the largest c_{k-1}
+        shift, bounds, carry = -prefix[-1] % m, [], 0  # carry: the largest c_{k-1}
         for k, q in enumerate(moduli[1:], 1):
             bounds.append(q if k == 1 else (k + 1) * (q - 1) + carry)
             carry = bounds[-1] // q
-        shift = -prefix[-1] % m
-        bounds.append(m - 1 if exact else count * (m - 1) + carry * shift)
+        bounds.append(count * (m - 1) + carry * shift)
         widths = [np.promote_types(np.min_scalar_type(b), np.uint16) for b in bounds]
-        # per level k = 1 .. K: M_k (None at level K of a merge step, whose
-        # terms are not reduced), the weights W_kl and the level's width
+        # per level k = 1 .. K: M_k, the weights W_kl and the level's width
         self.levels = tuple(
-            (None if exact and k == count else q, tuple(
-                c % m if k == count else -c * self.inverses[k] % q for c in prefix[:k]), width)
+            (q, tuple(c % m if k == count else -c * self.inverses[k] % q for c in prefix[:k]),
+             width)
             for k, (q, width) in enumerate(zip(self.moduli[1:] + (m,), widths), 1)
         )
-        # c_{K-1}'s weight at level K, and whether S_K is already x mod m
-        last = widths[-1]
-        self.shift = last.type(-prefix[-1] % 2 ** (8 * last.itemsize) if exact else shift)
-        self.reduced = bounds[-1] < m
+        # the first level a row runs, and c_{K-1}'s weight at level K
+        self.first, self.shift = 1 if shift else count, widths[-1].type(shift)
 
     def terms(self, residues: np.ndarray, i: int) -> list:
         """T_ki from rows of residue i's table, in int64, for each level k that
-        reads it (k >= max(i, 1)), with q_1 - T_11 in place of T_11."""
+        reads it and runs (k >= max(i, 1, first)), with q_1 - T_11 for T_11."""
         chain = [residues if i == 0 else _reduce(residues * self.inverses[i], self.moduli[i])]
         for modulus, weights, _ in self.levels[i:]:
             acc = chain[0] * weights[i]
             for value, w in zip(chain[1:], weights[i + 1 :]):
                 acc += value * w
-            chain.append(acc if modulus is None else _reduce(acc, modulus))
+            chain.append(_reduce(acc, modulus))
         if i == 1:
             chain[0] = self.moduli[1] - chain[0]
-        return chain if i else chain[1:]
+        return chain[max(i, 1, self.first) - i :]  # chain[j] is level i + j's
 
 
 def _crt_schedule(
@@ -477,38 +473,39 @@ def _crt_mod_p(tables: Sequence[np.ndarray], garner: _Garner, count: int) -> np.
     """x mod garner.m at each row j < count, for the x in [0, prod(moduli))
     that is tables[k][j mod len(tables[k])] mod garner.moduli[k] for every k.
 
-    Garner in carry form (see _Garner).  Each term is solved once on its
-    table's own rows, in int64 pieces of _ROW_BLOCK rows that stay in cache,
-    and written in its level's width to the whole periods that cover one
-    block of _ROW_BLOCK rows past its start, so a block's rows of it are one
-    slice.  A block then forms only the carries, level 1's by one
-    comparison, and the last sum, reduced mod m into the int64 output, in
-    scratch rows of each level's width reused from block to block.
+    Garner in carry form (see _Garner).  Each term of a level the rows run is
+    solved once on its table's own rows, in int64 pieces of _ROW_BLOCK rows
+    that stay in cache, and written in its level's width to the whole periods
+    that cover one block of _ROW_BLOCK rows past its start, so a block's rows
+    of it are one slice.  A block then forms the carries, if any, level 1's
+    by one comparison, and the last sum, reduced once mod m into the int64
+    output, in scratch rows of each level's width reused from block to block.
     """
-    levels, shape = garner.levels, tables[0].shape[1:]
+    levels, first, shape = garner.levels, garner.first, tables[0].shape[1:]
     out = np.empty((count, *shape), dtype=np.int64)
     if not count:
         return out
-    terms = [[] for _ in levels]  # per level: (table index, tiled term) for each table it reads
+    running = levels[first - 1 :]  # levels first .. K
+    terms = [[] for _ in running]  # per level: (table index, tiled term) for each table it reads
     for i, table in enumerate(tables):
-        period = len(table)
+        period, low = len(table), max(i, 1, first)  # low: the first level tiled for table i
         reps = -(-min(count, period + _ROW_BLOCK - 1) // period)
-        tiled = [np.empty((reps, *table.shape), level[2]) for level in levels[max(i, 1) - 1 :]]
+        tiled = [np.empty((reps, *table.shape), level[2]) for level in levels[low - 1 :]]
         for lo in range(0, period, _ROW_BLOCK):
             for tile, value in zip(tiled, garner.terms(table[lo : lo + _ROW_BLOCK], i)):
                 tile[:, lo : lo + _ROW_BLOCK] = value
-        for k, tile in enumerate(tiled, max(i, 1)):
-            terms[k - 1].append((i, tile.reshape(-1, *shape)))
+        for k, tile in enumerate(tiled, low):
+            terms[k - first].append((i, tile.reshape(-1, *shape)))
 
     block = (min(count, _ROW_BLOCK), *shape)
-    scratch = [np.empty((2, *block), width) for _, _, width in levels]  # a sum and a spare
+    scratch = [np.empty((2, *block), width) for _, _, width in running]  # a sum and a spare
     compared = np.empty(block, dtype=np.uint16)  # level 1's carry
     for start in range(0, count, _ROW_BLOCK):
         size = min(_ROW_BLOCK, count - start)
         at = [start % len(table) for table in tables]
         carry = None
-        for k, ((modulus, _, _), level_terms, rows) in enumerate(zip(levels, terms, scratch), 1):
-            parts = [term[at[i] : at[i] + size] for i, term in level_terms]
+        for k, ((modulus, _, _), tiles, rows) in enumerate(zip(running, terms, scratch), first):
+            parts = [term[at[i] : at[i] + size] for i, term in tiles]
             if k == 1 < len(levels):  # T_10 >= q_1 - T_11
                 carry = np.greater_equal(*parts, out=compared[:size])
                 continue
@@ -524,11 +521,8 @@ def _crt_mod_p(tables: Sequence[np.ndarray], garner: _Garner, count: int) -> np.
                 continue
             if carry is not None:
                 np.add(acc, np.multiply(carry, garner.shift, out=spare), out=acc)
-            if garner.reduced:
-                out[start : start + size] = acc
-            else:
-                np.multiply(np.floor_divide(acc, modulus, out=spare), modulus, out=spare)
-                out[start : start + size] = np.subtract(acc, spare, out=acc)
+            np.multiply(np.floor_divide(acc, modulus, out=spare), modulus, out=spare)
+            out[start : start + size] = np.subtract(acc, spare, out=acc)
     return out
 
 
@@ -538,10 +532,10 @@ def _merge_slots(tables: Sequence[np.ndarray], joins: Sequence[Optional[_Garner]
 
     A joining slot's table is combined with its group's over the lcm of
     their lengths: the lcm of their periods for class tables, and the row
-    count for tables gathered at given rows.  The group stays the first
-    modulus, so a join is Garner's two-modulus carry form exact mod the
-    product: one comparison for the new prime's carry and one sum per row.
-    Each group holds the same x as its slots would, so the outputs are too.
+    count for tables gathered at given rows.  A join is Garner's
+    two-modulus step mod the product of its moduli, so it forms no carry:
+    each row sums the two last-level terms and reduces them once.  Each
+    group holds the same x as its slots would, so the outputs are too.
     """
     merged = []
     for table, garner in zip(tables, joins):
@@ -550,35 +544,6 @@ def _merge_slots(tables: Sequence[np.ndarray], joins: Sequence[Optional[_Garner]
             table = _crt_mod_p((group, table), garner, math.lcm(len(group), len(table)))
         merged.append(table)
     return merged
-
-
-def _as_array(values: Sequence, shapes: Sequence[tuple], low: int = -(2**63),
-              high: int = 2**63, name: str = "input") -> np.ndarray:
-    """values as int64: the one check of every integer array the program takes.
-
-    Refused, not broadcast, truncated or wrapped: a shape not in shapes
-    (None matches any length), a dtype that is not an integer one (bools,
-    floats, strings and Python ints past int64, which numpy reads as object
-    or float64, among them), and any entry outside [low, high) or int64.
-    The entries are scanned only when their dtype admits one out of range.
-    """
-    try:
-        array = np.asarray(values)
-    except ValueError:  # ragged
-        array = np.array(None)
-    if not any(
-        len(shape) == array.ndim and all(w in (None, d) for w, d in zip(shape, array.shape))
-        for shape in shapes
-    ):
-        raise UsageError(f"{name} shape {array.shape} != {' or '.join(map(str, shapes))}")
-    low, high = max(low, -(2**63)), min(high, 2**63)
-    if array.size and (
-        array.dtype.kind not in "iu"
-        or not low <= np.iinfo(array.dtype).min <= np.iinfo(array.dtype).max < high
-        and not low <= int(array.min()) <= int(array.max()) < high
-    ):
-        raise UsageError(f"{name} entries must be integers in [{low}, {high})")
-    return array.astype(np.int64, copy=False)
 
 
 def transform_elements(

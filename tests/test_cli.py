@@ -521,6 +521,11 @@ def test_only_as_int_checks_for_an_int():
     (lambda plan: bigmul.carry_propagate([1, 2], 8.0), "limb_bits is a Python int, not float"),
     (lambda plan: bigmul.carry_propagate([1, 2], True), "limb_bits is a Python int, not bool"),
     (lambda plan: bigmul.BigNat(-1), "a BigNat must be >= 0, not -1"),
+    (lambda plan: bigmul.BigNat.from_hex("zz"),
+     "a BigNat's hex text must be hexadecimal, not 'zz'"),
+    (lambda plan: bigmul.BigNat.from_hex(""), "a BigNat's hex text must be hexadecimal, not ''"),
+    (lambda plan: bigmul.BigNat.from_hex(" "), "a BigNat's hex text must be hexadecimal, not ' '"),
+    (lambda plan: bigmul.BigNat.from_hex("-0x5"), "a BigNat must be >= 0, not -5"),
     (lambda plan: extension.ext_powers(plan.omega, 2.0), "a power count is a Python int, not float"),
     (lambda plan: extension.ext_powers(plan.omega, -1), "a power count must be >= 0, not -1"),
     (lambda plan: extension.ext_pow(plan.omega, 1.5), "an exponent is a Python int, not float"),
@@ -535,7 +540,8 @@ def test_only_as_int_checks_for_an_int():
         "spot-check-numpy-sample", "singularity-float-trials", "singularity-zero-trials",
         "singularity-float-seed", "pack-float-limb-bits", "pack-wide-limb-bits",
         "pack-float-length", "carry-float-limb-bits", "carry-bool-limb-bits",
-        "negative-bignat", "ext-powers-float-count", "ext-powers-negative-count",
+        "negative-bignat", "hex-not-hex", "hex-empty", "hex-blank", "hex-negative",
+        "ext-powers-float-count", "ext-powers-negative-count",
         "ext-pow-float-exponent", "element-str-exponent", "element-float-coefficient",
         "residue-str-exponent", "extension-root-of-order-zero", "root-of-float-order"])
 def test_scalar_arguments_are_refused_with_a_usage_error(plan7, call, message):

@@ -172,6 +172,21 @@ def test_mul_array_broadcasts_and_reduces_inputs():
     assert got == [list(ext_mul(CTX.element(*r), u).coeffs) for r in rows.tolist()]
 
 
+@pytest.mark.parametrize("operand", [
+    np.ones((2, 4), dtype=np.int64),  # was read as (2, 4) with its last column never written
+    [1.5, 2, 3],  # was truncated to [1, 2, 3]
+    np.array([True, False, True]),  # was read as 0/1
+    np.array([2**64 - 1, 0, 0], dtype=np.uint64),  # wrapped to -1, 6 mod 7 for a true 1
+    [1, 2],  # raised IndexError
+    [2**70, 2, 3],  # raised OverflowError
+    np.ones((2, 2, 2, 3), dtype=np.int64),
+])
+def test_mul_array_refuses_operands_it_cannot_read(operand):
+    for a, b in ((operand, (1, 0, 0)), ((1, 0, 0), operand)):
+        with pytest.raises(UsageError):
+            ext_mul_array(a, b, CTX)
+
+
 def test_mul_array_rejects_p_beyond_int64():
     big = PrimeModulus(2**31 - 1)
     ctx = ExtensionContext(big, big.residue(3))

@@ -601,6 +601,10 @@ def test_merge_step_at_the_int64_limit_matches_crt_reconstruct(k, q, periods, se
     ((5, 7, 11, 13), 17, 97),  # 51 whole blocks and 58 rows
     ((35, 11), 385, 35),  # a merge step, m = prod(moduli): 385 rows in 11 blocks
     ((35, 11), 385, 97),  # 3 whole blocks and 94 rows
+    # m divides prod(moduli) in all but mod 17, so level 3 runs alone, yet
+    # it reads every table's term
+    ((5, 7, 11), 11, 97), ((5, 7, 11), 35, 97), ((5, 7, 11), 77, 97),
+    ((5, 7, 11), 385, 97), ((5, 7, 11), 17, 97),
 ])
 def test_crt_mod_p_over_every_residue_tuple(monkeypatch, moduli, m, row_block):
     # row j of every column reads a residue j * c mod q of each table, c = 1,
@@ -610,7 +614,9 @@ def test_crt_mod_p_over_every_residue_tuple(monkeypatch, moduli, m, row_block):
     count = math.prod(moduli)
     tables = [np.array([[j * c % q for c in (1, 2, 3)] for j in range(q)], dtype=np.int64)
               for q in moduli]
-    got = ptransform._crt_mod_p(tables, ptransform._Garner(moduli, m), count)
+    garner = ptransform._Garner(moduli, m)
+    assert garner.first == (len(moduli) if count % m == 0 else 1)  # no carry when shift is 0
+    got = ptransform._crt_mod_p(tables, garner, count)
     basis = CrtBasis.of(list(moduli))
     assert got.tolist() == [
         [crt_reconstruct([j * c % q for q in moduli], basis) % m for c in (1, 2, 3)]
@@ -792,6 +798,30 @@ def test_merge_slots_groups_at_p43():
     assert [slot.q.q for slot in plan.slots] == [61, 67, 73, 103, 151, 193]
     assert moduli == (61 * 67 * 73, 103 * 151, 193)
     assert [len(t) for t in tables] == [3960, 2550, 192]
+
+
+@pytest.mark.parametrize("p, moduli, lengths, widths", [
+    (103, (26578687, 14145559), [16380, 194028], ["uint16"] + ["uint32"] * 4),
+    (211, (93454093, 438512329), [9828, 970140], ["uint16", "uint32", "uint32", "uint16",
+                                                  "uint32", "uint32"]),
+])
+def test_crt_schedule_at_p103_and_p211(p, moduli, lengths, widths):
+    # read from the plan alone: each group's table is the lcm of its slots'
+    # index periods, and every join, exact mod the product of its moduli,
+    # runs its last level alone
+    plan = preprocess(p=p)
+    joins, final = plan._crt
+    assert final.moduli == moduli and final.m == p
+    groups = []
+    for slot, join in zip(plan.slots, joins):
+        if join is None:
+            groups.append(slot.index_period)
+        else:
+            groups[-1] = math.lcm(groups[-1], slot.index_period)
+    assert groups == lengths
+    steps = [join for join in joins if join is not None]
+    assert all(join.first == 2 and join.m == math.prod(join.moduli) for join in steps)
+    assert [str(join.levels[-1][2]) for join in steps] == widths
 
 
 FAULTS_PER_CALL = """
@@ -1157,9 +1187,9 @@ def test_non_integer_input_is_refused(plan13):
     shapes = [(None,), (None, 3)]
     for big in ([2**63, 1], [2**63], np.array([2**63], dtype=np.uint64), [[2**70, 0, 1]]):
         with pytest.raises(UsageError):
-            ptransform._as_array(big, shapes)
+            modcore._as_array(big, shapes)
     for small in (np.array([2, 1], dtype=np.uint8), np.array([3], dtype=np.uint64), [5, -1]):
-        got = ptransform._as_array(small, shapes)
+        got = modcore._as_array(small, shapes)
         assert got.dtype == np.int64 and got.tolist() == np.asarray(small).tolist()
 
 
